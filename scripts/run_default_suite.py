@@ -25,8 +25,9 @@ def main():
     suite_track_c = 0.0
     suite_stab_c = 0.0
     all_ok = True
+    suite_start = time.perf_counter()
     for config in suite:
-        start = time.time()
+        start = time.perf_counter()
         report = run_scenario(config)
         stability = verify_orbital_stability(report)
         window = 2.0 / abs(config.kinks.v1) if config.kinks.v1 else None
@@ -43,7 +44,7 @@ def main():
             f"growthC={growth.fitted_C:8.3g} "
             f"coercivity>={report.coercivity_ratio_min:.3f} "
             f"lyapA1={lyap.a1_fit:.3g} lyapA3={lyap.fdot_ratio_max:.3g} "
-            f"({time.time() - start:.1f}s)"
+            f"({time.perf_counter() - start:.1f}s)"
         )
     print(
         f"\nsuite constants: tracking C={suite_track_c:.3g} (limit 20), "
@@ -51,6 +52,7 @@ def main():
         f"{'pass' if all_ok else 'FAIL'}"
     )
     print(f"reports written under {out_dir}/")
+    print(f"suite wall time: {time.perf_counter() - suite_start:.1f}s")
     return 0 if all_ok else 1
 
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .pde import SolverConfig
@@ -25,7 +25,20 @@ from .scenarios import (
 )
 
 
+def _reject_unknown_keys(section: str, data: dict, cls, *extra: str) -> None:
+    unknown = sorted(set(data) - {f.name for f in fields(cls)} - set(extra))
+    if unknown:
+        raise ValueError(f"unknown {section} key(s): {', '.join(map(repr, unknown))}")
+
+
 def config_from_dict(data: dict) -> ScenarioConfig:
+    """Scenario from a parsed JSON config; a key that no setting reads is an error."""
+    _reject_unknown_keys("config", data, ScenarioConfig)
+    for section, cls in (("kinks", KinkArrangement), ("grid", GridSpec),
+                         ("solver", SolverConfig)):
+        _reject_unknown_keys(section, data.get(section) or {}, cls)
+    _reject_unknown_keys("perturbation", data.get("perturbation") or {},
+                         GaussianPerturbation, "kind")
     kinks = KinkArrangement(**data["kinks"])
     grid = GridSpec(**data["grid"]) if "grid" in data and data["grid"] else None
     perturbation = None

@@ -7,6 +7,7 @@ for long runs.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -16,7 +17,6 @@ from .model import (
     Orientation,
     antikink_derivative,
     boosted_kink_field,
-    eval_potential_derivative,
     kink_derivative,
 )
 
@@ -79,60 +79,105 @@ class SolverConfig:
             )
 
 
-def _laplacian(phi: np.ndarray, dx: float, order: int) -> np.ndarray:
-    """Interior Laplacian; boundary entries are zero (edges stay clamped)."""
-    out = np.zeros_like(phi)
-    inv = 1.0 / (dx * dx)
-    if order == 4:
-        out[2:-2] = (
-            -phi[:-4] + 16.0 * phi[1:-3] - 30.0 * phi[2:-2] + 16.0 * phi[3:-1] - phi[4:]
-        ) * (inv / 12.0)
-        out[1] = (phi[0] - 2.0 * phi[1] + phi[2]) * inv
-        out[-2] = (phi[-3] - 2.0 * phi[-2] + phi[-1]) * inv
-    else:
-        out[1:-1] = (phi[:-2] - 2.0 * phi[1:-1] + phi[2:]) * inv
-    return out
+class _Verlet:
+    """Velocity-Verlet kernel that owns its field, acceleration and scratch buffers.
+
+    Built once per run: the CFL check, the stencil constants, the clamped edge
+    values and the sponge factor max(1 - dt sigma(x), 0) are fixed here, and
+    each advance updates the buffers in place.  ``acc`` always holds the
+    acceleration of the current ``phi``, so an advance evaluates it once.
+    """
+
+    def __init__(self, state: FieldState, cfg: SolverConfig):
+        cfg.validate_cfl(state.dx)
+        self.dt = cfg.dt
+        self.half_dt = 0.5 * cfg.dt
+        self.order = cfg.stencil_order
+        self.inv = 1.0 / (state.dx * state.dx)
+        self.inv12 = self.inv / 12.0
+        self.phi = np.array(state.phi, dtype=float)
+        self.pi = np.array(state.pi, dtype=float)
+        self.edges = (self.phi[0], self.phi[-1])
+        self.damping = None
+        if cfg.sponge_width > 0.0 and cfg.sponge_strength > 0.0:
+            x, width = state.x, cfg.sponge_width
+            left = (state.x0 + width - x) / width
+            right = (x - (x[-1] - width)) / width
+            ramp = np.maximum(np.maximum(left, right), 0.0)
+            sponge = cfg.sponge_strength * ramp * ramp
+            self.damping = np.maximum(1.0 - cfg.dt * sponge, 0.0)
+        self.acc = np.zeros(state.n)  # edge entries stay zero: the edges are clamped
+        self.scratch = np.empty(state.n)
+        self._update_acceleration()
+
+    def _update_acceleration(self) -> None:
+        """acc = d_xx phi - U'(phi) on the interior nodes.
+
+        The operations and their order are those of the 4th-order stencil
+        ((-phi[i-2] + 16 phi[i-1]) - 30 phi[i] + 16 phi[i+1]) - phi[i+2]
+        scaled by inv/12 (2nd-order next to the edges), and of the Horner
+        form (((6 phi) phi - 8) phi phi + 2) phi of eval_potential_derivative
+        without its additions of 0.0, which change no value.
+        """
+        phi, acc, inv = self.phi, self.acc, self.inv
+        if self.order == 4:
+            lap, tmp = acc[2:-2], self.scratch[2:-2]
+            np.multiply(phi[1:-3], 16.0, out=lap)
+            lap -= phi[:-4]
+            np.multiply(phi[2:-2], 30.0, out=tmp)
+            lap -= tmp
+            np.multiply(phi[3:-1], 16.0, out=tmp)
+            lap += tmp
+            lap -= phi[4:]
+            lap *= self.inv12
+            acc[1] = (phi[0] - 2.0 * phi[1] + phi[2]) * inv
+            acc[-2] = (phi[-3] - 2.0 * phi[-2] + phi[-1]) * inv
+        else:
+            lap, tmp = acc[1:-1], self.scratch[1:-1]
+            np.multiply(phi[1:-1], 2.0, out=tmp)
+            np.subtract(phi[:-2], tmp, out=lap)
+            lap += phi[2:]
+            lap *= inv
+        p, du = phi[1:-1], self.scratch[1:-1]
+        np.multiply(p, 6.0, out=du)
+        du *= p
+        du -= 8.0
+        du *= p
+        du *= p
+        du += 2.0
+        du *= p
+        acc[1:-1] -= du
+
+    def advance(self, t: float) -> None:
+        """One kick-drift-kick update from time t, which a non-finite result
+        reports as the last valid time."""
+        phi, pi, acc, tmp = self.phi, self.pi, self.acc, self.scratch
+        np.multiply(acc, self.half_dt, out=tmp)
+        pi += tmp
+        np.multiply(pi, self.dt, out=tmp)
+        phi += tmp
+        phi[0], phi[-1] = self.edges
+        self._update_acceleration()
+        np.multiply(acc, self.half_dt, out=tmp)
+        pi += tmp
+        pi[0] = pi[-1] = 0.0
+        if self.damping is not None:
+            pi *= self.damping
+        if not (_all_finite(phi) and _all_finite(pi)):
+            raise FloatingPointError(f"non-finite field detected; last valid time t={t:.6f}")
 
 
-def _acceleration(phi: np.ndarray, dx: float, order: int) -> np.ndarray:
-    acc = _laplacian(phi, dx, order)
-    acc[1:-1] -= eval_potential_derivative(1, phi[1:-1])
-    return acc
-
-
-def _sponge_profile(state: FieldState, cfg: SolverConfig) -> np.ndarray | None:
-    if cfg.sponge_width <= 0.0 or cfg.sponge_strength <= 0.0:
-        return None
-    x = state.x
-    left = (state.x0 + cfg.sponge_width - x) / cfg.sponge_width
-    right = (x - (x[-1] - cfg.sponge_width)) / cfg.sponge_width
-    ramp = np.maximum(np.maximum(left, right), 0.0)
-    return cfg.sponge_strength * ramp * ramp
+def _all_finite(a: np.ndarray) -> bool:
+    """Exactly np.isfinite(a).all(); the one-pass a @ a decides unless it
+    overflows or a holds a non-finite value."""
+    return math.isfinite(a @ a) or bool(np.isfinite(a).all())
 
 
 def step(state: FieldState, cfg: SolverConfig) -> FieldState:
     """One velocity-Verlet update with clamped boundary nodes."""
-    cfg.validate_cfl(state.dx)
-    dt = cfg.dt
-    order = cfg.stencil_order
-    phi, pi = state.phi, state.pi
-
-    pi_half = pi + (0.5 * dt) * _acceleration(phi, state.dx, order)
-    phi_new = phi + dt * pi_half
-    phi_new[0], phi_new[-1] = phi[0], phi[-1]
-    pi_new = pi_half + (0.5 * dt) * _acceleration(phi_new, state.dx, order)
-    pi_new[0] = pi_new[-1] = 0.0
-
-    sponge = _sponge_profile(state, cfg)
-    if sponge is not None:
-        pi_new *= np.maximum(1.0 - dt * sponge, 0.0)
-
-    if not (np.isfinite(phi_new).all() and np.isfinite(pi_new).all()):
-        raise FloatingPointError(
-            f"non-finite field detected; last valid time t={state.t:.6f}"
-        )
-    return FieldState(x0=state.x0, dx=state.dx, n=state.n, phi=phi_new, pi=pi_new,
-                      t=state.t + dt)
+    kernel = _Verlet(state, cfg)
+    kernel.advance(state.t)
+    return replace(state, phi=kernel.phi, pi=kernel.pi, t=state.t + cfg.dt)
 
 
 def run(state: FieldState, cfg: SolverConfig, t_end: float, frame_cadence: int = 50):
@@ -148,14 +193,14 @@ def run(state: FieldState, cfg: SolverConfig, t_end: float, frame_cadence: int =
     n_steps = int(round((t_end - state.t) / cfg.dt))
     if n_steps < 1:
         raise ValueError("t_end too close to state.t for one step")
-    t0 = state.t
+    kernel = _Verlet(state, cfg)
     snapshots = [state.copy()]
-    current = state
+    t0 = t = state.t
     for k in range(1, n_steps + 1):
-        current = step(current, cfg)
-        current = replace(current, t=t0 + k * cfg.dt)
+        kernel.advance(t)
+        t = t0 + k * cfg.dt
         if k % frame_cadence == 0 or k == n_steps:
-            snapshots.append(current.copy())
+            snapshots.append(replace(state, phi=kernel.phi.copy(), pi=kernel.pi.copy(), t=t))
     return snapshots
 
 

@@ -266,6 +266,8 @@ def fit_growth_constant(report: ComparisonReport) -> float:
             return float("inf")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:  # adjacent doubles: the bracket can no longer move
+            break
         if holds(mid):
             hi = mid
         else:

@@ -94,3 +94,21 @@ def test_invalid_config_is_runtime_error(tmp_path, capsys):
     path.write_text(json.dumps({"kinks": {"x1": 6.0, "x2": -6.0}}))
     code = main(["run", "--config", str(path)])
     assert code == 2
+
+
+@pytest.mark.parametrize("section", [None, "kinks", "grid", "solver", "perturbation"])
+def test_unknown_config_key_is_runtime_error(tmp_path, capsys, section):
+    config = {
+        "kinks": {"x1": -6.0, "x2": 6.0},
+        "grid": {"x0": -51.0, "dx": 0.05, "n": 2041},
+        "solver": {"dt": 0.02},
+        "perturbation": {"kind": "gaussian", "amplitude": 1e-3, "width": 1.0},
+        "t_end": 1.0,
+    }
+    (config if section is None else config[section])["t_ned"] = 5.0
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(config))
+    code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "'t_ned'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -91,12 +91,55 @@ class TestStep:
         with pytest.raises(FloatingPointError):
             step(bad, SolverConfig(dt=0.02))
 
+    def test_run_raises_cfl_violation(self):
+        st = single_kink_state()
+        with pytest.raises(ValueError, match="CFL violation"):
+            run(st, SolverConfig(dt=0.05, stencil_order=4), 1.0)
+
+    def test_run_names_last_finite_time_of_mid_run_blowup(self):
+        # an interior phi of 10 stays finite for three steps, then overflows
+        st = single_kink_state()
+        bad = dataclasses.replace(st, phi=st.phi.copy())
+        bad.phi[800] = 10.0
+        cfg = SolverConfig(dt=0.02)
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = run(bad, cfg, 0.06, frame_cadence=1)
+            assert len(finite) == 4
+            assert all(np.isfinite(s.phi).all() and np.isfinite(s.pi).all() for s in finite)
+            with pytest.raises(FloatingPointError, match=r"last valid time t=0\.060000"):
+                run(bad, cfg, 1.0, frame_cadence=1)
+
     def test_boundaries_clamped(self):
         st = single_kink_state()
         out = step(st, SolverConfig(dt=0.02))
         assert out.phi[0] == st.phi[0]
         assert out.phi[-1] == st.phi[-1]
         assert out.pi[0] == 0.0 and out.pi[-1] == 0.0
+
+
+class TestRunMatchesStep:
+    @pytest.mark.parametrize("cfg", [
+        SolverConfig(dt=0.02, stencil_order=4),
+        SolverConfig(dt=0.02, stencil_order=2),
+        SolverConfig(dt=0.02, sponge_width=10.0, sponge_strength=2.0),
+    ], ids=["order4", "order2", "sponge"])
+    def test_snapshots_bitwise_equal_to_repeated_step(self, cfg):
+        n = int(round(96 / 0.05)) + 1
+        st = init_two_kink_state((-48.0, 0.05, n), -8.0, 8.0, 0.3, -0.3)
+        st = dataclasses.replace(st, t=0.7)
+        steps, cadence = 150, 40
+        snaps = run(st, cfg, st.t + steps * cfg.dt, frame_cadence=cadence)
+        expected = [st]
+        cur = st
+        for k in range(1, steps + 1):
+            cur = dataclasses.replace(step(cur, cfg), t=st.t + k * cfg.dt)
+            if k % cadence == 0 or k == steps:
+                expected.append(cur)
+        assert len(snaps) == len(expected) == 5
+        for got, want in zip(snaps, expected):
+            assert got.t == want.t
+            assert got.phi.tobytes() == want.phi.tobytes()
+            assert got.pi.tobytes() == want.pi.tobytes()
 
 
 class TestEvolution:

@@ -25,6 +25,7 @@ from phi6kinks.scenarios import (
     ScenarioConfig,
     auto_grid,
     default_suite,
+    fit_growth_constant,
     lyapunov_diagnostics,
     optimality_probe,
     run_scenario,
@@ -227,6 +228,38 @@ class TestGrowthVerdict:
         rep = replace(quick_report, rows=quick_report.rows[:5])
         with pytest.raises(ValueError):
             verify_remainder_growth(rep)
+
+    @pytest.mark.parametrize("growth", [0.0, 1e-3, 0.05, 3.0])
+    def test_early_stop_matches_full_bisection(self, growth):
+        def full_bisection(report):
+            # the fit's bisection run for all 200 halvings
+            eps = report.epsilon
+            base = (report.rows[0].norm_g_h1 + report.rows[0].norm_gt_l2) ** 2 + eps * eps
+            rate = math.sqrt(eps) / math.log(1.0 / eps)
+
+            def holds(c):
+                return all((r.norm_g_h1 + r.norm_gt_l2) ** 2
+                           <= c * base * math.exp(min(c * rate * abs(r.t), 700.0))
+                           for r in report.rows)
+
+            lo, hi = 0.0, 1.0
+            while not holds(hi):
+                hi *= 2.0
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                if holds(mid):
+                    hi = mid
+                else:
+                    lo = mid
+            return hi
+
+        eps = 1e-3
+        rows = [FrameRow(t=t, x1=0, x2=1, z=1, d1=0, d2=1, d=1, z_minus_d=0, xdot1=0,
+                         xdot2=0, norm_g_h1=eps * (1.0 + math.sin(t)) * math.exp(growth * t),
+                         norm_gt_l2=1e-5 * eps, eps_t=eps, F_t=0)
+                for t in np.linspace(0.0, 50.0, 41)]
+        rep = ComparisonReport(rows=rows, epsilon=eps, v=0.0, c=0.0, a=0.0, b=0.0)
+        assert fit_growth_constant(rep) == full_bisection(rep)
 
     def test_degenerate_epsilon_rejected(self, quick_report):
         rep = replace(quick_report, epsilon=0.9)
