@@ -13,13 +13,11 @@ from .functionals import (
     EnergyBreakdown,
     RemainderNorms,
     energy_breakdown,
-    epot_gradient_residual,
     integrate,
     interaction_energy_A,
     interaction_energy_A_double_prime,
     interaction_energy_A_prime,
     lyapunov_F,
-    potential_energy,
     potential_energy_samples,
     reference_kink_energy,
     remainder_norms,
@@ -38,9 +36,7 @@ from .model import (
 from .modulation import (
     ModulationError,
     ModulationFrame,
-    ModulationVelocities,
     decompose,
-    modulation_velocities,
     track,
 )
 from .pde import FieldState, SolverConfig, init_two_kink_state, run, step

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
-    SQRT2,
     antikink_derivative,
     antikink_value,
     eval_potential,
@@ -48,6 +47,13 @@ def simpson_weights(n: int, dx: float) -> np.ndarray:
     return full
 
 
+def odd_sample_count(span: float, dx: float) -> int:
+    """Samples of a grid covering ``span`` at spacing dx, bumped to odd so
+    that simpson_weights never needs its trapezoid end interval."""
+    n = int(round(span / dx)) + 1
+    return n if n % 2 == 1 else n + 1
+
+
 def integrate(samples, dx: float) -> float:
     """Composite Simpson approximation of an integral from uniform samples."""
     samples = np.asarray(samples, dtype=float)
@@ -70,18 +76,6 @@ def spatial_derivative(f, dx: float, order: int = 4) -> np.ndarray:
         raise ValueError(f"derivative order must be 2 or 4, got {order}")
     out[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * dx)
     out[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * dx)
-    return out
-
-
-def second_derivative(f, dx: float) -> np.ndarray:
-    """Centered 2nd-order second derivative; one-sided copies at the edges."""
-    f = np.asarray(f, dtype=float)
-    if f.size < 5:
-        raise ValueError("grid too small for finite differences (need >= 5 points)")
-    out = np.empty_like(f)
-    out[1:-1] = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / (dx * dx)
-    out[0] = out[1]
-    out[-1] = out[-2]
     return out
 
 
@@ -108,33 +102,11 @@ def smooth_step(s):
     return out if out.ndim else float(out)
 
 
-def smooth_step_derivative(s):
-    """Derivative of smooth_step; supported on (0, 1)."""
-    s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    mid = (s > 0.0) & (s < 1.0)
-    sm = s[mid]
-    a = np.exp(-1.0 / sm)
-    b = np.exp(-1.0 / (1.0 - sm))
-    da = a / (sm * sm)
-    db = b / ((1.0 - sm) ** 2)
-    out[mid] = (da * b + a * db) / (a + b) ** 2
-    return out if out.ndim else float(out)
-
-
 def cut_function(xi, upper: float, lower: float):
     """Smooth transition equal to 1 for xi <= lower and 0 for xi >= upper."""
     if not upper > lower:
         raise ValueError("cut window must have upper > lower")
     return smooth_step((upper - np.asarray(xi, dtype=float)) / (upper - lower))
-
-
-def cut_function_derivative(xi, upper: float, lower: float):
-    """d/dxi of cut_function."""
-    if not upper > lower:
-        raise ValueError("cut window must have upper > lower")
-    s = (upper - np.asarray(xi, dtype=float)) / (upper - lower)
-    return -smooth_step_derivative(s) / (upper - lower)
 
 
 # ---------------------------------------------------------------------------
@@ -166,11 +138,6 @@ def potential_energy_samples(phi, dx: float, fd_order: int = 4) -> float:
     return integrate(0.5 * dphi * dphi + eval_potential(phi), dx)
 
 
-def potential_energy(state, fd_order: int = 4) -> float:
-    """E_pot of a field state."""
-    return potential_energy_samples(state.phi, state.dx, fd_order=fd_order)
-
-
 def kinetic_energy_samples(pi, dx: float) -> float:
     pi = np.asarray(pi, dtype=float)
     return integrate(0.5 * pi * pi, dx)
@@ -195,10 +162,7 @@ def reference_kink_energy(dx: float, fd_order: int = 4) -> float:
     of multi-kink states.
     """
     half = 40.0
-    n = int(round(2.0 * half / dx)) + 1
-    if n % 2 == 0:
-        n += 1
-    x = -half + dx * np.arange(n)
+    x = -half + dx * np.arange(odd_sample_count(2.0 * half, dx))
     return potential_energy_samples(kink_value(x), dx, fd_order=fd_order)
 
 
@@ -220,10 +184,7 @@ _A_DEFAULT_DX = 0.01
 
 def _pair_grid(z: float, dx: float):
     half = 0.5 * z + 40.0
-    n = int(round(2.0 * half / dx)) + 1
-    if n % 2 == 0:
-        n += 1
-    return -half + dx * np.arange(n)
+    return -half + dx * np.arange(odd_sample_count(2.0 * half, dx))
 
 
 def interaction_energy_A(z: float, dx: float = _A_DEFAULT_DX) -> float:
@@ -292,7 +253,7 @@ def interaction_energy_A_double_prime(z: float, dx: float = _A_DEFAULT_DX) -> fl
 
 
 # ---------------------------------------------------------------------------
-# remainder norms, first-variation residual, Lyapunov functional
+# remainder norms and the Lyapunov functional
 # ---------------------------------------------------------------------------
 
 
@@ -306,12 +267,6 @@ def remainder_norms(g, g_t, dx: float) -> RemainderNorms:
     h1 = float(np.sqrt(integrate(g * g + dg * dg, dx)))
     l2 = float(np.sqrt(integrate(g_t * g_t, dx)))
     return RemainderNorms(h1_norm_g=h1, l2_norm_gt=l2, combined=h1 + l2)
-
-
-def epot_gradient_residual(state) -> np.ndarray:
-    """First-variation density -d_xx phi + U'(phi) of the potential energy."""
-    lap = second_derivative(state.phi, state.dx)
-    return -lap + eval_potential_derivative(1, state.phi)
 
 
 # transition window for the momentum-correction weight: 1 up to 3/4 of the
@@ -338,22 +293,16 @@ def lyapunov_F(frame, xdot1: float, xdot2: float) -> float:
     kink = kink_value(x - frame.x2)
     total = anti + kink
     dg = spatial_derivative(g, dx, order=2)
+    # K'' = U'(K) for the kink; the antikink -H(-s) has K'' = -U'(H(-s)) = -U'(-anti)
+    dd_anti = -eval_potential_derivative(1, -anti)
+    dd_kink = eval_potential_derivative(1, kink)
 
     f1 = integrate(g_t * g_t + dg * dg + eval_potential_derivative(2, total) * g * g, dx)
     interaction = (
-        eval_potential_derivative(1, anti)
-        + eval_potential_derivative(1, kink)
-        - eval_potential_derivative(1, total)
+        eval_potential_derivative(1, anti) + dd_kink - eval_potential_derivative(1, total)
     )
     f2 = -2.0 * integrate(g * interaction, dx)
-    f3 = 2.0 * integrate(
-        g
-        * (
-            xdot1 * xdot1 * antikink_derivative(2, x - frame.x1)
-            + xdot2 * xdot2 * kink_derivative(2, x - frame.x2)
-        ),
-        dx,
-    )
+    f3 = 2.0 * integrate(g * (xdot1 * xdot1 * dd_anti + xdot2 * xdot2 * dd_kink), dx)
     xi = (x - frame.x1) / frame.z
     omega = cut_function(xi, _OMEGA_UPPER, _OMEGA_LOWER)
     f4 = 2.0 * integrate(g_t * dg * (xdot1 * omega + xdot2 * (1.0 - omega)), dx)

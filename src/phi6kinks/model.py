@@ -59,19 +59,22 @@ def kink_value(x):
     return out if out.ndim else float(out)
 
 
-def kink_derivative(order, x):
-    """Spatial derivative of the kink profile.
+def kink_mode(h):
+    """Kink slope H' = sqrt(2) H (1 - H^2) from profile values h = H(x).
 
-    order 1 uses the first-integral form sqrt(2) H (1 - H^2); order 2 is
-    the force balance of the static profile, U'(H).
+    This is the first integral of the static equation.  The slope's own
+    derivative is the force balance H'' = U'(H), so the translation mode and
+    its derivative both follow from one profile evaluation.
     """
+    return SQRT2 * h * (1.0 - h * h)
+
+
+def kink_derivative(order, x):
+    """Spatial derivative of the kink profile: H' = kink_mode(H), H'' = U'(H)."""
     if order not in (1, 2):
         raise ValueError(f"derivative order must be 1 or 2, got {order}")
     h = kink_value(x)
-    if order == 1:
-        out = SQRT2 * h * (1.0 - h * h)
-    else:
-        out = eval_potential_derivative(1, h)
+    out = kink_mode(h) if order == 1 else eval_potential_derivative(1, h)
     return out if np.ndim(out) else float(out)
 
 

@@ -1,8 +1,9 @@
-"""Center extraction by orthogonal decomposition and modulation velocities.
+"""Center extraction by orthogonal decomposition.
 
 Given a field state in the two-kink sector, a damped Newton iteration finds
 centers (x1, x2) such that the remainder g = phi - K1 - K2 is orthogonal
 (in the Simpson-weighted discrete L^2 product) to both translation modes.
+The center velocities follow from projecting d_t phi on the same modes.
 """
 from __future__ import annotations
 
@@ -11,20 +12,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .functionals import (
-    RemainderNorms,
-    cut_function,
-    cut_function_derivative,
-    remainder_norms,
-    simpson_weights,
-    spatial_derivative,
-)
-from .model import (
-    antikink_derivative,
-    antikink_value,
-    kink_derivative,
-    kink_value,
-)
+from .functionals import RemainderNorms, remainder_norms, simpson_weights
+from .model import antikink_derivative, eval_potential_derivative, kink_mode, kink_value
 
 MAX_NEWTON_ITERS = 50
 MIN_SEPARATION = 1.0          # Newton aborts below this separation
@@ -36,14 +25,6 @@ _ORTHO_ATOL = 1e-13
 
 class ModulationError(RuntimeError):
     """Raised when the center solve cannot produce a valid frame."""
-
-
-@dataclass(frozen=True)
-class ModulationVelocities:
-    xdot1: float
-    xdot2: float
-    p1: float
-    p2: float
 
 
 @dataclass(frozen=True)
@@ -71,19 +52,21 @@ class ModulationFrame:
         return self.x0 + self.dx * np.arange(len(self.g))
 
 
-def _mode_arrays(x: np.ndarray, x1: float, x2: float):
-    """Translation modes and their derivatives at the given centers."""
-    m1 = antikink_derivative(1, x - x1)
-    m2 = kink_derivative(1, x - x2)
-    dm1 = antikink_derivative(2, x - x1)
-    dm2 = kink_derivative(2, x - x2)
-    return m1, m2, dm1, dm2
-
-
 def _residual_and_matrix(state, w, x1, x2):
+    """Orthogonality residuals, their Jacobian, the remainder and the modes.
+
+    One profile evaluation per kink: the antikink is the reflection
+    K1(x) = -H(-(x - x1)), so K1' = kink_mode(h1) and K1'' = -U'(h1) with
+    h1 = H(-(x - x1)); likewise K2' = kink_mode(h2), K2'' = U'(h2).
+    """
     x = state.x
-    g = state.phi - antikink_value(x - x1) - kink_value(x - x2)
-    m1, m2, dm1, dm2 = _mode_arrays(x, x1, x2)
+    h1 = kink_value(-(x - x1))
+    h2 = kink_value(x - x2)
+    g = state.phi + h1 - h2  # phi - K1 - K2
+    m1 = kink_mode(h1)
+    m2 = kink_mode(h2)
+    dm1 = -eval_potential_derivative(1, h1)
+    dm2 = eval_potential_derivative(1, h2)
     r1 = float(w @ (g * m1))
     r2 = float(w @ (g * m2))
     cross = float(w @ (m1 * m2))
@@ -93,7 +76,7 @@ def _residual_and_matrix(state, w, x1, x2):
             [cross, float(w @ (m2 * m2)) - float(w @ (g * dm2))],
         ]
     )
-    return np.array([r1, r2]), mat, g
+    return np.array([r1, r2]), mat, g, (m1, m2)
 
 
 def decompose(state, guess: tuple[float, float]) -> ModulationFrame:
@@ -107,10 +90,10 @@ def decompose(state, guess: tuple[float, float]) -> ModulationFrame:
     if x2 - x1 < TRACK_VALID_SEPARATION:
         raise ModulationError(f"initial guess separation {x2 - x1:.3f} < 2")
     w = simpson_weights(state.n, state.dx)
-    res, mat, g = _residual_and_matrix(state, w, x1, x2)
+    res, mat, g, modes = _residual_and_matrix(state, w, x1, x2)
     res_norm = float(np.max(np.abs(res)))
     iters = 0
-    mode_l2 = math.sqrt(float(w @ (antikink_derivative(1, state.x - x1) ** 2)))
+    mode_l2 = math.sqrt(float(w @ (modes[0] ** 2)))
     g_l2 = math.sqrt(max(float(w @ (g * g)), 0.0))
     while iters < MAX_NEWTON_ITERS and res_norm > max(1e-16, 1e-13 * g_l2):
         det = float(np.linalg.det(mat))
@@ -124,7 +107,7 @@ def decompose(state, guess: tuple[float, float]) -> ModulationFrame:
             if nx2 - nx1 < MIN_SEPARATION:
                 scale *= 0.5
                 continue
-            new_res, new_mat, new_g = _residual_and_matrix(state, w, nx1, nx2)
+            new_res, new_mat, new_g, new_modes = _residual_and_matrix(state, w, nx1, nx2)
             new_norm = float(np.max(np.abs(new_res)))
             if new_norm < res_norm:
                 improved = True
@@ -132,7 +115,7 @@ def decompose(state, guess: tuple[float, float]) -> ModulationFrame:
             scale *= 0.5
         if not improved:
             break  # residual at numerical floor
-        x1, x2, res, mat, g = nx1, nx2, new_res, new_mat, new_g
+        x1, x2, res, mat, g, modes = nx1, nx2, new_res, new_mat, new_g, new_modes
         res_norm = new_norm
         g_l2 = math.sqrt(max(float(w @ (g * g)), 0.0))
         iters += 1
@@ -147,7 +130,7 @@ def decompose(state, guess: tuple[float, float]) -> ModulationFrame:
     det = float(np.linalg.det(mat))
     if det < _DET_FLOOR:
         raise ModulationError(f"modulation matrix not positive: det={det:.2e}")
-    m1, m2, _, _ = _mode_arrays(state.x, x1, x2)
+    m1, m2 = modes
     rhs = np.array([-float(w @ (state.pi * m1)), -float(w @ (state.pi * m2))])
     xdot = np.linalg.solve(mat, rhs)
     g_t = state.pi + xdot[0] * m1 + xdot[1] * m2
@@ -172,51 +155,12 @@ def decompose(state, guess: tuple[float, float]) -> ModulationFrame:
 
 def orthogonality_ok(frame: ModulationFrame, mode_l2: float | None = None) -> bool:
     """Scaled orthogonality test with a small absolute floor for g ~ 0."""
+    w = simpson_weights(len(frame.g), frame.dx)
     if mode_l2 is None:
-        mode_l2 = math.sqrt(
-            float(
-                simpson_weights(len(frame.g), frame.dx)
-                @ (antikink_derivative(1, frame.x - frame.x1) ** 2)
-            )
-        )
-    g_l2 = math.sqrt(
-        max(float(simpson_weights(len(frame.g), frame.dx) @ (frame.g ** 2)), 0.0)
-    )
+        mode_l2 = math.sqrt(float(w @ (antikink_derivative(1, frame.x - frame.x1) ** 2)))
+    g_l2 = math.sqrt(max(float(w @ (frame.g ** 2)), 0.0))
     tol = _ORTHO_RTOL * mode_l2 * g_l2 + _ORTHO_ATOL
     return all(abs(r) <= tol for r in frame.ortho_residuals)
-
-
-def modulation_velocities(frame: ModulationFrame, pi, epsilon: float) -> ModulationVelocities:
-    """Center velocities plus the cut-corrected momenta.
-
-    The correction projects d_t phi on the translation modes augmented by
-    the remainder inside a smooth window traveling with each kink; the
-    window parameters follow gamma = ln ln(1/eps) / ln(1/eps) and
-    theta = (1 - gamma)/(2 - gamma), with eps the (frozen) energy excess.
-    """
-    if not (0.0 < epsilon < math.exp(-1.0)):
-        raise ValueError(
-            f"energy excess must lie in (0, 1/e) for the cut exponents, got {epsilon}"
-        )
-    pi = np.asarray(pi, dtype=float)
-    x = frame.x
-    w = simpson_weights(len(frame.g), frame.dx)
-    m1, m2, _, _ = _mode_arrays(x, frame.x1, frame.x2)
-
-    log_inv = math.log(1.0 / epsilon)
-    gamma = math.log(log_inv) / log_inv
-    theta = (1.0 - gamma) / (2.0 - gamma)
-    xi = (x - frame.x1) / frame.z
-    chi = cut_function(xi, upper=theta, lower=theta * (1.0 - gamma))
-    dchi = cut_function_derivative(xi, upper=theta, lower=theta * (1.0 - gamma)) / frame.z
-
-    dg = spatial_derivative(frame.g, frame.dx, order=2)
-    d_chi_g = dchi * frame.g + chi * dg
-    d_inv_chi_g = -dchi * frame.g + (1.0 - chi) * dg
-    mode_sq = float(w @ (m2 * m2))
-    p1 = -float(w @ (pi * (m1 + d_chi_g))) / mode_sq
-    p2 = -float(w @ (pi * (m2 + d_inv_chi_g))) / mode_sq
-    return ModulationVelocities(xdot1=frame.xdot1, xdot2=frame.xdot2, p1=p1, p2=p2)
 
 
 def initial_center_guess(state) -> tuple[float, float]:

@@ -22,6 +22,8 @@ SUMMARY_KEYS = (
     "max_remainder",
     "fitted_C_growth",
 )
+# summary.json records a tracking failure as this prefix plus the frame index
+FAILURE_PREFIX = "tracking invalid from frame "
 
 
 @dataclass(frozen=True)
@@ -83,7 +85,7 @@ class ComparisonReport:
             "fitted_C_growth": self.fitted_C_growth,
         }
         if self.failed_at_frame is not None:
-            out["failure"] = f"tracking invalid from frame {self.failed_at_frame}"
+            out["failure"] = f"{FAILURE_PREFIX}{self.failed_at_frame}"
         return out
 
 
@@ -137,6 +139,12 @@ def load_report(directory) -> ComparisonReport:
     directory = Path(directory)
     rows = parse_csv(directory / "trajectory.csv")
     summary = json.loads((directory / "summary.json").read_text())
+    failure = summary.get("failure")
+    failed_at = None
+    if failure is not None:
+        if not failure.startswith(FAILURE_PREFIX):
+            raise ValueError(f"unrecognised failure entry {failure!r} in {directory}")
+        failed_at = int(failure[len(FAILURE_PREFIX):])
     report = ComparisonReport(
         rows=rows,
         epsilon=summary["epsilon"],
@@ -146,5 +154,6 @@ def load_report(directory) -> ComparisonReport:
         b=summary["b"],
         fitted_C_growth=summary.get("fitted_C_growth", float("nan")),
         seed_label=directory.name,
+        failed_at_frame=failed_at,
     )
     return report

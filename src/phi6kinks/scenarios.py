@@ -13,13 +13,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .effective import (
-    EffectiveParams,
     centers_d1_d2,
     centers_velocities,
     params_from_initial,
     separation_d,
 )
-from .functionals import coercivity_ratio, energy_breakdown, lyapunov_F
+from .functionals import coercivity_ratio, energy_breakdown, lyapunov_F, odd_sample_count
 from .model import SQRT2
 from .modulation import track
 from .pde import FieldState, SolverConfig, init_two_kink_state, run
@@ -79,7 +78,7 @@ class ScenarioConfig:
             raise ValueError("t_end must be positive")
         if self.frame_cadence < 1:
             raise ValueError("frame_cadence must be >= 1")
-        grid = self.grid if self.grid is not None else auto_grid(self.kinks)
+        grid = self.resolved_grid()
         x_max = grid.x0 + grid.dx * (grid.n - 1)
         if self.kinks.x1 - grid.x0 < MARGIN or x_max - self.kinks.x2 < MARGIN:
             raise ValueError("grid must cover the kinks with >= 40-unit margins")
@@ -91,10 +90,7 @@ class ScenarioConfig:
 def auto_grid(kinks: KinkArrangement, dx: float = 0.05, extra: float = 5.0) -> GridSpec:
     """Symmetric grid covering the kinks with 40-unit margins plus slack."""
     half = max(abs(kinks.x1), abs(kinks.x2)) + MARGIN + extra
-    n = int(round(2.0 * half / dx)) + 1
-    if n % 2 == 0:
-        n += 1
-    return GridSpec(x0=-half, dx=dx, n=n)
+    return GridSpec(x0=-half, dx=dx, n=odd_sample_count(2.0 * half, dx))
 
 
 def build_initial_state(config: ScenarioConfig) -> FieldState:
@@ -296,9 +292,6 @@ class TrackingVerdict:
     passed: bool
     c_limit: float = 20.0
     noise_floor: float = 0.0
-    # informational only: constant of the very loose per-center envelope
-    # eps |x_j - d_j| <= C max(||g0||, eps)^2 ln(1/eps)^11 exp(sqrt(eps) t / ln(1/eps))
-    lnpow_envelope_C: float = float("nan")
 
 
 def verify_tracking(
@@ -331,25 +324,7 @@ def verify_tracking(
         passed=c_fit <= c_limit,
         c_limit=c_limit,
         noise_floor=noise_floor,
-        lnpow_envelope_C=_lnpow_envelope_constant(report),
     )
-
-
-def _lnpow_envelope_constant(report: ComparisonReport) -> float:
-    """Constant of the logarithm-power per-center envelope (astronomically
-    loose at desk scale; reported for completeness, never asserted)."""
-    eps = report.epsilon
-    if eps <= 0 or math.log(1.0 / eps) <= 1.0 or not report.rows:
-        return float("nan")
-    g0 = report.rows[0].norm_g_h1 + report.rows[0].norm_gt_l2
-    log_inv = math.log(1.0 / eps)
-    base = max(g0, eps) ** 2 * log_inv**11
-    worst = 0.0
-    for r in report.rows:
-        dev = max(abs(r.x1 - r.d1), abs(r.x2 - r.d2))
-        envelope = base * math.exp(min(math.sqrt(eps) * abs(r.t) / log_inv, 700.0))
-        worst = max(worst, eps * dev / envelope)
-    return worst
 
 
 @dataclass(frozen=True)
@@ -410,12 +385,9 @@ def probe_scenario_config(eps_target: float, dx: float = 0.05) -> ScenarioConfig
     # outgoing kinks approach speed sqrt(8 e^{-sqrt2 z0}) each side
     v_out = math.sqrt(8.0 * math.exp(-SQRT2 * z0))
     half = 0.5 * z0 + MARGIN + v_out * t_max + 5.0
-    n = int(round(2.0 * half / dx)) + 1
-    if n % 2 == 0:
-        n += 1
     return ScenarioConfig(
         kinks=KinkArrangement(x1=-0.5 * z0, x2=0.5 * z0),
-        grid=GridSpec(x0=-half, dx=dx, n=n),
+        grid=GridSpec(x0=-half, dx=dx, n=odd_sample_count(2.0 * half, dx)),
         t_end=t_max,
         frame_cadence=25,
         seed_label=f"probe-eps{eps_target:g}",

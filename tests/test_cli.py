@@ -112,3 +112,37 @@ def test_unknown_config_key_is_runtime_error(tmp_path, capsys, section):
     assert code == 2
     assert "'t_ned'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind", ["gausian", "None"])
+def test_unknown_perturbation_kind_is_runtime_error(tmp_path, capsys, kind):
+    config = {
+        "kinks": {"x1": -6.0, "x2": 6.0},
+        "perturbation": {"kind": kind, "amplitude": 1e-3},
+        "t_end": 1.0,
+    }
+    path = tmp_path / "kind.json"
+    path.write_text(json.dumps(config))
+    code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert repr(kind) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_verify_fails_on_failed_tracking(tmp_path, capsys):
+    # at +-0.75 the pair dips below separation 2 from frame 34 on: the rows
+    # skip those frames, so only the failure entry of summary.json shows it
+    config = {
+        "kinks": {"x1": -6.0, "x2": 6.0, "v1": 0.75, "v2": -0.75},
+        "solver": {"dt": 0.02},
+        "t_end": 16.0,
+        "frame_cadence": 10,
+        "seed_label": "crash",
+    }
+    path = tmp_path / "crash.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "crash"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--report", str(out)]) == 1
+    assert "tracking invalid from frame 34 -> FAIL" in capsys.readouterr().out

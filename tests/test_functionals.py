@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 from phi6kinks.functionals import (
     bogomolny_rest_energy,
     cut_function,
-    cut_function_derivative,
     energy_breakdown,
-    epot_gradient_residual,
     integrate,
     interaction_energy_A,
     interaction_energy_A_double_prime,
@@ -127,12 +125,6 @@ class TestEnergies:
         assert eb.e_kin == 0.0
         assert eb.e_total == eb.e_kin + eb.e_pot
         assert eb.epsilon == pytest.approx(2 * SQRT2 * math.exp(-12 * SQRT2), rel=1e-3)
-
-    def test_state_wrapper_matches_samples(self):
-        from phi6kinks.functionals import potential_energy
-
-        st = pair_state(10.0, dx=0.05)
-        assert potential_energy(st) == potential_energy_samples(st.phi, st.dx)
 
     def test_boosted_pair_kinetic_energy(self):
         v = 0.05
@@ -302,30 +294,6 @@ class TestRemainderNorms:
             remainder_norms(np.zeros(10), np.zeros(11), 0.1)
 
 
-class TestGradientResidual:
-    def test_single_kink_discretization_floor(self):
-        dx = 0.05
-        n = int(round(80 / dx)) + 1
-        x = -40 + dx * np.arange(n)
-        st = FieldState(x0=-40, dx=dx, n=n, phi=kink_value(x), pi=np.zeros(n), t=0.0)
-        r = epot_gradient_residual(st)
-        assert math.sqrt(integrate(r * r, dx)) <= 5 * dx * dx
-
-    def test_vacuum(self):
-        st = FieldState(x0=0, dx=0.1, n=101, phi=np.ones(101), pi=np.zeros(101), t=0.0)
-        assert np.max(np.abs(epot_gradient_residual(st))) < 1e-13
-
-    def test_interaction_scaling(self):
-        # residual norms at z=10 and z=12 in the exp(-sqrt2 z) regime
-        def norm(z, dx=0.0005):
-            st = pair_state(z, dx=dx)
-            r = epot_gradient_residual(st)
-            return math.sqrt(integrate(r * r, dx))
-
-        ratio = norm(12.0) / norm(10.0)
-        assert ratio == pytest.approx(math.exp(-2 * SQRT2), rel=0.2)
-
-
 class TestCutFunction:
     def test_plateaus(self):
         xi = np.array([-1.0, 0.0, 0.74, 0.81, 1.5])
@@ -338,15 +306,6 @@ class TestCutFunction:
         chi = cut_function(xi, upper=0.8, lower=0.75)
         assert np.all(np.diff(chi) <= 1e-12)
         assert 0.0 <= chi.min() and chi.max() <= 1.0
-
-    def test_derivative_matches_fd(self):
-        h = 1e-7
-        for xi in (0.76, 0.775, 0.79):
-            fd = (
-                cut_function(xi + h, 0.8, 0.75) - cut_function(xi - h, 0.8, 0.75)
-            ) / (2 * h)
-            an = cut_function_derivative(xi, 0.8, 0.75)
-            assert an == pytest.approx(fd, rel=1e-5)
 
     def test_bad_window(self):
         with pytest.raises(ValueError):

@@ -156,6 +156,15 @@ class TestReporting:
         assert loaded.epsilon == quick_report.epsilon
         assert loaded.rows == quick_report.rows
 
+    def test_failure_entry_round_trip(self, quick_report, tmp_path):
+        assert load_report(write_report(quick_report, tmp_path / "ok")).failed_at_frame is None
+        out = write_report(replace(quick_report, failed_at_frame=7), tmp_path / "failed")
+        assert load_report(out).failed_at_frame == 7
+        summary = out / "summary.json"
+        summary.write_text(summary.read_text().replace("tracking invalid", "tracking lost"))
+        with pytest.raises(ValueError, match="tracking lost"):
+            load_report(out)
+
     def test_header_mismatch_rejected(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b,c\n1,2,3\n")
