@@ -10,6 +10,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from phi6kinks.scenarios import (  # noqa: E402
+    STABILITY_C_LIMIT,
+    TRACKING_C_LIMIT,
     default_suite,
     lyapunov_diagnostics,
     run_scenario,
@@ -48,8 +50,8 @@ def main():
             f"({time.perf_counter() - start:.1f}s)"
         )
     print(
-        f"\nsuite constants: tracking C={suite_track_c:.3g} (limit 20), "
-        f"remainder C={suite_stab_c:.3g} (limit 10) -> "
+        f"\nsuite constants: tracking C={suite_track_c:.3g} (limit {TRACKING_C_LIMIT:g}), "
+        f"remainder C={suite_stab_c:.3g} (limit {STABILITY_C_LIMIT:g}) -> "
         f"{'pass' if all_ok else 'FAIL'}"
     )
     print(f"reports written under {out_dir}/")

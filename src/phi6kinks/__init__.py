@@ -23,11 +23,8 @@ from .functionals import (
     remainder_norms,
 )
 from .model import (
-    KinkSpec,
-    Orientation,
     antikink_derivative,
     antikink_value,
-    boosted_kink_field,
     eval_potential,
     eval_potential_derivative,
     kink_derivative,

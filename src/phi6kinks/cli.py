@@ -63,7 +63,6 @@ def config_from_dict(data: dict) -> ScenarioConfig:
         frame_cadence=data.get("frame_cadence", 50),
         outputs=data.get("outputs"),
         seed_label=data.get("seed_label", "scenario"),
-        lorentz_contract=data.get("lorentz_contract", True),
     )
 
 
@@ -72,13 +71,14 @@ def _cmd_run(args) -> int:
     config = config_from_dict(data)
     if args.out:
         config = replace(config, outputs=args.out)
-    if args.dx:
+    if args.dx is not None:
         grid = config.resolved_grid()
-        n = odd_sample_count(grid.dx * (grid.n - 1), args.dx)
-        config = replace(config, grid=GridSpec(x0=grid.x0, dx=args.dx, n=n))
-    if args.dt:
+        span = grid.dx * (grid.n - 1)
+        grid = replace(grid, dx=args.dx)  # rejects dx <= 0 before it divides below
+        config = replace(config, grid=replace(grid, n=odd_sample_count(span, args.dx)))
+    if args.dt is not None:
         config = replace(config, solver=replace(config.solver, dt=args.dt))
-    if args.t_end:
+    if args.t_end is not None:
         config = replace(config, t_end=args.t_end)
     report = run_scenario(config)
     summary = report.summary()

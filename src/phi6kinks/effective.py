@@ -65,43 +65,32 @@ def _log_cosh(y):
 def separation_d(t, p: EffectiveParams):
     """Closed-form separation d(t)."""
     arg = SQRT2 * p.v * np.asarray(t, dtype=float) + p.c
-    out = (math.log(8.0 / (p.v * p.v)) + 2.0 * _log_cosh(arg)) / SQRT2
-    return out if out.ndim else float(out)
+    return (math.log(8.0 / (p.v * p.v)) + 2.0 * _log_cosh(arg)) / SQRT2
 
 
 def separation_d_dot(t, p: EffectiveParams):
     """d'(t) = 2 v tanh(sqrt2 v t + c); approaches +-2v as t -> +-inf."""
     arg = SQRT2 * p.v * np.asarray(t, dtype=float) + p.c
-    out = 2.0 * p.v * np.tanh(arg)
-    return out if out.ndim else float(out)
+    return 2.0 * p.v * np.tanh(arg)
 
 
 def centers_d1_d2(t, p: EffectiveParams):
     """Center trajectories d1 < d2 splitting the separation around a + b t."""
     mid = p.a + p.b * np.asarray(t, dtype=float)
     half = 0.5 * separation_d(t, p)
-    d1 = mid - half
-    d2 = mid + half
-    if np.ndim(d1):
-        return d1, d2
-    return float(d1), float(d2)
+    return mid - half, mid + half
 
 
 def centers_velocities(t, p: EffectiveParams):
     half = 0.5 * separation_d_dot(t, p)
-    d1dot = p.b - half
-    d2dot = p.b + half
-    if np.ndim(d1dot):
-        return d1dot, d2dot
-    return float(d1dot), float(d2dot)
+    return p.b - half, p.b + half
 
 
 def conserved_quantity(z, zdot):
     """First integral zdot^2/4 + 8 exp(-sqrt2 z); equals v^2 on exact orbits."""
-    out = np.asarray(zdot, dtype=float) ** 2 / 4.0 + 8.0 * np.exp(
+    return np.asarray(zdot, dtype=float) ** 2 / 4.0 + 8.0 * np.exp(
         -SQRT2 * np.asarray(z, dtype=float)
     )
-    return out if out.ndim else float(out)
 
 
 def _rhs(y):

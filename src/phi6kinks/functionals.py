@@ -1,7 +1,7 @@
 """Discrete quadrature, energy functionals, interaction energy and diagnostics.
 
 Everything here is a pure function of sampled data.  Quadrature is composite
-Simpson on the solver grid; domains carry 40-unit margins beyond the
+Simpson on the solver grid; domains carry MARGIN (40 units) beyond the
 outermost kink so the truncated tails contribute below 1e-24.
 """
 from __future__ import annotations
@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
+    MARGIN,
     antikink_derivative,
     antikink_value,
     eval_potential,
@@ -98,8 +99,7 @@ def smooth_step(s):
     s = np.asarray(s, dtype=float)
     a = _bump_piece(s)
     b = _bump_piece(1.0 - s)
-    out = np.where(s >= 1.0, 1.0, np.where(s <= 0.0, 0.0, a / np.where(a + b > 0, a + b, 1.0)))
-    return out if out.ndim else float(out)
+    return np.where(s >= 1.0, 1.0, np.where(s <= 0.0, 0.0, a / np.where(a + b > 0, a + b, 1.0)))
 
 
 def cut_function(xi, upper: float, lower: float):
@@ -143,12 +143,13 @@ def kinetic_energy_samples(pi, dx: float) -> float:
     return integrate(0.5 * pi * pi, dx)
 
 
-def bogomolny_rest_energy(n: int = 20001) -> float:
+def bogomolny_rest_energy() -> float:
     """Independent 1-D oracle for the single-kink potential energy.
 
     Integrates sqrt(2 U(phi)) over the vacuum interval [0, 1]; the exact
     value is 1/(2 sqrt(2)).
     """
+    n = 20001
     phi = np.linspace(0.0, 1.0, n)
     return integrate(np.sqrt(2.0 * eval_potential(phi)), 1.0 / (n - 1))
 
@@ -161,8 +162,7 @@ def reference_kink_energy(dx: float, fd_order: int = 4) -> float:
     finite-difference bias cancel when the value anchors the energy excess
     of multi-kink states.
     """
-    half = 40.0
-    x = -half + dx * np.arange(odd_sample_count(2.0 * half, dx))
+    x = -MARGIN + dx * np.arange(odd_sample_count(2.0 * MARGIN, dx))
     return potential_energy_samples(kink_value(x), dx, fd_order=fd_order)
 
 
@@ -183,7 +183,7 @@ _A_DEFAULT_DX = 0.01
 
 
 def _pair_grid(z: float, dx: float):
-    half = 0.5 * z + 40.0
+    half = 0.5 * z + MARGIN
     return -half + dx * np.arange(odd_sample_count(2.0 * half, dx))
 
 

@@ -153,11 +153,10 @@ def decompose(state, guess: tuple[float, float]) -> ModulationFrame:
     )
 
 
-def orthogonality_ok(frame: ModulationFrame, mode_l2: float | None = None) -> bool:
+def orthogonality_ok(frame: ModulationFrame) -> bool:
     """Scaled orthogonality test with a small absolute floor for g ~ 0."""
     w = simpson_weights(len(frame.g), frame.dx)
-    if mode_l2 is None:
-        mode_l2 = math.sqrt(float(w @ (antikink_derivative(1, frame.x - frame.x1) ** 2)))
+    mode_l2 = math.sqrt(float(w @ (antikink_derivative(1, frame.x - frame.x1) ** 2)))
     g_l2 = math.sqrt(max(float(w @ (frame.g ** 2)), 0.0))
     tol = _ORTHO_RTOL * mode_l2 * g_l2 + _ORTHO_ATOL
     return all(abs(r) <= tol for r in frame.ortho_residuals)

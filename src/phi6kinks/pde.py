@@ -2,8 +2,7 @@
 
 Velocity Verlet (kick-drift-kick) in time, centered 2nd- or 4th-order
 Laplacian in space.  Boundary nodes are clamped to the vacuum values of the
-initial data; an optional sponge layer damps the momentum near the edges
-for long runs.
+initial data.
 """
 from __future__ import annotations
 
@@ -12,13 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import (
-    KinkSpec,
-    Orientation,
-    antikink_derivative,
-    boosted_kink_field,
-    kink_derivative,
-)
+from .model import MARGIN, kink_mode, kink_value
 
 _CFL_LIMIT = {2: 0.9, 4: 0.7}
 
@@ -52,20 +45,16 @@ class FieldState:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Time step and spatial scheme; sponge disabled by default."""
+    """Time step and spatial scheme."""
 
     dt: float = 0.02
     stencil_order: int = 4
-    sponge_width: float = 0.0
-    sponge_strength: float = 0.0
 
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.stencil_order not in (2, 4):
             raise ValueError(f"stencil_order must be 2 or 4, got {self.stencil_order}")
-        if self.sponge_width < 0 or self.sponge_strength < 0:
-            raise ValueError("sponge parameters must be non-negative")
 
     def cfl(self, dx: float) -> float:
         return self.dt / dx
@@ -82,10 +71,10 @@ class SolverConfig:
 class _Verlet:
     """Velocity-Verlet kernel that owns its field, acceleration and scratch buffers.
 
-    Built once per run: the CFL check, the stencil constants, the clamped edge
-    values and the sponge factor max(1 - dt sigma(x), 0) are fixed here, and
-    each advance updates the buffers in place.  ``acc`` always holds the
-    acceleration of the current ``phi``, so an advance evaluates it once.
+    Built once per run: the CFL check, the stencil constants and the clamped
+    edge values are fixed here, and each advance updates the buffers in
+    place.  ``acc`` always holds the acceleration of the current ``phi``, so
+    an advance evaluates it once.
     """
 
     def __init__(self, state: FieldState, cfg: SolverConfig):
@@ -98,14 +87,6 @@ class _Verlet:
         self.phi = np.array(state.phi, dtype=float)
         self.pi = np.array(state.pi, dtype=float)
         self.edges = (self.phi[0], self.phi[-1])
-        self.damping = None
-        if cfg.sponge_width > 0.0 and cfg.sponge_strength > 0.0:
-            x, width = state.x, cfg.sponge_width
-            left = (state.x0 + width - x) / width
-            right = (x - (x[-1] - width)) / width
-            ramp = np.maximum(np.maximum(left, right), 0.0)
-            sponge = cfg.sponge_strength * ramp * ramp
-            self.damping = np.maximum(1.0 - cfg.dt * sponge, 0.0)
         self.acc = np.zeros(state.n)  # edge entries stay zero: the edges are clamped
         self.scratch = np.empty(state.n)
         self._update_acceleration()
@@ -161,8 +142,6 @@ class _Verlet:
         np.multiply(acc, self.half_dt, out=tmp)
         pi += tmp
         pi[0] = pi[-1] = 0.0
-        if self.damping is not None:
-            pi *= self.damping
         if not (_all_finite(phi) and _all_finite(pi)):
             raise FloatingPointError(f"non-finite field detected; last valid time t={t:.6f}")
 
@@ -204,6 +183,27 @@ def run(state: FieldState, cfg: SolverConfig, t_end: float, frame_cadence: int =
     return snapshots
 
 
+def check_margins(x0: float, x_max: float, x1: float, x2: float) -> None:
+    """Raise unless the grid [x0, x_max] reaches MARGIN beyond both kink centers."""
+    if x1 - x0 < MARGIN or x_max - x2 < MARGIN:
+        raise ValueError(
+            f"grid [{x0}, {x_max}] must cover kinks ({x1}, {x2}) with {MARGIN:g}-unit margins"
+        )
+
+
+def _boosted_kink(x: np.ndarray, center: float, v: float, reflect: bool):
+    """Value and time derivative at t=0 of the Lorentz-boosted kink at center.
+
+    The moving kink is H((x - center - v t)/sqrt(1 - v^2)), whose time
+    derivative is -(v/sqrt(1 - v^2)) H'; the antikink (``reflect``) is
+    -H(-xi), whose slope is H'(-xi).
+    """
+    gamma_inv = np.sqrt(1.0 - v * v)
+    xi = (x - center) / gamma_inv
+    h = kink_value(-xi if reflect else xi)
+    return (-h if reflect else h), -(v / gamma_inv) * kink_mode(h)
+
+
 def init_two_kink_state(
     grid: tuple[float, float, int],
     x1: float,
@@ -211,39 +211,26 @@ def init_two_kink_state(
     v1: float = 0.0,
     v2: float = 0.0,
     perturbation: tuple[np.ndarray, np.ndarray] | None = None,
-    lorentz_contract: bool = True,
 ) -> FieldState:
     """Antikink at x1 plus kink at x2 with boost speeds v1, v2 at t=0.
 
-    With ``lorentz_contract`` each profile is the exact traveling-wave
-    shape with its exact time derivative; otherwise the uncontracted
-    superposition with pi = -v1 d_x K1 - v2 d_x K2 is used.  An optional
-    perturbation (g0, g1) is added pointwise to (phi, pi).
+    Each profile is the exact Lorentz-contracted traveling wave with its
+    exact time derivative.  An optional perturbation (g0, g1) is added
+    pointwise to (phi, pi).
     """
     x0, dx, n = grid
     if x1 >= x2:
         raise ValueError(f"kinks out of order: x1={x1} must be < x2={x2}")
     if not (abs(v1) < 1.0 and abs(v2) < 1.0):
         raise ValueError("kink speeds must satisfy |v| < 1")
-    x_max = x0 + dx * (n - 1)
-    if x1 - x0 < 40.0 or x_max - x2 < 40.0:
-        raise ValueError(
-            f"grid [{x0}, {x_max}] must cover kinks ({x1}, {x2}) with 40-unit margins"
-        )
+    check_margins(x0, x0 + dx * (n - 1), x1, x2)
     x = x0 + dx * np.arange(n)
-    anti = KinkSpec(Orientation.ANTIKINK, center=x1,
-                    boost_velocity=v1 if lorentz_contract else 0.0)
-    kink = KinkSpec(Orientation.KINK, center=x2,
-                    boost_velocity=v2 if lorentz_contract else 0.0)
-    a_val, a_dot = boosted_kink_field(anti, x, 0.0)
-    k_val, k_dot = boosted_kink_field(kink, x, 0.0)
+    a_val, a_dot = _boosted_kink(x, x1, v1, reflect=True)
+    k_val, k_dot = _boosted_kink(x, x2, v2, reflect=False)
     phi = a_val + k_val
-    if lorentz_contract:
-        pi = a_dot + k_dot
-    else:
-        pi = -v1 * antikink_derivative(1, x - x1) - v2 * kink_derivative(1, x - x2)
+    pi = a_dot + k_dot
     if perturbation is not None:
         g0, g1 = perturbation
         phi = phi + np.asarray(g0, dtype=float)
         pi = pi + np.asarray(g1, dtype=float)
-    return FieldState(x0=x0, dx=dx, n=n, phi=np.asarray(phi), pi=np.asarray(pi), t=0.0)
+    return FieldState(x0=x0, dx=dx, n=n, phi=phi, pi=pi, t=0.0)

@@ -1,11 +1,13 @@
 """Machine-readable trajectory reports: CSV rows plus a JSON summary.
 
 Floats are written with shortest round-trip formatting, so a written file
-re-parses to bit-identical values.
+re-parses to bit-identical values.  summary.json is strict JSON: a
+non-finite number is written as the string "nan", "inf" or "-inf".
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -111,7 +113,11 @@ def emit_csv(report: ComparisonReport, path) -> Path:
 def emit_summary(report: ComparisonReport, path) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(report.summary(), indent=2, allow_nan=True) + "\n")
+    summary = {
+        key: str(value) if isinstance(value, float) and not math.isfinite(value) else value
+        for key, value in report.summary().items()
+    }
+    path.write_text(json.dumps(summary, indent=2, allow_nan=False) + "\n")
     return path
 
 
@@ -145,15 +151,14 @@ def load_report(directory) -> ComparisonReport:
         if not failure.startswith(FAILURE_PREFIX):
             raise ValueError(f"unrecognised failure entry {failure!r} in {directory}")
         failed_at = int(failure[len(FAILURE_PREFIX):])
-    report = ComparisonReport(
+    return ComparisonReport(
         rows=rows,
-        epsilon=summary["epsilon"],
-        v=summary["v"],
-        c=summary["c"],
-        a=summary["a"],
-        b=summary["b"],
-        fitted_C_growth=summary.get("fitted_C_growth", float("nan")),
+        epsilon=float(summary["epsilon"]),
+        v=float(summary["v"]),
+        c=float(summary["c"]),
+        a=float(summary["a"]),
+        b=float(summary["b"]),
+        fitted_C_growth=float(summary.get("fitted_C_growth", "nan")),
         seed_label=directory.name,
         failed_at_frame=failed_at,
     )
-    return report

@@ -19,12 +19,17 @@ from .effective import (
     separation_d,
 )
 from .functionals import coercivity_ratio, energy_breakdown, lyapunov_F, odd_sample_count
-from .model import SQRT2
+from .model import MARGIN, SQRT2
 from .modulation import track
-from .pde import FieldState, SolverConfig, init_two_kink_state, run
+from .pde import FieldState, SolverConfig, check_margins, init_two_kink_state, run
 from .reporting import ComparisonReport, FrameRow, write_report
 
-MARGIN = 40.0
+STABILITY_C_LIMIT = 10.0  # max ||g||_H1 / sqrt(eps) allowed by verify_orbital_stability
+TRACKING_C_LIMIT = 20.0   # max |z - d| / min(sqrt(eps) t, eps t^2) allowed by verify_tracking
+MIN_GROWTH_FRAMES = 20    # frames verify_remainder_growth needs for a fit
+LYAPUNOV_A2 = 0.1         # coefficient of ||(g, g_t)||^2 in the lower bound on F
+DEFAULT_DX = 0.05         # grid spacing of the shipped scenarios and the probe
+GRID_SLACK = 5.0          # grid reach beyond MARGIN on each side
 
 
 @dataclass(frozen=True)
@@ -32,6 +37,10 @@ class GridSpec:
     x0: float
     dx: float
     n: int
+
+    def __post_init__(self):
+        if not self.dx > 0:
+            raise ValueError(f"grid dx must be positive, got {self.dx}")
 
 
 @dataclass(frozen=True)
@@ -69,7 +78,6 @@ class ScenarioConfig:
     frame_cadence: int = 50
     outputs: str | None = None
     seed_label: str = "scenario"
-    lorentz_contract: bool = True
 
     def __post_init__(self):
         if self.kinks.x1 >= self.kinks.x2:
@@ -79,17 +87,15 @@ class ScenarioConfig:
         if self.frame_cadence < 1:
             raise ValueError("frame_cadence must be >= 1")
         grid = self.resolved_grid()
-        x_max = grid.x0 + grid.dx * (grid.n - 1)
-        if self.kinks.x1 - grid.x0 < MARGIN or x_max - self.kinks.x2 < MARGIN:
-            raise ValueError("grid must cover the kinks with >= 40-unit margins")
+        check_margins(grid.x0, grid.x0 + grid.dx * (grid.n - 1), self.kinks.x1, self.kinks.x2)
 
     def resolved_grid(self) -> GridSpec:
         return self.grid if self.grid is not None else auto_grid(self.kinks)
 
 
-def auto_grid(kinks: KinkArrangement, dx: float = 0.05, extra: float = 5.0) -> GridSpec:
-    """Symmetric grid covering the kinks with 40-unit margins plus slack."""
-    half = max(abs(kinks.x1), abs(kinks.x2)) + MARGIN + extra
+def auto_grid(kinks: KinkArrangement, dx: float = DEFAULT_DX) -> GridSpec:
+    """Symmetric grid covering the kinks with MARGIN plus GRID_SLACK."""
+    half = max(abs(kinks.x1), abs(kinks.x2)) + MARGIN + GRID_SLACK
     return GridSpec(x0=-half, dx=dx, n=odd_sample_count(2.0 * half, dx))
 
 
@@ -108,7 +114,6 @@ def build_initial_state(config: ScenarioConfig) -> FieldState:
         config.kinks.v1,
         config.kinks.v2,
         perturbation=perturbation,
-        lorentz_contract=config.lorentz_contract,
     )
 
 
@@ -193,20 +198,19 @@ class StabilityVerdict:
     t2_ratio_min: float
     t2_ratio_max: float
     passed: bool
-    c_limit: float = 10.0
 
 
-def verify_orbital_stability(report: ComparisonReport, c_limit: float = 10.0) -> StabilityVerdict:
+def verify_orbital_stability(report: ComparisonReport) -> StabilityVerdict:
     """Check the stability envelope and the two-sided energy-excess bracket.
 
-    (a) max_t ||g||_H1 <= C sqrt(eps) with C <= c_limit; (b) the minimal
-    separation satisfies exp(-sqrt2 z) <= eps/2 at every frame; (c) the
+    (a) max_t ||g||_H1 <= C sqrt(eps) with C <= STABILITY_C_LIMIT; (b) the
+    minimal separation satisfies exp(-sqrt2 z) <= eps/2 at every frame; (c) the
     combination exp(-sqrt2 z) + ||(g, g_t)||^2 + xdot1^2 + xdot2^2 stays
     within a factor 10 of eps.
     """
     eps = report.epsilon
     if eps <= 0 or not report.rows:
-        return StabilityVerdict(math.nan, math.nan, math.nan, math.nan, False, c_limit)
+        return StabilityVerdict(math.nan, math.nan, math.nan, math.nan, False)
     c_stab = max(r.norm_g_h1 for r in report.rows) / math.sqrt(eps)
     sep = max(math.exp(-SQRT2 * r.z) for r in report.rows) / (0.5 * eps)
     ratios = [
@@ -219,14 +223,14 @@ def verify_orbital_stability(report: ComparisonReport, c_limit: float = 10.0) ->
         / eps
         for r in report.rows
     ]
-    passed = c_stab <= c_limit and sep <= 1.0 and min(ratios) >= 0.1 and max(ratios) <= 10.0
+    passed = (c_stab <= STABILITY_C_LIMIT and sep <= 1.0
+              and min(ratios) >= 0.1 and max(ratios) <= 10.0)
     return StabilityVerdict(
         c_stability=c_stab,
         separation_margin=sep,
         t2_ratio_min=min(ratios),
         t2_ratio_max=max(ratios),
         passed=passed,
-        c_limit=c_limit,
     )
 
 
@@ -271,14 +275,14 @@ def fit_growth_constant(report: ComparisonReport) -> float:
     return hi
 
 
-def verify_remainder_growth(report: ComparisonReport, min_frames: int = 20) -> GrowthVerdict:
+def verify_remainder_growth(report: ComparisonReport) -> GrowthVerdict:
     """Fit the exponential growth envelope and confirm one constant covers
     the run including the final frame."""
     eps = report.epsilon
     if eps <= 0 or math.log(1.0 / eps) <= 1.0:
         raise ValueError(f"degenerate fit: energy excess {eps} has ln(1/eps) <= 1")
-    if len(report.rows) < min_frames:
-        raise ValueError(f"need >= {min_frames} frames, got {len(report.rows)}")
+    if len(report.rows) < MIN_GROWTH_FRAMES:
+        raise ValueError(f"need >= {MIN_GROWTH_FRAMES} frames, got {len(report.rows)}")
     c = fit_growth_constant(report)
     holds = math.isfinite(c)
     return GrowthVerdict(fitted_C=c, envelope_holds=holds,
@@ -290,21 +294,11 @@ class TrackingVerdict:
     fitted_C: float
     max_abs_z_minus_d: float
     passed: bool
-    c_limit: float = 20.0
-    noise_floor: float = 0.0
 
 
-def verify_tracking(
-    report: ComparisonReport,
-    t_window: float | None = None,
-    c_limit: float = 20.0,
-    noise_floor: float = 0.0,
-) -> TrackingVerdict:
-    """Fit C in |z - d| <= C min(sqrt(eps) t, eps t^2) over t in (0, window].
-
-    ``noise_floor`` subtracts the center-extraction resolution before the
-    fit; with the default 0 the bound is applied to the raw deviations.
-    """
+def verify_tracking(report: ComparisonReport, t_window: float | None = None) -> TrackingVerdict:
+    """Fit C in |z - d| <= C min(sqrt(eps) t, eps t^2) over t in (0, window]
+    and pass when C <= TRACKING_C_LIMIT."""
     eps = report.epsilon
     c_fit = 0.0
     max_dev = 0.0
@@ -314,16 +308,14 @@ def verify_tracking(
         if t_window is not None and r.t > t_window:
             continue
         bound = min(math.sqrt(eps) * r.t, eps * r.t * r.t)
-        dev = max(abs(r.z_minus_d) - noise_floor, 0.0)
-        max_dev = max(max_dev, abs(r.z_minus_d))
+        dev = abs(r.z_minus_d)
+        max_dev = max(max_dev, dev)
         if bound > 0:
             c_fit = max(c_fit, dev / bound)
     return TrackingVerdict(
         fitted_C=c_fit,
         max_abs_z_minus_d=max_dev,
-        passed=c_fit <= c_limit,
-        c_limit=c_limit,
-        noise_floor=noise_floor,
+        passed=c_fit <= TRACKING_C_LIMIT,
     )
 
 
@@ -331,8 +323,8 @@ def verify_tracking(
 class LyapunovDiagnostics:
     """Fitted constants of the corrected-functional control inequalities.
 
-    a1_fit: smallest A1 with F + A1 eps^2 >= 0.1 ||(g, g_t)||^2 at every
-    frame (the lower-bound shape at the conventional A2 = 0.1).
+    a1_fit: smallest A1 with F + A1 eps^2 >= LYAPUNOV_A2 ||(g, g_t)||^2 at
+    every frame (the lower-bound shape at the conventional A2 = 0.1).
     fdot_ratio_max: fitted A3 bounding the finite-difference |dF/dt| by
     A3 (eps^{3/2} ||(g,g_t)|| + eps^{1/2} ||(g,g_t)||^2 / ln(1/eps)).
     Both are recordings; regressions show up as constant inflation.
@@ -340,24 +332,23 @@ class LyapunovDiagnostics:
 
     a1_fit: float
     fdot_ratio_max: float
-    a2: float = 0.1
 
 
-def lyapunov_diagnostics(report: ComparisonReport, a2: float = 0.1) -> LyapunovDiagnostics:
+def lyapunov_diagnostics(report: ComparisonReport) -> LyapunovDiagnostics:
     eps = report.epsilon
     if eps <= 0 or math.log(1.0 / eps) <= 1.0 or len(report.rows) < 2:
-        return LyapunovDiagnostics(float("nan"), float("nan"), a2)
+        return LyapunovDiagnostics(float("nan"), float("nan"))
     log_inv = math.log(1.0 / eps)
     a1 = 0.0
     fdot_ratio = 0.0
     for prev, cur in zip(report.rows, report.rows[1:]):
         norm = cur.norm_g_h1 + cur.norm_gt_l2
-        a1 = max(a1, (a2 * norm**2 - cur.F_t) / (eps * eps))
+        a1 = max(a1, (LYAPUNOV_A2 * norm**2 - cur.F_t) / (eps * eps))
         budget = eps**1.5 * norm + math.sqrt(eps) * norm**2 / log_inv
         if budget > 0 and cur.t > prev.t:
             fdot = abs(cur.F_t - prev.F_t) / (cur.t - prev.t)
             fdot_ratio = max(fdot_ratio, fdot / budget)
-    return LyapunovDiagnostics(a1_fit=a1, fdot_ratio_max=fdot_ratio, a2=a2)
+    return LyapunovDiagnostics(a1_fit=a1, fdot_ratio_max=fdot_ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +367,7 @@ class ProbeRecord:
     hit_ratio: float | None  # t_hit / (ln(1/eps)/sqrt(eps))
 
 
-def probe_scenario_config(eps_target: float, dx: float = 0.05) -> ScenarioConfig:
+def probe_scenario_config(eps_target: float) -> ScenarioConfig:
     """Resting kinks whose interaction energy alone supplies the excess."""
     if not (0.0 < eps_target < math.exp(-1.0)):
         raise ValueError(f"probe target must lie in (0, 1/e), got {eps_target}")
@@ -384,22 +375,22 @@ def probe_scenario_config(eps_target: float, dx: float = 0.05) -> ScenarioConfig
     t_max = 3.0 * math.log(1.0 / eps_target) / math.sqrt(eps_target)
     # outgoing kinks approach speed sqrt(8 e^{-sqrt2 z0}) each side
     v_out = math.sqrt(8.0 * math.exp(-SQRT2 * z0))
-    half = 0.5 * z0 + MARGIN + v_out * t_max + 5.0
+    half = 0.5 * z0 + MARGIN + v_out * t_max + GRID_SLACK
     return ScenarioConfig(
         kinks=KinkArrangement(x1=-0.5 * z0, x2=0.5 * z0),
-        grid=GridSpec(x0=-half, dx=dx, n=odd_sample_count(2.0 * half, dx)),
+        grid=GridSpec(x0=-half, dx=DEFAULT_DX, n=odd_sample_count(2.0 * half, DEFAULT_DX)),
         t_end=t_max,
         frame_cadence=25,
         seed_label=f"probe-eps{eps_target:g}",
     )
 
 
-def optimality_probe(epsilon_list, kappa: float = 0.1, dx: float = 0.05) -> list[ProbeRecord]:
+def optimality_probe(epsilon_list, kappa: float = 0.1) -> list[ProbeRecord]:
     """For each target excess, run resting kinks and record the first time
     the remainder norm reaches kappa * eps (or report that it never does)."""
     records = []
     for eps_target in epsilon_list:
-        config = probe_scenario_config(eps_target, dx=dx)
+        config = probe_scenario_config(eps_target)
         report = run_scenario(config)
         eps = report.epsilon
         threshold = kappa * eps
@@ -428,10 +419,10 @@ def optimality_probe(epsilon_list, kappa: float = 0.1, dx: float = 0.05) -> list
 # ---------------------------------------------------------------------------
 
 
-def default_suite(dx: float = 0.05, outputs: str | None = None) -> list[ScenarioConfig]:
+def default_suite(outputs: str | None = None) -> list[ScenarioConfig]:
     """The shipped scenario suite: resting pairs, head-on approaches, and
     Gaussian-perturbed resting pairs."""
-    solver = SolverConfig(dt=0.02 * (dx / 0.05))
+    solver = SolverConfig(dt=0.02)
     configs = []
     for z0 in (12.0, 16.0):
         configs.append(

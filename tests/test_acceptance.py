@@ -23,7 +23,6 @@ from phi6kinks.model import SQRT2, antikink_value, kink_derivative, kink_value
 from phi6kinks.modulation import decompose, orthogonality_ok
 from phi6kinks.pde import FieldState, SolverConfig, init_two_kink_state, run, step
 from phi6kinks.scenarios import (
-    ScenarioConfig,
     auto_grid,
     default_suite,
     optimality_probe,

@@ -44,6 +44,15 @@ def test_run_overrides_apply(tmp_path, config_path, capsys):
     assert last_t == pytest.approx(5.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("flag", ["--dx", "--dt", "--t-end"])
+def test_zero_override_is_runtime_error(tmp_path, config_path, capsys, flag):
+    out = tmp_path / "out"
+    code = main(["run", "--config", str(config_path), "--out", str(out), flag, "0"])
+    assert code == 2
+    assert f"{flag.lstrip('-').replace('-', '_')} must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_passes_on_good_report(tmp_path, config_path, capsys):
     out = tmp_path / "out"
     main(["run", "--config", str(config_path), "--out", str(out)])
@@ -96,8 +105,14 @@ def test_invalid_config_is_runtime_error(tmp_path, capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("section", [None, "kinks", "grid", "solver", "perturbation"])
-def test_unknown_config_key_is_runtime_error(tmp_path, capsys, section):
+@pytest.mark.parametrize("section, key", [
+    (None, "t_ned"), ("kinks", "t_ned"), ("grid", "t_ned"), ("solver", "t_ned"),
+    ("perturbation", "t_ned"),
+    # settings that no longer exist: the uncontracted start and the sponge
+    (None, "lorentz_contract"), ("solver", "sponge_width"), ("solver", "sponge_strength"),
+], ids=["None", "kinks", "grid", "solver", "perturbation",
+        "lorentz_contract", "solver.sponge_width", "solver.sponge_strength"])
+def test_unknown_config_key_is_runtime_error(tmp_path, capsys, section, key):
     config = {
         "kinks": {"x1": -6.0, "x2": 6.0},
         "grid": {"x0": -51.0, "dx": 0.05, "n": 2041},
@@ -105,12 +120,12 @@ def test_unknown_config_key_is_runtime_error(tmp_path, capsys, section):
         "perturbation": {"kind": "gaussian", "amplitude": 1e-3, "width": 1.0},
         "t_end": 1.0,
     }
-    (config if section is None else config[section])["t_ned"] = 5.0
+    (config if section is None else config[section])[key] = 5.0
     path = tmp_path / "typo.json"
     path.write_text(json.dumps(config))
     code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
     assert code == 2
-    assert "'t_ned'" in capsys.readouterr().err
+    assert repr(key) in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -24,7 +24,6 @@ from phi6kinks.model import (
     SQRT2,
     antikink_derivative,
     antikink_value,
-    eval_potential,
     eval_potential_derivative,
     kink_derivative,
     kink_value,

@@ -1,4 +1,4 @@
-"""Potential, kink profiles, and boosts: closed-form identities and bounds."""
+"""Potential and kink profiles: closed-form identities and bounds."""
 import math
 
 import numpy as np
@@ -8,11 +8,8 @@ from hypothesis import strategies as st
 
 from phi6kinks.model import (
     SQRT2,
-    KinkSpec,
-    Orientation,
     antikink_derivative,
     antikink_value,
-    boosted_kink_field,
     eval_potential,
     eval_potential_derivative,
     kink_derivative,
@@ -154,41 +151,3 @@ class TestAntikink:
             fd = (antikink_derivative(1, x + h) - antikink_derivative(1, x - h)) / (2 * h)
             assert antikink_derivative(2, x) == pytest.approx(fd, abs=1e-8)
 
-
-class TestBoost:
-    def test_zero_velocity_is_static(self):
-        spec = KinkSpec(Orientation.KINK, center=1.0, boost_velocity=0.0)
-        x = np.linspace(-5, 5, 11)
-        val, dval = boosted_kink_field(spec, x, 3.7)
-        np.testing.assert_allclose(val, kink_value(x - 1.0))
-        np.testing.assert_allclose(dval, 0.0)
-
-    def test_comoving_point(self):
-        v = 0.1
-        spec = KinkSpec(Orientation.KINK, center=2.0, boost_velocity=v)
-        t = 7.0
-        val, dval = boosted_kink_field(spec, 2.0 + v * t, t)
-        assert val == pytest.approx(kink_value(0.0), abs=1e-14)
-        assert dval == pytest.approx(-v * kink_derivative(1, 0.0) / math.sqrt(1 - v * v),
-                                     abs=1e-14)
-
-    def test_time_derivative_matches_fd(self):
-        spec = KinkSpec(Orientation.ANTIKINK, center=-1.0, boost_velocity=0.3)
-        h = 1e-5
-        for x in (-3.0, -1.0, 0.5):
-            vp, _ = boosted_kink_field(spec, x, 1.0 + h)
-            vm, _ = boosted_kink_field(spec, x, 1.0 - h)
-            _, dval = boosted_kink_field(spec, x, 1.0)
-            assert dval == pytest.approx((vp - vm) / (2 * h), abs=1e-8)
-
-    def test_traveling_wave_property(self):
-        v = 0.25
-        spec = KinkSpec(Orientation.KINK, center=0.0, boost_velocity=v)
-        delta = 1.3
-        v1, _ = boosted_kink_field(spec, 0.7, 2.0)
-        v2, _ = boosted_kink_field(spec, 0.7 + v * delta, 2.0 + delta)
-        assert v1 == pytest.approx(v2, abs=1e-12)
-
-    def test_rejects_superluminal(self):
-        with pytest.raises(ValueError):
-            KinkSpec(Orientation.KINK, boost_velocity=1.0)

@@ -165,6 +165,24 @@ class TestReporting:
         with pytest.raises(ValueError, match="tracking lost"):
             load_report(out)
 
+    @pytest.mark.parametrize("growth", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_summary_is_strict_json(self, quick_report, tmp_path, growth):
+        # an empty report has NaN maxima; a growth constant can be NaN or infinite
+        rep = replace(quick_report, rows=[], fitted_C_growth=growth)
+        assert all(isinstance(v, float) for v in rep.summary().values())
+        out = write_report(rep, tmp_path / "rep")
+
+        def reject(token):
+            raise ValueError(f"summary.json holds the bare constant {token}")
+
+        summary = json.loads((out / "summary.json").read_text(), parse_constant=reject)
+        assert summary["fitted_C_growth"] == str(growth)
+        assert summary["max_abs_z_minus_d"] == summary["max_remainder"] == "nan"
+        loaded = load_report(out)
+        for key in ("epsilon", "v", "c", "a", "b", "fitted_C_growth"):
+            want, got = getattr(rep, key), getattr(loaded, key)
+            assert got == want or (math.isnan(got) and math.isnan(want)), key
+
     def test_header_mismatch_rejected(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b,c\n1,2,3\n")

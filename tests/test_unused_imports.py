@@ -1,12 +1,14 @@
-"""Lint without a linter: no module of the package imports a name it never uses."""
+"""Lint without a linter: no module of the package, the tests or the scripts
+imports a name it never uses."""
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "phi6kinks"
+ROOT = Path(__file__).resolve().parent.parent
 # __init__ imports names only to re-export them
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(p for p in (ROOT / "src" / "phi6kinks").glob("*.py") if p.name != "__init__.py")
+MODULES += sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
