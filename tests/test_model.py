@@ -1,4 +1,4 @@
-"""Potential and kink profiles: closed-form identities and bounds."""
+"""Potential, kink profiles, and boosts: closed-form identities and bounds."""
 import math
 
 import numpy as np
@@ -15,6 +15,7 @@ from phi6kinks.model import (
     kink_derivative,
     kink_value,
 )
+from phi6kinks.pde import init_two_kink_state
 
 FINITE = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 
@@ -151,3 +152,28 @@ class TestAntikink:
             fd = (antikink_derivative(1, x + h) - antikink_derivative(1, x - h)) / (2 * h)
             assert antikink_derivative(2, x) == pytest.approx(fd, abs=1e-8)
 
+
+class TestBoost:
+    """The Lorentz-boosted profiles that init_two_kink_state builds at t=0."""
+
+    GRID = (-46.0, 0.05, int(round(104 / 0.05)) + 1)  # [-46, 58]
+
+    def test_zero_velocity_is_static(self):
+        st = init_two_kink_state(self.GRID, -6.0, 1.0)
+        np.testing.assert_allclose(st.phi, antikink_value(st.x + 6.0) + kink_value(st.x - 1.0))
+        np.testing.assert_allclose(st.pi, 0.0)
+
+    def test_time_derivative_matches_fd(self):
+        # antikink at -1.0 moving at 0.3, kink at rest at 12.0
+        v = 0.3
+
+        def antikink(x, t):
+            return antikink_value((x + 1.0 - v * t) / math.sqrt(1 - v * v))
+
+        st = init_two_kink_state(self.GRID, -1.0, 12.0, v, 0.0)
+        h = 1e-5
+        for x_target in (-3.0, -1.0, 0.5):
+            i = int(round((x_target - st.x0) / st.dx))
+            x = st.x[i]
+            fd = (antikink(x, h) - antikink(x, -h)) / (2 * h)
+            assert st.pi[i] == pytest.approx(fd, abs=1e-8)
