@@ -36,6 +36,7 @@ def main():
         tracking = verify_tracking(report, t_window=window)
         growth = verify_remainder_growth(report)
         lyap = lyapunov_diagnostics(report)
+        iters = [f.newton_iters for f in report.frames if f.valid]
         suite_track_c = max(suite_track_c, tracking.fitted_C)
         suite_stab_c = max(suite_stab_c, stability.c_stability)
         all_ok = (all_ok and report.failed_at_frame is None
@@ -47,6 +48,7 @@ def main():
             f"growthC={growth.fitted_C:8.3g} "
             f"coercivity>={report.coercivity_ratio_min:.3f} "
             f"lyapA1={lyap.a1_fit:.3g} lyapA3={lyap.fdot_ratio_max:.3g} "
+            f"newton mean/max={sum(iters) / len(iters):.2f}/{max(iters)} "
             f"({time.perf_counter() - start:.1f}s)"
         )
     print(

@@ -33,15 +33,16 @@ def _reject_unknown_keys(section: str, data: dict, cls, *extra: str) -> None:
 
 
 def config_from_dict(data: dict) -> ScenarioConfig:
-    """Scenario from a parsed JSON config; a key that no setting reads is an error."""
+    """Scenario from a parsed JSON config; a key that no setting reads is an
+    error, and a null grid, solver or perturbation section means it is absent."""
     _reject_unknown_keys("config", data, ScenarioConfig)
-    for section, cls in (("kinks", KinkArrangement), ("grid", GridSpec),
-                         ("solver", SolverConfig)):
-        _reject_unknown_keys(section, data.get(section) or {}, cls)
-    pert = data.get("perturbation") or {}
+    top = dict(data)
+    kinks, grid, solver, pert = (top.pop(section, None) or {}
+                                 for section in ("kinks", "grid", "solver", "perturbation"))
+    for section, values, cls in (("kinks", kinks, KinkArrangement), ("grid", grid, GridSpec),
+                                 ("solver", solver, SolverConfig)):
+        _reject_unknown_keys(section, values, cls)
     _reject_unknown_keys("perturbation", pert, GaussianPerturbation, "kind")
-    kinks = KinkArrangement(**data["kinks"])
-    grid = GridSpec(**data["grid"]) if "grid" in data and data["grid"] else None
     perturbation = None
     kind = pert.get("kind", "none")
     if kind not in ("none", "gaussian"):
@@ -53,16 +54,12 @@ def config_from_dict(data: dict) -> ScenarioConfig:
             center=pert.get("center", 0.0),
             channel=pert.get("channel", "g0"),
         )
-    solver = SolverConfig(**data.get("solver", {}))
     return ScenarioConfig(
-        kinks=kinks,
-        grid=grid,
+        kinks=KinkArrangement(**kinks),
+        grid=GridSpec(**grid) if grid else None,
         perturbation=perturbation,
-        solver=solver,
-        t_end=data.get("t_end", 100.0),
-        frame_cadence=data.get("frame_cadence", 50),
-        outputs=data.get("outputs"),
-        seed_label=data.get("seed_label", "scenario"),
+        solver=SolverConfig(**solver),
+        **top,  # t_end, frame_cadence, outputs, seed_label: only those given
     )
 
 
@@ -135,6 +132,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_probe(args) -> int:
     eps_values = [float(v) for v in args.eps.replace(",", " ").split()]
+    if not eps_values:
+        raise ValueError(f"--eps {args.eps!r} lists no excess")
     records = optimality_probe(eps_values, kappa=args.kappa)
     for rec in records:
         if rec.hit:

@@ -293,14 +293,12 @@ def lyapunov_F(frame, xdot1: float, xdot2: float) -> float:
     kink = kink_value(x - frame.x2)
     total = anti + kink
     dg = spatial_derivative(g, dx, order=2)
-    # K'' = U'(K) for the kink; the antikink -H(-s) has K'' = -U'(H(-s)) = -U'(-anti)
-    dd_anti = -eval_potential_derivative(1, -anti)
+    # K'' = U'(K) for both: the antikink -H(-s) has K'' = -U'(H(-s)) = U'(anti), U' being odd
+    dd_anti = eval_potential_derivative(1, anti)
     dd_kink = eval_potential_derivative(1, kink)
 
     f1 = integrate(g_t * g_t + dg * dg + eval_potential_derivative(2, total) * g * g, dx)
-    interaction = (
-        eval_potential_derivative(1, anti) + dd_kink - eval_potential_derivative(1, total)
-    )
+    interaction = dd_anti + dd_kink - eval_potential_derivative(1, total)
     f2 = -2.0 * integrate(g * interaction, dx)
     f3 = 2.0 * integrate(g * (xdot1 * xdot1 * dd_anti + xdot2 * xdot2 * dd_kink), dx)
     xi = (x - frame.x1) / frame.z

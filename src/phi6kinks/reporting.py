@@ -8,12 +8,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-CSV_HEADER = (
-    "t,x1,x2,z,d1,d2,d,z_minus_d,xdot1,xdot2,norm_g_h1,norm_gt_l2,eps_t,F_t"
-)
+# summary.json's keys, in order; each is an attribute of ComparisonReport
 SUMMARY_KEYS = (
     "epsilon",
     "v",
@@ -30,7 +28,7 @@ FAILURE_PREFIX = "tracking invalid from frame "
 
 @dataclass(frozen=True)
 class FrameRow:
-    """One tracked frame; field order matches the CSV header."""
+    """One tracked frame; the fields, in order, are the CSV columns."""
 
     t: float
     x1: float
@@ -46,6 +44,9 @@ class FrameRow:
     norm_gt_l2: float
     eps_t: float
     F_t: float
+
+
+CSV_HEADER = ",".join(f.name for f in fields(FrameRow))
 
 
 @dataclass
@@ -76,16 +77,7 @@ class ComparisonReport:
         return max((r.norm_g_h1 + r.norm_gt_l2 for r in self.rows), default=float("nan"))
 
     def summary(self) -> dict:
-        out = {
-            "epsilon": self.epsilon,
-            "v": self.v,
-            "c": self.c,
-            "a": self.a,
-            "b": self.b,
-            "max_abs_z_minus_d": self.max_abs_z_minus_d,
-            "max_remainder": self.max_remainder,
-            "fitted_C_growth": self.fitted_C_growth,
-        }
+        out = {key: getattr(self, key) for key in SUMMARY_KEYS}
         if self.failed_at_frame is not None:
             out["failure"] = f"{FAILURE_PREFIX}{self.failed_at_frame}"
         return out
@@ -95,17 +87,10 @@ def emit_csv(report: ComparisonReport, path) -> Path:
     """Write the trajectory CSV; rows in time order, header always present."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    names = [f.name for f in fields(FrameRow)]
     lines = [CSV_HEADER]
     for r in report.rows:
-        lines.append(
-            ",".join(
-                repr(float(v))
-                for v in (
-                    r.t, r.x1, r.x2, r.z, r.d1, r.d2, r.d, r.z_minus_d,
-                    r.xdot1, r.xdot2, r.norm_g_h1, r.norm_gt_l2, r.eps_t, r.F_t,
-                )
-            )
-        )
+        lines.append(",".join(repr(float(getattr(r, name))) for name in names))
     path.write_text("\n".join(lines) + "\n")
     return path
 

@@ -92,6 +92,23 @@ def test_probe_prints_records(capsys):
     assert "eps=" in out and ("t_hit" in out or "no hit" in out)
 
 
+def test_probe_without_excess_is_runtime_error(capsys):
+    assert main(["probe", "--eps", ","]) == 2
+    assert "lists no excess" in capsys.readouterr().err
+
+
+def test_null_sections_mean_absent(tmp_path, capsys):
+    config = {"kinks": {"x1": -6.0, "x2": 6.0}, "t_end": 1.0}
+    nulls = dict(config, grid=None, solver=None, perturbation=None)
+    for name, data in (("absent", config), ("null", nulls)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / name)]) == 0
+    for report in ("trajectory.csv", "summary.json"):
+        null = (tmp_path / "null" / report).read_bytes()
+        assert null == (tmp_path / "absent" / report).read_bytes()
+
+
 def test_missing_config_is_runtime_error(tmp_path, capsys):
     code = main(["run", "--config", str(tmp_path / "nope.json")])
     assert code == 2

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from phi6kinks import modulation
 from phi6kinks.functionals import simpson_weights
 from phi6kinks.model import (
     SQRT2,
@@ -100,6 +101,21 @@ class TestDecompose:
         st = pair_state(-5.0, 5.0)
         with pytest.raises(ModulationError):
             decompose(st, (4.0, 5.0))
+
+    def test_solve_at_residual_floor_rejects_at_most_one_step(self, monkeypatch):
+        # once the residual is at round-off, the next full step does not lower
+        # it; the solve stops there instead of trying shorter steps
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _residual_and_matrix(*args)
+
+        monkeypatch.setattr(modulation, "_residual_and_matrix", counted)
+        st = pair_state(-8.0, 8.0, extra=lambda x: 1e-7 * np.exp(-((x - 8) ** 2)))
+        frame = decompose(st, (-7.9, 7.9))
+        assert orthogonality_ok(frame)
+        assert len(calls) <= frame.newton_iters + 2
 
     @pytest.mark.parametrize("x1, x2", [(-5.0, 5.0), (-5.1, 5.3), (-1.4, 1.6)])
     def test_derived_modes_match_profile_derivatives(self, x1, x2):
