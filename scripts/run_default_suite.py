@@ -40,7 +40,7 @@ def main():
         suite_track_c = max(suite_track_c, tracking.fitted_C)
         suite_stab_c = max(suite_stab_c, stability.c_stability)
         all_ok = (all_ok and report.failed_at_frame is None
-                  and stability.passed and tracking.passed)
+                  and stability.passed and tracking.passed and growth.passed)
         print(
             f"{config.seed_label:18s} eps={report.epsilon:10.3e} "
             f"trackC={tracking.fitted_C:9.3g} stabC={stability.c_stability:8.3g} "

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -26,23 +27,49 @@ from .scenarios import (
 )
 
 
-def _reject_unknown_keys(section: str, data: dict, cls, *extra: str) -> None:
-    unknown = sorted(set(data) - {f.name for f in fields(cls)} - set(extra))
+# what a JSON value must be to fill a field declared with each type name
+_JSON_TYPES = {
+    "int": ("an integer", lambda v: isinstance(v, int)),
+    "float": ("a finite number",
+              lambda v: isinstance(v, int) or (isinstance(v, float) and math.isfinite(v))),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "None": ("null", lambda v: v is None),
+}
+
+
+def _check_section(section: str, data, cls, *extra: str) -> None:
+    """Raise unless data is a JSON object whose keys are fields of cls (or
+    extra) and whose values have their field's declared type.
+
+    A bool is never a number.  A field declared as another dataclass is a
+    section of its own and is checked as one.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"{section} must be a JSON object, got {json.dumps(data)}")
+    declared = {f.name: f.type.split(" | ") for f in fields(cls)}
+    unknown = sorted(set(data) - set(declared) - set(extra))
     if unknown:
         raise ValueError(f"unknown {section} key(s): {', '.join(map(repr, unknown))}")
+    for key, types in declared.items():
+        if key not in data or not set(types) <= _JSON_TYPES.keys():
+            continue
+        value = data[key]
+        if isinstance(value, bool) or not any(_JSON_TYPES[t][1](value) for t in types):
+            expected = " or ".join(_JSON_TYPES[t][0] for t in types)
+            raise ValueError(f"{section}.{key} must be {expected}, got {json.dumps(value)}")
 
 
 def config_from_dict(data: dict) -> ScenarioConfig:
-    """Scenario from a parsed JSON config; a key that no setting reads is an
-    error, and a null grid, solver or perturbation section means it is absent."""
-    _reject_unknown_keys("config", data, ScenarioConfig)
+    """Scenario from a parsed JSON config whose sections pass _check_section;
+    a null grid, solver or perturbation section means it is absent."""
+    _check_section("config", data, ScenarioConfig)
     top = dict(data)
-    kinks, grid, solver, pert = (top.pop(section, None) or {}
-                                 for section in ("kinks", "grid", "solver", "perturbation"))
+    sections = [top.pop(s, None) for s in ("kinks", "grid", "solver", "perturbation")]
+    kinks, grid, solver, pert = ({} if value is None else value for value in sections)
     for section, values, cls in (("kinks", kinks, KinkArrangement), ("grid", grid, GridSpec),
                                  ("solver", solver, SolverConfig)):
-        _reject_unknown_keys(section, values, cls)
-    _reject_unknown_keys("perturbation", pert, GaussianPerturbation, "kind")
+        _check_section(section, values, cls)
+    _check_section("perturbation", pert, GaussianPerturbation, "kind")
     perturbation = None
     kind = pert.get("kind", "none")
     if kind not in ("none", "gaussian"):

@@ -126,7 +126,6 @@ class EnergyBreakdown:
 class RemainderNorms:
     h1_norm_g: float
     l2_norm_gt: float
-    combined: float
 
 
 def potential_energy_samples(phi, dx: float, fd_order: int = 4) -> float:
@@ -258,7 +257,7 @@ def interaction_energy_A_double_prime(z: float, dx: float = _A_DEFAULT_DX) -> fl
 
 
 def remainder_norms(g, g_t, dx: float) -> RemainderNorms:
-    """H^1 norm of g and L^2 norm of g_t; combined is their sum."""
+    """H^1 norm of g and L^2 norm of g_t."""
     g = np.asarray(g, dtype=float)
     g_t = np.asarray(g_t, dtype=float)
     if g.shape != g_t.shape:
@@ -266,7 +265,7 @@ def remainder_norms(g, g_t, dx: float) -> RemainderNorms:
     dg = spatial_derivative(g, dx, order=2)
     h1 = float(np.sqrt(integrate(g * g + dg * dg, dx)))
     l2 = float(np.sqrt(integrate(g_t * g_t, dx)))
-    return RemainderNorms(h1_norm_g=h1, l2_norm_gt=l2, combined=h1 + l2)
+    return RemainderNorms(h1_norm_g=h1, l2_norm_gt=l2)
 
 
 # transition window for the momentum-correction weight: 1 up to 3/4 of the
@@ -275,7 +274,7 @@ _OMEGA_LOWER = 0.75
 _OMEGA_UPPER = 0.80
 
 
-def lyapunov_F(frame, xdot1: float, xdot2: float) -> float:
+def lyapunov_F(frame) -> float:
     """Corrected quadratic-form functional of a modulation frame.
 
     Five pieces: the quadratic form of the energy Hessian at the superposed
@@ -289,6 +288,7 @@ def lyapunov_F(frame, xdot1: float, xdot2: float) -> float:
     dx = frame.dx
     g = frame.g
     g_t = frame.g_t
+    xdot1, xdot2 = frame.xdot1, frame.xdot2
     anti = antikink_value(x - frame.x1)
     kink = kink_value(x - frame.x2)
     total = anti + kink

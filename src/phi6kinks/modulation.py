@@ -195,8 +195,6 @@ def track(snapshots) -> list[ModulationFrame]:
     for snap in snapshots[1:]:
         dt = snap.t - prev.t
         seed = (prev.x1 + prev.xdot1 * dt, prev.x2 + prev.xdot2 * dt)
-        if not all(math.isfinite(s) for s in seed):
-            seed = (prev.x1, prev.x2)
         frame = None
         for attempt in (seed, None):
             try:
@@ -226,7 +224,7 @@ def _invalid_frame(state, seed) -> ModulationFrame:
         g=empty,
         g_t=empty,
         ortho_residuals=(float("nan"), float("nan")),
-        norms=RemainderNorms(float("nan"), float("nan"), float("nan")),
+        norms=RemainderNorms(float("nan"), float("nan")),
         newton_iters=0,
         matrix_det=float("nan"),
         xdot1=float("nan"),

@@ -56,14 +56,11 @@ class SolverConfig:
         if self.stencil_order not in (2, 4):
             raise ValueError(f"stencil_order must be 2 or 4, got {self.stencil_order}")
 
-    def cfl(self, dx: float) -> float:
-        return self.dt / dx
-
     def validate_cfl(self, dx: float) -> None:
         limit = _CFL_LIMIT[self.stencil_order]
-        if self.cfl(dx) > limit:
+        if self.dt / dx > limit:
             raise ValueError(
-                f"CFL violation: dt/dx = {self.cfl(dx):.3f} exceeds {limit} "
+                f"CFL violation: dt/dx = {self.dt / dx:.3f} exceeds {limit} "
                 f"for stencil order {self.stencil_order}"
             )
 

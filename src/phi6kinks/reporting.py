@@ -45,6 +45,11 @@ class FrameRow:
     eps_t: float
     F_t: float
 
+    @property
+    def remainder(self) -> float:
+        """The energy norm ||(g, g_t)|| = ||g||_H1 + ||g_t||_L2."""
+        return self.norm_g_h1 + self.norm_gt_l2
+
 
 CSV_HEADER = ",".join(f.name for f in fields(FrameRow))
 
@@ -74,7 +79,7 @@ class ComparisonReport:
 
     @property
     def max_remainder(self) -> float:
-        return max((r.norm_g_h1 + r.norm_gt_l2 for r in self.rows), default=float("nan"))
+        return max((r.remainder for r in self.rows), default=float("nan"))
 
     def summary(self) -> dict:
         out = {key: getattr(self, key) for key in SUMMARY_KEYS}

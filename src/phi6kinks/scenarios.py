@@ -124,7 +124,6 @@ def run_scenario(config: ScenarioConfig) -> ComparisonReport:
     frames = track(snapshots)
 
     fd_order = config.solver.stencil_order
-    eps0 = energy_breakdown(snapshots[0], fd_order=fd_order).epsilon
     f0 = frames[0]
     params = params_from_initial(f0.x1, f0.x2, f0.xdot1, f0.xdot2)
 
@@ -142,7 +141,7 @@ def run_scenario(config: ScenarioConfig) -> ComparisonReport:
         d = separation_d(frame.t, params)
         d1dot, d2dot = centers_velocities(frame.t, params)
         eps_t = energy_breakdown(snap, fd_order=fd_order).epsilon
-        f_t = lyapunov_F(frame, frame.xdot1, frame.xdot2)
+        f_t = lyapunov_F(frame)
         rows.append(
             FrameRow(
                 t=frame.t,
@@ -168,7 +167,7 @@ def run_scenario(config: ScenarioConfig) -> ComparisonReport:
 
     report = ComparisonReport(
         rows=rows,
-        epsilon=eps0,
+        epsilon=rows[0].eps_t,  # frame 0 is valid: track raises otherwise
         v=params.v,
         c=params.c,
         a=params.a,
@@ -216,7 +215,7 @@ def verify_orbital_stability(report: ComparisonReport) -> StabilityVerdict:
     ratios = [
         (
             math.exp(-SQRT2 * r.z)
-            + (r.norm_g_h1 + r.norm_gt_l2) ** 2
+            + r.remainder**2
             + r.xdot1**2
             + r.xdot2**2
         )
@@ -237,7 +236,6 @@ def verify_orbital_stability(report: ComparisonReport) -> StabilityVerdict:
 @dataclass(frozen=True)
 class GrowthVerdict:
     fitted_C: float
-    envelope_holds: bool
     frames_used: int
     passed: bool
 
@@ -248,13 +246,13 @@ def fit_growth_constant(report: ComparisonReport) -> float:
     eps = report.epsilon
     if eps <= 0 or eps >= math.exp(-1.0) or not report.rows:
         return float("nan")
-    y0 = (report.rows[0].norm_g_h1 + report.rows[0].norm_gt_l2) ** 2
+    y0 = report.rows[0].remainder ** 2
     base = y0 + eps * eps
     rate = math.sqrt(eps) / math.log(1.0 / eps)
 
     def holds(c: float) -> bool:
         for r in report.rows:
-            y = (r.norm_g_h1 + r.norm_gt_l2) ** 2
+            y = r.remainder ** 2
             if y > c * base * math.exp(min(c * rate * abs(r.t), 700.0)):
                 return False
         return True
@@ -284,9 +282,7 @@ def verify_remainder_growth(report: ComparisonReport) -> GrowthVerdict:
     if len(report.rows) < MIN_GROWTH_FRAMES:
         raise ValueError(f"need >= {MIN_GROWTH_FRAMES} frames, got {len(report.rows)}")
     c = fit_growth_constant(report)
-    holds = math.isfinite(c)
-    return GrowthVerdict(fitted_C=c, envelope_holds=holds,
-                         frames_used=len(report.rows), passed=holds)
+    return GrowthVerdict(fitted_C=c, frames_used=len(report.rows), passed=math.isfinite(c))
 
 
 @dataclass(frozen=True)
@@ -342,7 +338,7 @@ def lyapunov_diagnostics(report: ComparisonReport) -> LyapunovDiagnostics:
     a1 = 0.0
     fdot_ratio = 0.0
     for prev, cur in zip(report.rows, report.rows[1:]):
-        norm = cur.norm_g_h1 + cur.norm_gt_l2
+        norm = cur.remainder
         a1 = max(a1, (LYAPUNOV_A2 * norm**2 - cur.F_t) / (eps * eps))
         budget = eps**1.5 * norm + math.sqrt(eps) * norm**2 / log_inv
         if budget > 0 and cur.t > prev.t:
@@ -396,7 +392,7 @@ def optimality_probe(epsilon_list, kappa: float = 0.1) -> list[ProbeRecord]:
         threshold = kappa * eps
         t_hit = None
         for r in report.rows:
-            if r.norm_g_h1 + r.norm_gt_l2 >= threshold:
+            if r.remainder >= threshold:
                 t_hit = r.t
                 break
         scale = math.log(1.0 / eps) / math.sqrt(eps)

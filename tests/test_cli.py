@@ -4,7 +4,22 @@ import json
 import pytest
 
 from phi6kinks.cli import main
+from phi6kinks.functionals import odd_sample_count
+from phi6kinks.pde import SolverConfig
 from phi6kinks.reporting import CSV_HEADER
+from phi6kinks.scenarios import (
+    GaussianPerturbation,
+    GridSpec,
+    KinkArrangement,
+    ScenarioConfig,
+    auto_grid,
+    run_scenario,
+)
+
+
+def assert_same_reports(a, b):
+    for report in ("trajectory.csv", "summary.json"):
+        assert (a / report).read_bytes() == (b / report).read_bytes()
 
 
 @pytest.fixture()
@@ -36,12 +51,43 @@ def test_run_overrides_apply(tmp_path, config_path, capsys):
     out = tmp_path / "out2"
     code = main(
         ["run", "--config", str(config_path), "--out", str(out), "--t-end", "5.0",
-         "--dt", "0.025"]
+         "--dt", "0.025", "--dx", "0.04"]
     )
     assert code == 0
     lines = (out / "trajectory.csv").read_text().strip().splitlines()
     last_t = float(lines[-1].split(",")[0])
     assert last_t == pytest.approx(5.0, abs=1e-9)
+    # --dx keeps the span of the config's grid and resamples it at the new spacing
+    kinks = KinkArrangement(x1=-6.0, x2=6.0)
+    grid = auto_grid(kinks)
+    span = grid.dx * (grid.n - 1)
+    run_scenario(ScenarioConfig(
+        kinks=kinks,
+        grid=GridSpec(grid.x0, 0.04, odd_sample_count(span, 0.04)),
+        solver=SolverConfig(dt=0.025),
+        t_end=5.0,
+        frame_cadence=25,
+        outputs=str(tmp_path / "oracle"),
+    ))
+    assert_same_reports(out, tmp_path / "oracle")
+
+
+def test_gaussian_perturbation_config(tmp_path, capsys):
+    config = {
+        "kinks": {"x1": -6.0, "x2": 6.0},
+        "perturbation": {"kind": "gaussian", "amplitude": 1e-3},
+        "t_end": 1.0,
+    }
+    path = tmp_path / "gaussian.json"
+    path.write_text(json.dumps(config))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "cli")]) == 0
+    run_scenario(ScenarioConfig(
+        kinks=KinkArrangement(x1=-6.0, x2=6.0),
+        perturbation=GaussianPerturbation(1e-3, width=1.0, center=0.0),
+        t_end=1.0,
+        outputs=str(tmp_path / "oracle"),
+    ))
+    assert_same_reports(tmp_path / "cli", tmp_path / "oracle")
 
 
 @pytest.mark.parametrize("flag", ["--dx", "--dt", "--t-end"])
@@ -85,11 +131,13 @@ def test_verify_scans_directory_of_reports(tmp_path, config_path):
     assert main(["verify", "--report", str(tmp_path / "suite")]) == 0
 
 
-def test_probe_prints_records(capsys):
-    code = main(["probe", "--eps", "0.05"])
+@pytest.mark.parametrize("kappa, printed", [("0.1", "t_hit="), ("1e6", "no hit within t_max")],
+                         ids=["hit", "no-hit"])
+def test_probe_prints_records(capsys, kappa, printed):
+    code = main(["probe", "--eps", "0.05", "--kappa", kappa])
     assert code == 0
     out = capsys.readouterr().out
-    assert "eps=" in out and ("t_hit" in out or "no hit" in out)
+    assert "eps=" in out and printed in out
 
 
 def test_probe_without_excess_is_runtime_error(capsys):
@@ -143,6 +191,23 @@ def test_unknown_config_key_is_runtime_error(tmp_path, capsys, section, key):
     code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
     assert code == 2
     assert repr(key) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("frame_cadence", 2.5, "config.frame_cadence must be an integer, got 2.5"),
+    ("frame_cadence", True, "config.frame_cadence must be an integer, got true"),
+    ("solver", 5, "solver must be a JSON object, got 5"),
+    ("t_end", None, "config.t_end must be a finite number, got null"),
+    ("t_end", "5", 'config.t_end must be a finite number, got "5"'),
+], ids=["cadence-float", "cadence-bool", "solver-int", "t_end-null", "t_end-str"])
+def test_mistyped_config_value_is_runtime_error(tmp_path, capsys, key, value, message):
+    config = {"kinks": {"x1": -6.0, "x2": 6.0}, "t_end": 1.0, key: value}
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(config))
+    code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -266,7 +266,7 @@ class TestCrossTailBound:
 class TestRemainderNorms:
     def test_zero(self):
         rn = remainder_norms(np.zeros(101), np.zeros(101), 0.01)
-        assert (rn.h1_norm_g, rn.l2_norm_gt, rn.combined) == (0.0, 0.0, 0.0)
+        assert (rn.h1_norm_g, rn.l2_norm_gt) == (0.0, 0.0)
 
     def test_gaussian_values(self):
         dx = 0.01
@@ -276,7 +276,6 @@ class TestRemainderNorms:
         # int g^2 = int (g')^2 = sqrt(pi/2) for this Gaussian
         assert rn.h1_norm_g == pytest.approx(math.sqrt(2 * math.sqrt(math.pi / 2)), rel=1e-4)
         assert rn.l2_norm_gt == 0.0
-        assert rn.combined == rn.h1_norm_g
 
     @given(st.floats(min_value=0.0, max_value=100.0))
     def test_homogeneity(self, lam):
@@ -286,7 +285,8 @@ class TestRemainderNorms:
         gt = x * np.exp(-(x**2))
         base = remainder_norms(g, gt, dx)
         scaled = remainder_norms(lam * g, lam * gt, dx)
-        assert scaled.combined == pytest.approx(lam * base.combined, rel=1e-12, abs=1e-12)
+        assert scaled.h1_norm_g == pytest.approx(lam * base.h1_norm_g, rel=1e-12, abs=1e-12)
+        assert scaled.l2_norm_gt == pytest.approx(lam * base.l2_norm_gt, rel=1e-12, abs=1e-12)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -324,13 +324,13 @@ class TestLyapunovFunctional:
 
     def test_zero_remainder(self):
         frame = self._frame(0.0)
-        assert lyapunov_F(frame, 0.0, 0.0) == pytest.approx(0.0, abs=1e-18)
+        assert lyapunov_F(frame) == pytest.approx(0.0, abs=1e-18)
 
     def test_matches_quadratic_form_for_small_remainder(self):
         from phi6kinks.functionals import spatial_derivative
 
         frame = self._frame(1e-2)
-        f_val = lyapunov_F(frame, 0.0, 0.0)
+        f_val = lyapunov_F(frame)
         x = frame.x
         total = antikink_value(x - frame.x1) + kink_value(x - frame.x2)
         dg = spatial_derivative(frame.g, frame.dx, order=2)
@@ -342,7 +342,7 @@ class TestLyapunovFunctional:
         assert f_val > 0.0
 
     def test_quadratic_scaling(self):
-        vals = {lam: lyapunov_F(self._frame(lam * 1e-2), 0.0, 0.0)
+        vals = {lam: lyapunov_F(self._frame(lam * 1e-2))
                 for lam in (1.0, 0.5, 0.25)}
         assert vals[0.5] / vals[1.0] == pytest.approx(0.25, rel=1e-3)
         assert vals[0.25] / vals[1.0] == pytest.approx(0.0625, rel=1e-3)
@@ -352,4 +352,4 @@ class TestLyapunovFunctional:
 
         frame = dataclasses.replace(self._frame(0.0), z=-1.0)
         with pytest.raises(ValueError):
-            lyapunov_F(frame, 0.0, 0.0)
+            lyapunov_F(frame)

@@ -6,8 +6,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-# __init__ imports names only to re-export them
-MODULES = sorted(p for p in (ROOT / "src" / "phi6kinks").glob("*.py") if p.name != "__init__.py")
+MODULES = sorted((ROOT / "src" / "phi6kinks").glob("*.py"))
 MODULES += sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
 
 
