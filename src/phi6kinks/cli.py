@@ -75,6 +75,8 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     if kind not in ("none", "gaussian"):
         raise ValueError(f"unknown perturbation kind {kind!r}; use 'none' or 'gaussian'")
     if kind == "gaussian":
+        if "amplitude" not in pert:
+            raise ValueError("perturbation.amplitude is required for a gaussian perturbation")
         perturbation = GaussianPerturbation(
             amplitude=pert["amplitude"],
             width=pert.get("width", 1.0),

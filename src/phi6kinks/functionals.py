@@ -26,11 +26,13 @@ from .model import (
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=32)
 def simpson_weights(n: int, dx: float) -> np.ndarray:
     """Composite Simpson weights for n samples at spacing dx.
 
     Requires n >= 3.  For even n the last interval is closed with a
-    trapezoid; exactness claims in tests always use odd n.
+    trapezoid; exactness claims in tests always use odd n.  The weights are
+    built once per (n, dx) and shared, so the array is read-only.
     """
     if n < 3:
         raise ValueError(f"need at least 3 samples, got {n}")
@@ -39,13 +41,14 @@ def simpson_weights(n: int, dx: float) -> np.ndarray:
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     w *= dx / 3.0
-    if m == n:
-        return w
-    full = np.zeros(n)
-    full[:m] = w
-    full[m - 1] += 0.5 * dx
-    full[m] = 0.5 * dx
-    return full
+    if m < n:
+        full = np.zeros(n)
+        full[:m] = w
+        full[m - 1] += 0.5 * dx
+        full[m] = 0.5 * dx
+        w = full
+    w.flags.writeable = False
+    return w
 
 
 def odd_sample_count(span: float, dx: float) -> int:
@@ -211,9 +214,11 @@ def interaction_energy_A(z: float, dx: float = _A_DEFAULT_DX) -> float:
       = e^{-2 sqrt2 z} / (2 sqrt2), up to O(z e^{-4 sqrt2 z}).
     - int a^3 b^3 = O(z e^{-3 sqrt2 z}).
 
-    On the grid the gradient is the same 4th-order stencil that
-    reference_kink_energy uses, so its bias cancels in
-    A(z, dx) - 2 reference_kink_energy(dx).
+    On the grid the gradient is the 4th-order stencil, so A(z, dx) alone
+    carries its bias, about -9.5e-10 at dx = 0.01: do not compare it with
+    the exact 2E = 1/sqrt2.  Only A(z, dx) - 2 reference_kink_energy(dx) at
+    the same dx is accurate (about 3e-12), since the same stencil's bias
+    cancels there.
     """
     if z <= 0:
         raise ValueError(f"separation must be positive, got {z}")
@@ -274,30 +279,51 @@ _OMEGA_LOWER = 0.75
 _OMEGA_UPPER = 0.80
 
 
-def lyapunov_F(frame) -> float:
+@dataclass(frozen=True)
+class PairTerms:
+    """Full-grid terms of one frame that lyapunov_F and coercivity_ratio
+    share; built per frame and dropped after its diagnostics."""
+
+    x: np.ndarray
+    anti: np.ndarray   # K1 = antikink_value(x - x1)
+    kink: np.ndarray   # K2 = kink_value(x - x2)
+    total: np.ndarray  # K1 + K2
+    upp: np.ndarray    # U''(K1 + K2)
+    dg: np.ndarray     # d_x g, 2nd order
+
+
+def pair_terms(frame) -> PairTerms:
+    """Evaluate the superposed pair at a frame's centers, once per frame."""
+    if frame.z <= 0:
+        raise ValueError("frame separation must be positive")
+    x = frame.x
+    anti = antikink_value(x - frame.x1)
+    kink = kink_value(x - frame.x2)
+    total = anti + kink
+    return PairTerms(x, anti, kink, total, eval_potential_derivative(2, total),
+                     spatial_derivative(frame.g, frame.dx, order=2))
+
+
+def lyapunov_F(frame, terms: PairTerms) -> float:
     """Corrected quadratic-form functional of a modulation frame.
 
     Five pieces: the quadratic form of the energy Hessian at the superposed
     pair, a linear interaction correction, a centripetal correction, the
     momentum correction weighted by a smooth partition moving with each
-    kink, and the cubic term of the potential expansion.
+    kink, and the cubic term of the potential expansion.  ``terms`` is
+    pair_terms(frame).
     """
-    if frame.z <= 0:
-        raise ValueError("frame separation must be positive")
-    x = frame.x
+    x = terms.x
     dx = frame.dx
     g = frame.g
     g_t = frame.g_t
     xdot1, xdot2 = frame.xdot1, frame.xdot2
-    anti = antikink_value(x - frame.x1)
-    kink = kink_value(x - frame.x2)
-    total = anti + kink
-    dg = spatial_derivative(g, dx, order=2)
+    anti, kink, total, dg = terms.anti, terms.kink, terms.total, terms.dg
     # K'' = U'(K) for both: the antikink -H(-s) has K'' = -U'(H(-s)) = U'(anti), U' being odd
     dd_anti = eval_potential_derivative(1, anti)
     dd_kink = eval_potential_derivative(1, kink)
 
-    f1 = integrate(g_t * g_t + dg * dg + eval_potential_derivative(2, total) * g * g, dx)
+    f1 = integrate(g_t * g_t + dg * dg + terms.upp * g * g, dx)
     interaction = dd_anti + dd_kink - eval_potential_derivative(1, total)
     f2 = -2.0 * integrate(g * interaction, dx)
     f3 = 2.0 * integrate(g * (xdot1 * xdot1 * dd_anti + xdot2 * xdot2 * dd_kink), dx)
@@ -308,13 +334,12 @@ def lyapunov_F(frame) -> float:
     return float(f1 + f2 + f3 + f4 + f5)
 
 
-def coercivity_ratio(frame) -> float:
-    """Empirical ratio of the energy-Hessian quadratic form to ||g||_H1^2."""
-    x = frame.x
+def coercivity_ratio(frame, terms: PairTerms) -> float:
+    """Empirical ratio of the energy-Hessian quadratic form to ||g||_H1^2;
+    ``terms`` is pair_terms(frame)."""
     g = frame.g
-    total = antikink_value(x - frame.x1) + kink_value(x - frame.x2)
-    dg = spatial_derivative(g, frame.dx, order=2)
-    quad = integrate(dg * dg + eval_potential_derivative(2, total) * g * g, frame.dx)
+    dg = terms.dg
+    quad = integrate(dg * dg + terms.upp * g * g, frame.dx)
     denom = integrate(g * g + dg * dg, frame.dx)
     if denom <= 0.0:
         return float("nan")

@@ -40,22 +40,21 @@ def eval_potential_derivative(k, phi):
     phi = np.asarray(phi, dtype=float)
     coeffs = _U_DERIV_COEFFS[k]
     out = np.full_like(phi, coeffs[5])
-    for power in range(4, -1, -1):
-        out = out * phi + coeffs[power]
+    for power in range(4, -1, -1):  # Horner, in place
+        out *= phi
+        out += coeffs[power]
     return out
 
 
 def kink_value(x):
     """Kink profile rising monotonically from 0 at -inf to 1 at +inf.
 
-    Evaluated with only decaying exponentials on each side so that large
-    |x| cannot overflow.
+    Evaluated with only decaying exponentials so that large |x| cannot
+    overflow: e^{sqrt2 x} / sqrt(1 + e^{2 sqrt2 x}) for x < 0, and for
+    x >= 0 the numerator is exp(0) = 1 exactly.
     """
     x = np.asarray(x, dtype=float)
-    q = np.exp(-2.0 * SQRT2 * np.abs(x))
-    right = 1.0 / np.sqrt(1.0 + q)          # x >= 0
-    left = np.exp(SQRT2 * np.minimum(x, 0.0)) / np.sqrt(1.0 + q)  # x < 0
-    return np.where(x >= 0.0, right, left)
+    return np.exp(SQRT2 * np.minimum(x, 0.0)) / np.sqrt(1.0 + np.exp(-2.0 * SQRT2 * np.abs(x)))
 
 
 def kink_mode(h):

@@ -18,7 +18,13 @@ from .effective import (
     params_from_initial,
     separation_d,
 )
-from .functionals import coercivity_ratio, energy_breakdown, lyapunov_F, odd_sample_count
+from .functionals import (
+    coercivity_ratio,
+    energy_breakdown,
+    lyapunov_F,
+    odd_sample_count,
+    pair_terms,
+)
 from .model import MARGIN, SQRT2
 from .modulation import track
 from .pde import FieldState, SolverConfig, check_margins, init_two_kink_state, run
@@ -141,7 +147,8 @@ def run_scenario(config: ScenarioConfig) -> ComparisonReport:
         d = separation_d(frame.t, params)
         d1dot, d2dot = centers_velocities(frame.t, params)
         eps_t = energy_breakdown(snap, fd_order=fd_order).epsilon
-        f_t = lyapunov_F(frame)
+        terms = pair_terms(frame)
+        f_t = lyapunov_F(frame, terms)
         rows.append(
             FrameRow(
                 t=frame.t,
@@ -163,7 +170,7 @@ def run_scenario(config: ScenarioConfig) -> ComparisonReport:
         d1_dots.append(d1dot)
         d2_dots.append(d2dot)
         if frame.norms.h1_norm_g > 1e-9:
-            coer_min = min(coer_min, coercivity_ratio(frame))
+            coer_min = min(coer_min, coercivity_ratio(frame, terms))
 
     report = ComparisonReport(
         rows=rows,

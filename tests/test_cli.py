@@ -226,6 +226,16 @@ def test_unknown_perturbation_kind_is_runtime_error(tmp_path, capsys, kind):
     assert not (tmp_path / "out").exists()
 
 
+def test_gaussian_without_amplitude_is_runtime_error(tmp_path, capsys):
+    config = {"kinks": {"x1": -6, "x2": 6}, "t_end": 1, "perturbation": {"kind": "gaussian"}}
+    path = tmp_path / "no_amplitude.json"
+    path.write_text(json.dumps(config))
+    code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "perturbation.amplitude" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_verify_fails_on_failed_tracking(tmp_path, capsys):
     # at +-0.75 the pair dips below separation 2 from frame 34 on: the rows
     # skip those frames, so only the failure entry of summary.json shows it

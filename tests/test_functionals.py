@@ -15,6 +15,7 @@ from phi6kinks.functionals import (
     interaction_energy_A_double_prime,
     interaction_energy_A_prime,
     lyapunov_F,
+    pair_terms,
     potential_energy_samples,
     reference_kink_energy,
     remainder_norms,
@@ -75,6 +76,14 @@ class TestIntegrate:
     def test_weights_sum_to_span(self):
         w = simpson_weights(11, 0.1)
         assert w.sum() == pytest.approx(1.0, abs=1e-14)
+
+    @pytest.mark.parametrize("n", [11, 12])
+    def test_weights_are_cached_and_read_only(self, n):
+        w = simpson_weights(n, 0.1)
+        assert simpson_weights(n, 0.1) is w
+        with pytest.raises(ValueError):
+            w[0] = 1.0
+        assert w.sum() == pytest.approx(0.1 * (n - 1), abs=1e-14)
 
 
 class TestEnergies:
@@ -324,13 +333,13 @@ class TestLyapunovFunctional:
 
     def test_zero_remainder(self):
         frame = self._frame(0.0)
-        assert lyapunov_F(frame) == pytest.approx(0.0, abs=1e-18)
+        assert lyapunov_F(frame, pair_terms(frame)) == pytest.approx(0.0, abs=1e-18)
 
     def test_matches_quadratic_form_for_small_remainder(self):
         from phi6kinks.functionals import spatial_derivative
 
         frame = self._frame(1e-2)
-        f_val = lyapunov_F(frame)
+        f_val = lyapunov_F(frame, pair_terms(frame))
         x = frame.x
         total = antikink_value(x - frame.x1) + kink_value(x - frame.x2)
         dg = spatial_derivative(frame.g, frame.dx, order=2)
@@ -342,8 +351,8 @@ class TestLyapunovFunctional:
         assert f_val > 0.0
 
     def test_quadratic_scaling(self):
-        vals = {lam: lyapunov_F(self._frame(lam * 1e-2))
-                for lam in (1.0, 0.5, 0.25)}
+        frames = {lam: self._frame(lam * 1e-2) for lam in (1.0, 0.5, 0.25)}
+        vals = {lam: lyapunov_F(f, pair_terms(f)) for lam, f in frames.items()}
         assert vals[0.5] / vals[1.0] == pytest.approx(0.25, rel=1e-3)
         assert vals[0.25] / vals[1.0] == pytest.approx(0.0625, rel=1e-3)
 
@@ -352,4 +361,4 @@ class TestLyapunovFunctional:
 
         frame = dataclasses.replace(self._frame(0.0), z=-1.0)
         with pytest.raises(ValueError):
-            lyapunov_F(frame)
+            lyapunov_F(frame, pair_terms(frame))

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from phi6kinks.model import (
+    _U_DERIV_COEFFS,
     SQRT2,
     antikink_derivative,
     antikink_value,
@@ -151,6 +152,38 @@ class TestAntikink:
         for x in (-2.0, 0.0, 1.5):
             fd = (antikink_derivative(1, x + h) - antikink_derivative(1, x - h)) / (2 * h)
             assert antikink_derivative(2, x) == pytest.approx(fd, abs=1e-8)
+
+
+class TestKernelBitExactness:
+    """The profile and U^(k) kernels give the same bytes as their two-branch
+    and out-of-place forms, kept here as the reference."""
+
+    X = np.concatenate([np.linspace(-400.0, 400.0, 160_001), [0.0, -0.0, np.nan]])
+
+    @staticmethod
+    def _kink_two_branch(x):
+        x = np.asarray(x, dtype=float)
+        q = np.exp(-2.0 * SQRT2 * np.abs(x))
+        right = 1.0 / np.sqrt(1.0 + q)
+        left = np.exp(SQRT2 * np.minimum(x, 0.0)) / np.sqrt(1.0 + q)
+        return np.where(x >= 0.0, right, left)
+
+    @staticmethod
+    def _horner_out_of_place(coeffs, phi):
+        out = np.full_like(phi, coeffs[5])
+        for power in range(4, -1, -1):
+            out = out * phi + coeffs[power]
+        return out
+
+    def test_kink_value(self):
+        assert kink_value(self.X).tobytes() == self._kink_two_branch(self.X).tobytes()
+        assert kink_value(-0.0) == kink_value(0.0) == 1.0 / np.sqrt(2.0)
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_potential_derivative(self, k):
+        for phi in (self.X, kink_value(self.X) - kink_value(-self.X)):
+            want = self._horner_out_of_place(_U_DERIV_COEFFS[k], phi)
+            assert eval_potential_derivative(k, phi).tobytes() == want.tobytes()
 
 
 class TestBoost:

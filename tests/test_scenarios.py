@@ -6,7 +6,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from phi6kinks.model import SQRT2
+from phi6kinks.functionals import (
+    coercivity_ratio,
+    cut_function,
+    integrate,
+    lyapunov_F,
+    pair_terms,
+    spatial_derivative,
+)
+from phi6kinks.model import SQRT2, antikink_value, eval_potential_derivative, kink_value
 from phi6kinks.pde import SolverConfig
 from phi6kinks.reporting import (
     CSV_HEADER,
@@ -358,6 +366,59 @@ class TestHeadOnCollision:
         assert report.rows[-1].z > 10.0  # bounced back out
         ts = [r.t for r in report.rows]
         assert max(b - a for a, b in zip(ts, ts[1:])) > 1.0  # cutoff window skipped
+
+
+class TestSharedPairTerms:
+    """F and the coercivity ratio from one pair_terms evaluation per frame
+    equal a fresh evaluation that rebuilds the profiles for each."""
+
+    @staticmethod
+    def _pair(frame):
+        x = frame.x
+        anti = antikink_value(x - frame.x1)
+        kink = kink_value(x - frame.x2)
+        return x, anti, kink, anti + kink, spatial_derivative(frame.g, frame.dx, order=2)
+
+    def _lyapunov_F(self, frame):
+        x, anti, kink, total, dg = self._pair(frame)
+        g, g_t, dx = frame.g, frame.g_t, frame.dx
+        xdot1, xdot2 = frame.xdot1, frame.xdot2
+        dd_anti = eval_potential_derivative(1, anti)
+        dd_kink = eval_potential_derivative(1, kink)
+        f1 = integrate(g_t * g_t + dg * dg + eval_potential_derivative(2, total) * g * g, dx)
+        interaction = dd_anti + dd_kink - eval_potential_derivative(1, total)
+        f2 = -2.0 * integrate(g * interaction, dx)
+        f3 = 2.0 * integrate(g * (xdot1 * xdot1 * dd_anti + xdot2 * xdot2 * dd_kink), dx)
+        omega = cut_function((x - frame.x1) / frame.z, 0.80, 0.75)
+        f4 = 2.0 * integrate(g_t * dg * (xdot1 * omega + xdot2 * (1.0 - omega)), dx)
+        f5 = integrate(eval_potential_derivative(3, total) * g**3, dx) / 3.0
+        return float(f1 + f2 + f3 + f4 + f5)
+
+    def _coercivity_ratio(self, frame):
+        _, _, _, total, dg = self._pair(frame)
+        g = frame.g
+        quad = integrate(dg * dg + eval_potential_derivative(2, total) * g * g, frame.dx)
+        return float(quad / integrate(g * g + dg * dg, frame.dx))
+
+    def test_collision_frames_match_fresh_evaluation(self):
+        report = run_scenario(ScenarioConfig(
+            kinks=KinkArrangement(x1=-6.0, x2=6.0, v1=0.5, v2=-0.5),
+            solver=SolverConfig(dt=0.02),
+            t_end=4.0,
+            frame_cadence=2,
+            seed_label="collide-short",
+        ))
+        frames = [f for f in report.frames if f.valid]
+        assert len(frames) == len(report.rows) == 101
+        ratios = []
+        for frame, row in zip(frames, report.rows):
+            terms = pair_terms(frame)
+            assert row.F_t == lyapunov_F(frame, terms) == self._lyapunov_F(frame)
+            ratio = coercivity_ratio(frame, terms)
+            assert ratio == self._coercivity_ratio(frame)
+            if frame.norms.h1_norm_g > 1e-9:
+                ratios.append(ratio)
+        assert ratios and report.coercivity_ratio_min == min(ratios)
 
 
 class TestProbe:
