@@ -13,7 +13,6 @@ import numpy as np
 
 from .model import (
     MARGIN,
-    antikink_derivative,
     antikink_value,
     eval_potential,
     eval_potential_derivative,
@@ -123,12 +122,6 @@ class EnergyBreakdown:
     e_pot: float
     e_total: float
     epsilon: float
-
-
-@dataclass(frozen=True)
-class RemainderNorms:
-    h1_norm_g: float
-    l2_norm_gt: float
 
 
 def potential_energy_samples(phi, dx: float, fd_order: int = 4) -> float:
@@ -241,36 +234,9 @@ def interaction_energy_A_prime(z: float, dx: float = _A_DEFAULT_DX) -> float:
     return integrate(integrand, dx)
 
 
-def interaction_energy_A_double_prime(z: float, dx: float = _A_DEFAULT_DX) -> float:
-    """d^2A/dz^2 from its integral form."""
-    if z <= 0:
-        raise ValueError(f"separation must be positive, got {z}")
-    x = _pair_grid(z, dx)
-    anti = antikink_value(x + 0.5 * z)
-    kink = kink_value(x - 0.5 * z)
-    dkink = kink_derivative(1, x - 0.5 * z)
-    danti = antikink_derivative(1, x + 0.5 * z)
-    integrand = dkink * danti * (
-        eval_potential_derivative(2, anti) - eval_potential_derivative(2, anti + kink)
-    )
-    return integrate(integrand, dx)
-
-
 # ---------------------------------------------------------------------------
-# remainder norms and the Lyapunov functional
+# per-frame diagnostics: remainder norms and the Lyapunov functional
 # ---------------------------------------------------------------------------
-
-
-def remainder_norms(g, g_t, dx: float) -> RemainderNorms:
-    """H^1 norm of g and L^2 norm of g_t."""
-    g = np.asarray(g, dtype=float)
-    g_t = np.asarray(g_t, dtype=float)
-    if g.shape != g_t.shape:
-        raise ValueError(f"length mismatch: {g.shape} vs {g_t.shape}")
-    dg = spatial_derivative(g, dx, order=2)
-    h1 = float(np.sqrt(integrate(g * g + dg * dg, dx)))
-    l2 = float(np.sqrt(integrate(g_t * g_t, dx)))
-    return RemainderNorms(h1_norm_g=h1, l2_norm_gt=l2)
 
 
 # transition window for the momentum-correction weight: 1 up to 3/4 of the
@@ -281,8 +247,9 @@ _OMEGA_UPPER = 0.80
 
 @dataclass(frozen=True)
 class PairTerms:
-    """Full-grid terms of one frame that lyapunov_F and coercivity_ratio
-    share; built per frame and dropped after its diagnostics."""
+    """Full-grid terms of one frame that its remainder norms, lyapunov_F and
+    coercivity_ratio share; built per frame and dropped after its
+    diagnostics."""
 
     x: np.ndarray
     anti: np.ndarray   # K1 = antikink_value(x - x1)
@@ -290,18 +257,24 @@ class PairTerms:
     total: np.ndarray  # K1 + K2
     upp: np.ndarray    # U''(K1 + K2)
     dg: np.ndarray     # d_x g, 2nd order
+    g_h1_sq: float     # int g^2 + (d_x g)^2 = ||g||_H1^2
+    gt_l2: float       # ||g_t||_L2
 
 
 def pair_terms(frame) -> PairTerms:
-    """Evaluate the superposed pair at a frame's centers, once per frame."""
+    """Evaluate the superposed pair and the remainder norms at a frame's
+    centers, once per frame."""
     if frame.z <= 0:
         raise ValueError("frame separation must be positive")
     x = frame.x
+    g, g_t, dx = frame.g, frame.g_t, frame.dx
     anti = antikink_value(x - frame.x1)
     kink = kink_value(x - frame.x2)
     total = anti + kink
-    return PairTerms(x, anti, kink, total, eval_potential_derivative(2, total),
-                     spatial_derivative(frame.g, frame.dx, order=2))
+    dg = spatial_derivative(g, dx, order=2)
+    return PairTerms(x, anti, kink, total, eval_potential_derivative(2, total), dg,
+                     integrate(g * g + dg * dg, dx),
+                     float(np.sqrt(integrate(g_t * g_t, dx))))
 
 
 def lyapunov_F(frame, terms: PairTerms) -> float:
@@ -340,7 +313,6 @@ def coercivity_ratio(frame, terms: PairTerms) -> float:
     g = frame.g
     dg = terms.dg
     quad = integrate(dg * dg + terms.upp * g * g, frame.dx)
-    denom = integrate(g * g + dg * dg, frame.dx)
-    if denom <= 0.0:
+    if terms.g_h1_sq <= 0.0:
         return float("nan")
-    return float(quad / denom)
+    return float(quad / terms.g_h1_sq)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .functionals import RemainderNorms, remainder_norms, simpson_weights
+from .functionals import simpson_weights
 from .model import antikink_derivative, eval_potential_derivative, kink_mode, kink_value
 
 MAX_NEWTON_ITERS = 50
@@ -38,7 +38,6 @@ class ModulationFrame:
     g: np.ndarray
     g_t: np.ndarray
     ortho_residuals: tuple[float, float]
-    norms: RemainderNorms
     newton_iters: int
     matrix_det: float
     xdot1: float
@@ -127,7 +126,6 @@ def decompose(state, guess: tuple[float, float]) -> ModulationFrame:
     rhs = np.array([-float(w @ (state.pi * m1)), -float(w @ (state.pi * m2))])
     xdot = np.linalg.solve(mat, rhs)
     g_t = state.pi + xdot[0] * m1 + xdot[1] * m2
-    norms = remainder_norms(g, g_t, state.dx)
     return ModulationFrame(
         t=state.t,
         x1=x1,
@@ -136,7 +134,6 @@ def decompose(state, guess: tuple[float, float]) -> ModulationFrame:
         g=g,
         g_t=g_t,
         ortho_residuals=(float(res[0]), float(res[1])),
-        norms=norms,
         newton_iters=iters,
         matrix_det=det,
         xdot1=float(xdot[0]),
@@ -224,7 +221,6 @@ def _invalid_frame(state, seed) -> ModulationFrame:
         g=empty,
         g_t=empty,
         ortho_residuals=(float("nan"), float("nan")),
-        norms=RemainderNorms(float("nan"), float("nan")),
         newton_iters=0,
         matrix_det=float("nan"),
         xdot1=float("nan"),

@@ -123,10 +123,13 @@ def parse_csv(path) -> list[FrameRow]:
     text = Path(path).read_text().strip().splitlines()
     if not text or text[0] != CSV_HEADER:
         raise ValueError(f"unexpected CSV header in {path}")
+    width = len(fields(FrameRow))
     rows = []
-    for line in text[1:]:
-        vals = [float(v) for v in line.split(",")]
-        rows.append(FrameRow(*vals))
+    for lineno, line in enumerate(text[1:], start=2):
+        vals = line.split(",")
+        if len(vals) != width:
+            raise ValueError(f"{path} line {lineno}: {len(vals)} fields, expected {width}")
+        rows.append(FrameRow(*map(float, vals)))
     return rows
 
 
@@ -134,7 +137,11 @@ def load_report(directory) -> ComparisonReport:
     """Rebuild a report from trajectory.csv + summary.json in a directory."""
     directory = Path(directory)
     rows = parse_csv(directory / "trajectory.csv")
-    summary = json.loads((directory / "summary.json").read_text())
+    summary_path = directory / "summary.json"
+    summary = json.loads(summary_path.read_text())
+    missing = [key for key in ("epsilon", "v", "c", "a", "b") if key not in summary]
+    if missing:
+        raise ValueError(f"{summary_path} lacks key(s) {', '.join(map(repr, missing))}")
     failure = summary.get("failure")
     failed_at = None
     if failure is not None:

@@ -148,6 +148,7 @@ def run_scenario(config: ScenarioConfig) -> ComparisonReport:
         d1dot, d2dot = centers_velocities(frame.t, params)
         eps_t = energy_breakdown(snap, fd_order=fd_order).epsilon
         terms = pair_terms(frame)
+        norm_g_h1 = float(np.sqrt(terms.g_h1_sq))
         f_t = lyapunov_F(frame, terms)
         rows.append(
             FrameRow(
@@ -161,15 +162,15 @@ def run_scenario(config: ScenarioConfig) -> ComparisonReport:
                 z_minus_d=frame.z - d,
                 xdot1=frame.xdot1,
                 xdot2=frame.xdot2,
-                norm_g_h1=frame.norms.h1_norm_g,
-                norm_gt_l2=frame.norms.l2_norm_gt,
+                norm_g_h1=norm_g_h1,
+                norm_gt_l2=terms.gt_l2,
                 eps_t=eps_t,
                 F_t=f_t,
             )
         )
         d1_dots.append(d1dot)
         d2_dots.append(d2dot)
-        if frame.norms.h1_norm_g > 1e-9:
+        if norm_g_h1 > 1e-9:
             coer_min = min(coer_min, coercivity_ratio(frame, terms))
 
     report = ComparisonReport(
@@ -391,6 +392,8 @@ def probe_scenario_config(eps_target: float) -> ScenarioConfig:
 def optimality_probe(epsilon_list, kappa: float = 0.1) -> list[ProbeRecord]:
     """For each target excess, run resting kinks and record the first time
     the remainder norm reaches kappa * eps (or report that it never does)."""
+    if not (math.isfinite(kappa) and kappa >= 0.0):
+        raise ValueError(f"kappa must be finite and >= 0, got {kappa}")
     records = []
     for eps_target in epsilon_list:
         config = probe_scenario_config(eps_target)

@@ -140,6 +140,13 @@ def test_probe_prints_records(capsys, kappa, printed):
     assert "eps=" in out and printed in out
 
 
+@pytest.mark.parametrize("kappa", ["nan", "inf", "-1"])
+def test_probe_rejects_bad_kappa(capsys, kappa):
+    assert main(["probe", "--eps", "0.05", "--kappa", kappa]) == 2
+    captured = capsys.readouterr()
+    assert "kappa must be finite and >= 0" in captured.err and captured.out == ""
+
+
 def test_probe_without_excess_is_runtime_error(capsys):
     assert main(["probe", "--eps", ","]) == 2
     assert "lists no excess" in capsys.readouterr().err

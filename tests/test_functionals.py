@@ -12,13 +12,11 @@ from phi6kinks.functionals import (
     energy_breakdown,
     integrate,
     interaction_energy_A,
-    interaction_energy_A_double_prime,
     interaction_energy_A_prime,
     lyapunov_F,
     pair_terms,
     potential_energy_samples,
     reference_kink_energy,
-    remainder_norms,
     simpson_weights,
 )
 from phi6kinks.model import (
@@ -29,7 +27,7 @@ from phi6kinks.model import (
     kink_derivative,
     kink_value,
 )
-from phi6kinks.modulation import decompose
+from phi6kinks.modulation import ModulationFrame, decompose
 from phi6kinks.pde import FieldState
 
 E_REF_EXACT = 1.0 / (2.0 * SQRT2)
@@ -176,16 +174,11 @@ class TestInteractionEnergy:
             interaction_energy_A(0.0)
         with pytest.raises(ValueError):
             interaction_energy_A_prime(-1.0)
-        with pytest.raises(ValueError):
-            interaction_energy_A_double_prime(0.0)
 
     def test_derivative_asymptotics(self):
         for z in (6.0, 8.0):
             ap = interaction_energy_A_prime(z)
-            app = interaction_energy_A_double_prime(z)
-            scale = math.exp(-SQRT2 * z)
-            assert ap == pytest.approx(-4 * scale, rel=0.1)
-            assert app == pytest.approx(4 * SQRT2 * scale, rel=0.1)
+            assert ap == pytest.approx(-4 * math.exp(-SQRT2 * z), rel=0.1)
 
     def test_repulsive_for_all_tested_separations(self):
         for z in np.arange(3.0, 20.5, 1.0):
@@ -199,13 +192,7 @@ class TestInteractionEnergy:
     def test_derivatives_match_finite_differences(self):
         z, h = 6.0, 1e-3
         fd1 = (interaction_energy_A(z + h) - interaction_energy_A(z - h)) / (2 * h)
-        fd2 = (
-            interaction_energy_A(z + h)
-            - 2 * interaction_energy_A(z)
-            + interaction_energy_A(z - h)
-        ) / h**2
         assert interaction_energy_A_prime(z) == pytest.approx(fd1, rel=1e-5)
-        assert interaction_energy_A_double_prime(z) == pytest.approx(fd2, rel=1e-5)
 
     def test_two_term_expansion_against_mpmath(self):
         """30-digit continuum oracle for A(z) - 2E, independent of the grid code.
@@ -273,18 +260,27 @@ class TestCrossTailBound:
 
 
 class TestRemainderNorms:
+    """||g||_H1 and ||g_t||_L2 as pair_terms measures them."""
+
+    @staticmethod
+    def _norms(g, g_t, dx, x0):
+        frame = ModulationFrame(t=0.0, x1=-6.0, x2=6.0, z=12.0, g=g, g_t=g_t,
+                                ortho_residuals=(0.0, 0.0), newton_iters=0, matrix_det=1.0,
+                                xdot1=0.0, xdot2=0.0, x0=x0, dx=dx)
+        terms = pair_terms(frame)
+        return math.sqrt(terms.g_h1_sq), terms.gt_l2
+
     def test_zero(self):
-        rn = remainder_norms(np.zeros(101), np.zeros(101), 0.01)
-        assert (rn.h1_norm_g, rn.l2_norm_gt) == (0.0, 0.0)
+        assert self._norms(np.zeros(101), np.zeros(101), 0.01, -0.5) == (0.0, 0.0)
 
     def test_gaussian_values(self):
         dx = 0.01
         x = np.arange(-20.0, 20.0 + 1e-12, dx)
         g = np.exp(-(x**2))
-        rn = remainder_norms(g, np.zeros_like(g), dx)
+        h1, l2 = self._norms(g, np.zeros_like(g), dx, x[0])
         # int g^2 = int (g')^2 = sqrt(pi/2) for this Gaussian
-        assert rn.h1_norm_g == pytest.approx(math.sqrt(2 * math.sqrt(math.pi / 2)), rel=1e-4)
-        assert rn.l2_norm_gt == 0.0
+        assert h1 == pytest.approx(math.sqrt(2 * math.sqrt(math.pi / 2)), rel=1e-4)
+        assert l2 == 0.0
 
     @given(st.floats(min_value=0.0, max_value=100.0))
     def test_homogeneity(self, lam):
@@ -292,14 +288,10 @@ class TestRemainderNorms:
         x = np.arange(-10.0, 10.0 + 1e-12, dx)
         g = np.exp(-(x**2))
         gt = x * np.exp(-(x**2))
-        base = remainder_norms(g, gt, dx)
-        scaled = remainder_norms(lam * g, lam * gt, dx)
-        assert scaled.h1_norm_g == pytest.approx(lam * base.h1_norm_g, rel=1e-12, abs=1e-12)
-        assert scaled.l2_norm_gt == pytest.approx(lam * base.l2_norm_gt, rel=1e-12, abs=1e-12)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            remainder_norms(np.zeros(10), np.zeros(11), 0.1)
+        h1, l2 = self._norms(g, gt, dx, x[0])
+        h1_scaled, l2_scaled = self._norms(lam * g, lam * gt, dx, x[0])
+        assert h1_scaled == pytest.approx(lam * h1, rel=1e-12, abs=1e-12)
+        assert l2_scaled == pytest.approx(lam * l2, rel=1e-12, abs=1e-12)
 
 
 class TestCutFunction:

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from phi6kinks import functionals
 from phi6kinks.functionals import (
     coercivity_ratio,
     cut_function,
@@ -196,6 +197,23 @@ class TestReporting:
         bad.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValueError):
             parse_csv(bad)
+
+    def test_short_row_names_file_line_and_width(self, quick_report, tmp_path):
+        path = emit_csv(quick_report, tmp_path / "t.csv")
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0]
+        path.write_text("\n".join(lines) + "\n")
+        width = len(CSV_HEADER.split(","))
+        with pytest.raises(ValueError, match=f"t.csv line 3: {width - 1} fields, expected {width}"):
+            parse_csv(path)
+
+    def test_missing_summary_key_names_file_and_key(self, quick_report, tmp_path):
+        out = write_report(quick_report, tmp_path / "rep")
+        summary = json.loads((out / "summary.json").read_text())
+        del summary["epsilon"]
+        (out / "summary.json").write_text(json.dumps(summary))
+        with pytest.raises(ValueError, match="summary.json lacks key.* 'epsilon'"):
+            load_report(out)
 
 
 class TestStabilityVerdict:
@@ -400,25 +418,50 @@ class TestSharedPairTerms:
         quad = integrate(dg * dg + eval_potential_derivative(2, total) * g * g, frame.dx)
         return float(quad / integrate(g * g + dg * dg, frame.dx))
 
-    def test_collision_frames_match_fresh_evaluation(self):
-        report = run_scenario(ScenarioConfig(
+    @staticmethod
+    def _remainder_norms(frame):
+        """||g||_H1 and ||g_t||_L2 as the center solve measured them before
+        the per-frame diagnostics took them over."""
+        dg = spatial_derivative(frame.g, frame.dx, order=2)
+        h1 = float(np.sqrt(integrate(frame.g * frame.g + dg * dg, frame.dx)))
+        l2 = float(np.sqrt(integrate(frame.g_t * frame.g_t, frame.dx)))
+        return h1, l2
+
+    @staticmethod
+    def _collision():
+        return ScenarioConfig(
             kinks=KinkArrangement(x1=-6.0, x2=6.0, v1=0.5, v2=-0.5),
             solver=SolverConfig(dt=0.02),
             t_end=4.0,
             frame_cadence=2,
             seed_label="collide-short",
-        ))
+        )
+
+    def test_collision_frames_match_fresh_evaluation(self):
+        report = run_scenario(self._collision())
         frames = [f for f in report.frames if f.valid]
         assert len(frames) == len(report.rows) == 101
         ratios = []
         for frame, row in zip(frames, report.rows):
             terms = pair_terms(frame)
             assert row.F_t == lyapunov_F(frame, terms) == self._lyapunov_F(frame)
+            assert (row.norm_g_h1, row.norm_gt_l2) == self._remainder_norms(frame)
             ratio = coercivity_ratio(frame, terms)
             assert ratio == self._coercivity_ratio(frame)
-            if frame.norms.h1_norm_g > 1e-9:
+            if row.norm_g_h1 > 1e-9:
                 ratios.append(ratio)
         assert ratios and report.coercivity_ratio_min == min(ratios)
+
+    def test_one_remainder_derivative_per_valid_frame(self, monkeypatch):
+        orders = []
+
+        def counted(f, dx, order=4):
+            orders.append(order)
+            return spatial_derivative(f, dx, order=order)
+
+        monkeypatch.setattr(functionals, "spatial_derivative", counted)
+        report = run_scenario(self._collision())
+        assert orders.count(2) == len(report.rows) == sum(f.valid for f in report.frames)
 
 
 class TestProbe:
