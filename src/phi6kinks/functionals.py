@@ -87,21 +87,23 @@ def spatial_derivative(f, dx: float, order: int = 4) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _bump_piece(s):
-    """exp(-1/s) extended by 0 for s <= 0; all derivatives vanish at 0."""
+def smooth_step(s):
+    """C-infinity step: 0 for s <= 0, 1 for s >= 1, strictly monotone between.
+
+    Inside (0, 1) it is a / (a + b) with the bumps a = exp(-1/s) and
+    b = exp(-1/(1 - s)), whose derivatives all vanish at 0 and 1; one of the
+    two is at least e^-2 there, so a + b > 0.  The plateaus are filled
+    without evaluating either bump, and NaN reads 0.
+    """
     s = np.asarray(s, dtype=float)
     out = np.zeros_like(s)
-    pos = s > 0.0
-    out[pos] = np.exp(-1.0 / s[pos])
+    out[s >= 1.0] = 1.0
+    band = (s > 0.0) & (s < 1.0)
+    inner = s[band]
+    a = np.exp(-1.0 / inner)
+    b = np.exp(-1.0 / (1.0 - inner))
+    out[band] = a / (a + b)
     return out
-
-
-def smooth_step(s):
-    """C-infinity step: 0 for s <= 0, 1 for s >= 1, strictly monotone between."""
-    s = np.asarray(s, dtype=float)
-    a = _bump_piece(s)
-    b = _bump_piece(1.0 - s)
-    return np.where(s >= 1.0, 1.0, np.where(s <= 0.0, 0.0, a / np.where(a + b > 0, a + b, 1.0)))
 
 
 def cut_function(xi, upper: float, lower: float):
@@ -252,6 +254,8 @@ class PairTerms:
     diagnostics."""
 
     x: np.ndarray
+    g: np.ndarray      # phi - K1 - K2
+    g_t: np.ndarray    # d_t g
     anti: np.ndarray   # K1 = antikink_value(x - x1)
     kink: np.ndarray   # K2 = kink_value(x - x2)
     total: np.ndarray  # K1 + K2
@@ -263,17 +267,22 @@ class PairTerms:
 
 def pair_terms(frame) -> PairTerms:
     """Evaluate the superposed pair and the remainder norms at a frame's
-    centers, once per frame."""
+    centers, once per frame.
+
+    The pair and (g, g_t) come from one frame.fields() rebuild:
+    K1 = antikink_value(x - x1) is exactly -h1 and K2 = kink_value(x - x2)
+    is h2.
+    """
     if frame.z <= 0:
         raise ValueError("frame separation must be positive")
-    x = frame.x
-    g, g_t, dx = frame.g, frame.g_t, frame.dx
-    anti = antikink_value(x - frame.x1)
-    kink = kink_value(x - frame.x2)
+    fields = frame.fields()
+    g, g_t, dx = fields.g, fields.g_t, frame.dx
+    anti = -fields.h1
+    kink = fields.h2
     total = anti + kink
     dg = spatial_derivative(g, dx, order=2)
-    return PairTerms(x, anti, kink, total, eval_potential_derivative(2, total), dg,
-                     integrate(g * g + dg * dg, dx),
+    return PairTerms(frame.x, g, g_t, anti, kink, total, eval_potential_derivative(2, total),
+                     dg, integrate(g * g + dg * dg, dx),
                      float(np.sqrt(integrate(g_t * g_t, dx))))
 
 
@@ -288,8 +297,8 @@ def lyapunov_F(frame, terms: PairTerms) -> float:
     """
     x = terms.x
     dx = frame.dx
-    g = frame.g
-    g_t = frame.g_t
+    g = terms.g
+    g_t = terms.g_t
     xdot1, xdot2 = frame.xdot1, frame.xdot2
     anti, kink, total, dg = terms.anti, terms.kink, terms.total, terms.dg
     # K'' = U'(K) for both: the antikink -H(-s) has K'' = -U'(H(-s)) = U'(anti), U' being odd
@@ -310,7 +319,7 @@ def lyapunov_F(frame, terms: PairTerms) -> float:
 def coercivity_ratio(frame, terms: PairTerms) -> float:
     """Empirical ratio of the energy-Hessian quadratic form to ||g||_H1^2;
     ``terms`` is pair_terms(frame)."""
-    g = frame.g
+    g = terms.g
     dg = terms.dg
     quad = integrate(dg * dg + terms.upp * g * g, frame.dx)
     if terms.g_h1_sq <= 0.0:

@@ -14,6 +14,7 @@ import numpy as np
 
 from .functionals import simpson_weights
 from .model import antikink_derivative, eval_potential_derivative, kink_mode, kink_value
+from .pde import FieldState
 
 MAX_NEWTON_ITERS = 50
 MIN_SEPARATION = 1.0          # Newton stops before a step below this separation
@@ -28,40 +29,84 @@ class ModulationError(RuntimeError):
 
 
 @dataclass(frozen=True)
+class PairFields:
+    """The superposed pair at a frame's centers and the remainder it leaves."""
+
+    h1: np.ndarray   # H(-(x - x1)) = -K1
+    h2: np.ndarray   # H(x - x2) = K2
+    g: np.ndarray    # phi - K1 - K2
+    g_t: np.ndarray  # pi + xdot1 K1' + xdot2 K2'
+
+
+def _pair(state, x1, x2):
+    """h1, h2 and g = phi + h1 - h2 = phi - K1 - K2 at centers (x1, x2).
+
+    One profile evaluation per kink: the antikink is the reflection
+    K1(x) = -H(-(x - x1)) = -h1, and K2 = H(x - x2) = h2.
+    """
+    x = state.x
+    h1 = kink_value(-(x - x1))
+    h2 = kink_value(x - x2)
+    return h1, h2, state.phi + h1 - h2
+
+
+@dataclass(frozen=True)
 class ModulationFrame:
-    """Extracted centers, remainder fields, and solve diagnostics."""
+    """Extracted centers and solve diagnostics of one snapshot.
+
+    The frame holds no full-grid array of its own: ``state`` is the snapshot
+    it was solved on, and ``fields()`` rebuilds the pair and the remainder
+    from it.  A frame whose solve failed reads g = g_t = 0.
+    """
 
     t: float
     x1: float
     x2: float
     z: float
-    g: np.ndarray
-    g_t: np.ndarray
     ortho_residuals: tuple[float, float]
     newton_iters: int
     matrix_det: float
     xdot1: float
     xdot2: float
-    x0: float
-    dx: float
+    state: FieldState
     valid: bool = True
 
     @property
+    def dx(self) -> float:
+        return self.state.dx
+
+    @property
     def x(self) -> np.ndarray:
-        return self.x0 + self.dx * np.arange(len(self.g))
+        return self.state.x
+
+    @property
+    def solved(self) -> bool:
+        """False for the placeholder that track records when every solve failed."""
+        return not math.isnan(self.matrix_det)
+
+    def fields(self) -> PairFields:
+        """Rebuild the pair and the remainder (g, g_t) from the snapshot, the
+        centers and their velocities: K1' = kink_mode(h1), K2' = kink_mode(h2)."""
+        h1, h2, g = _pair(self.state, self.x1, self.x2)
+        g_t = self.state.pi + self.xdot1 * kink_mode(h1) + self.xdot2 * kink_mode(h2)
+        return PairFields(h1, h2, g, g_t)
+
+    @property
+    def g(self) -> np.ndarray:
+        return self.fields().g if self.solved else np.zeros(self.state.n)
+
+    @property
+    def g_t(self) -> np.ndarray:
+        return self.fields().g_t if self.solved else np.zeros(self.state.n)
 
 
 def _residual_and_matrix(state, w, x1, x2):
     """Orthogonality residuals, their Jacobian, the remainder and the modes.
 
-    One profile evaluation per kink: the antikink is the reflection
-    K1(x) = -H(-(x - x1)), so K1' = kink_mode(h1) and K1'' = -U'(h1) with
-    h1 = H(-(x - x1)); likewise K2' = kink_mode(h2), K2'' = U'(h2).
+    With h1, h2 from _pair, K1' = kink_mode(h1) and K1'' = -U'(h1);
+    likewise K2' = kink_mode(h2), K2'' = U'(h2).
     """
-    x = state.x
-    h1 = kink_value(-(x - x1))
-    h2 = kink_value(x - x2)
-    g = state.phi + h1 - h2  # phi - K1 - K2
+    h1, h2, g = _pair(state, x1, x2)
     m1 = kink_mode(h1)
     m2 = kink_mode(h2)
     dm1 = -eval_potential_derivative(1, h1)
@@ -113,41 +158,40 @@ def decompose(state, guess: tuple[float, float]) -> ModulationFrame:
         res_norm = new_norm
         g_l2 = math.sqrt(max(float(w @ (g * g)), 0.0))
         iters += 1
-    if res_norm > _ORTHO_RTOL * mode_l2 * g_l2 + _ORTHO_ATOL:
+    if not math.isfinite(res_norm) or res_norm > _ORTHO_RTOL * mode_l2 * g_l2 + _ORTHO_ATOL:
         raise ModulationError(
             f"Newton stopped after {iters} iterations with residual {res_norm:.2e} "
             f"above tolerance"
         )
 
     det = float(np.linalg.det(mat))
-    if det < _DET_FLOOR:
+    if not math.isfinite(det) or det < _DET_FLOOR:
         raise ModulationError(f"modulation matrix not positive: det={det:.2e}")
     m1, m2 = modes
     rhs = np.array([-float(w @ (state.pi * m1)), -float(w @ (state.pi * m2))])
     xdot = np.linalg.solve(mat, rhs)
-    g_t = state.pi + xdot[0] * m1 + xdot[1] * m2
+    if not np.isfinite(xdot).all():
+        raise ModulationError(f"center velocities not finite: {xdot}")
     return ModulationFrame(
         t=state.t,
         x1=x1,
         x2=x2,
         z=x2 - x1,
-        g=g,
-        g_t=g_t,
         ortho_residuals=(float(res[0]), float(res[1])),
         newton_iters=iters,
         matrix_det=det,
         xdot1=float(xdot[0]),
         xdot2=float(xdot[1]),
-        x0=state.x0,
-        dx=state.dx,
+        state=state,
     )
 
 
 def orthogonality_ok(frame: ModulationFrame) -> bool:
     """Scaled orthogonality test with a small absolute floor for g ~ 0."""
-    w = simpson_weights(len(frame.g), frame.dx)
+    g = frame.g
+    w = simpson_weights(len(g), frame.dx)
     mode_l2 = math.sqrt(float(w @ (antikink_derivative(1, frame.x - frame.x1) ** 2)))
-    g_l2 = math.sqrt(max(float(w @ (frame.g ** 2)), 0.0))
+    g_l2 = math.sqrt(max(float(w @ (g ** 2)), 0.0))
     tol = _ORTHO_RTOL * mode_l2 * g_l2 + _ORTHO_ATOL
     return all(abs(r) <= tol for r in frame.ortho_residuals)
 
@@ -212,20 +256,17 @@ def track(snapshots) -> list[ModulationFrame]:
 
 
 def _invalid_frame(state, seed) -> ModulationFrame:
-    empty = np.zeros_like(state.phi)
+    nan = float("nan")
     return ModulationFrame(
         t=state.t,
         x1=seed[0],
         x2=seed[1],
         z=seed[1] - seed[0],
-        g=empty,
-        g_t=empty,
-        ortho_residuals=(float("nan"), float("nan")),
+        ortho_residuals=(nan, nan),
         newton_iters=0,
-        matrix_det=float("nan"),
-        xdot1=float("nan"),
-        xdot2=float("nan"),
-        x0=state.x0,
-        dx=state.dx,
+        matrix_det=nan,
+        xdot1=nan,
+        xdot2=nan,
+        state=state,
         valid=False,
     )

@@ -123,13 +123,20 @@ def parse_csv(path) -> list[FrameRow]:
     text = Path(path).read_text().strip().splitlines()
     if not text or text[0] != CSV_HEADER:
         raise ValueError(f"unexpected CSV header in {path}")
-    width = len(fields(FrameRow))
+    names = CSV_HEADER.split(",")
     rows = []
     for lineno, line in enumerate(text[1:], start=2):
         vals = line.split(",")
-        if len(vals) != width:
-            raise ValueError(f"{path} line {lineno}: {len(vals)} fields, expected {width}")
-        rows.append(FrameRow(*map(float, vals)))
+        if len(vals) != len(names):
+            raise ValueError(f"{path} line {lineno}: {len(vals)} fields, expected {len(names)}")
+        values = []
+        for name, val in zip(names, vals):
+            try:
+                values.append(float(val))
+            except ValueError:
+                raise ValueError(f"{path} line {lineno}: field {name} is {val!r}, "
+                                 "not a number") from None
+        rows.append(FrameRow(*values))
     return rows
 
 

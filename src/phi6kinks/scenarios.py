@@ -254,14 +254,13 @@ def fit_growth_constant(report: ComparisonReport) -> float:
     eps = report.epsilon
     if eps <= 0 or eps >= math.exp(-1.0) or not report.rows:
         return float("nan")
-    y0 = report.rows[0].remainder ** 2
-    base = y0 + eps * eps
+    samples = [(r.remainder ** 2, abs(r.t)) for r in report.rows]
+    base = samples[0][0] + eps * eps
     rate = math.sqrt(eps) / math.log(1.0 / eps)
 
     def holds(c: float) -> bool:
-        for r in report.rows:
-            y = r.remainder ** 2
-            if y > c * base * math.exp(min(c * rate * abs(r.t), 700.0)):
+        for y, t in samples:
+            if y > c * base * math.exp(min(c * rate * t, 700.0)):
                 return False
         return True
 

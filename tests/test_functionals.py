@@ -18,6 +18,7 @@ from phi6kinks.functionals import (
     potential_energy_samples,
     reference_kink_energy,
     simpson_weights,
+    smooth_step,
 )
 from phi6kinks.model import (
     SQRT2,
@@ -264,9 +265,13 @@ class TestRemainderNorms:
 
     @staticmethod
     def _norms(g, g_t, dx, x0):
-        frame = ModulationFrame(t=0.0, x1=-6.0, x2=6.0, z=12.0, g=g, g_t=g_t,
+        # centers 1000 units off the grid: both profiles underflow to exactly 0
+        # there, so the snapshot's remainder is the planted (g, g_t) itself
+        state = FieldState(x0=x0, dx=dx, n=len(g), phi=g, pi=g_t)
+        frame = ModulationFrame(t=0.0, x1=-1000.0, x2=1000.0, z=2000.0,
                                 ortho_residuals=(0.0, 0.0), newton_iters=0, matrix_det=1.0,
-                                xdot1=0.0, xdot2=0.0, x0=x0, dx=dx)
+                                xdot1=0.0, xdot2=0.0, state=state)
+        assert np.array_equal(frame.g, g) and np.array_equal(frame.g_t, g_t)
         terms = pair_terms(frame)
         return math.sqrt(terms.g_h1_sq), terms.gt_l2
 
@@ -310,6 +315,33 @@ class TestCutFunction:
     def test_bad_window(self):
         with pytest.raises(ValueError):
             cut_function(0.5, upper=0.2, lower=0.4)
+
+    @staticmethod
+    def _smooth_step_both_bumps(s):
+        """smooth_step as it was: both bumps evaluated on every point."""
+        def bump(u):
+            out = np.zeros_like(u)
+            pos = u > 0.0
+            out[pos] = np.exp(-1.0 / u[pos])
+            return out
+
+        s = np.asarray(s, dtype=float)
+        a, b = bump(s), bump(1.0 - s)
+        return np.where(s >= 1.0, 1.0,
+                        np.where(s <= 0.0, 0.0, a / np.where(a + b > 0, a + b, 1.0)))
+
+    def test_smooth_step_bit_identical_to_both_bump_form(self):
+        band = np.linspace(-0.5, 1.5, 20001)
+        tiny = np.array([5e-324, 1e-300, 1e-3, 1.0 - 1e-16, 1.0 - 2**-53])
+        special = np.array([0.0, -0.0, 1.0, np.nan, np.inf, -np.inf, -1e300, 1e300])
+        s = np.concatenate([band, tiny, 1.0 - tiny, special])
+        with np.errstate(over="ignore"):  # -1/5e-324 = -inf, whose exp is 0 in both
+            got = smooth_step(s)
+            assert got.tobytes() == self._smooth_step_both_bumps(s).tobytes()
+        assert got[-5] == 0.0 and got[-4] == 1.0 and got[-3] == 0.0  # nan, inf, -inf
+        for scalar in (0.3, 0.0, 1.0, np.nan):
+            one = smooth_step(scalar)
+            assert one.shape == () and one.tobytes() == self._smooth_step_both_bumps(scalar).tobytes()
 
 
 class TestLyapunovFunctional:

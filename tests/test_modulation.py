@@ -1,4 +1,5 @@
 """Center extraction: Newton solve, orthogonality, velocities, tracking."""
+import dataclasses
 import math
 
 import numpy as np
@@ -143,6 +144,63 @@ class TestDecompose:
         assert np.array_equal(m2, m2_ref)
         assert np.array_equal(mat, mat_ref)
         assert np.array_equal(res, res_ref)
+
+
+class TestNonFiniteField:
+    """A field holding a NaN cannot yield a valid frame."""
+
+    def test_nan_in_phi_raises(self):
+        st = pair_state(-6.0, 6.0)
+        st.phi[1000] = np.nan
+        with pytest.raises(ModulationError, match="residual nan"):
+            decompose(st, (-6.0, 6.0))
+
+    def test_nan_in_pi_raises(self):
+        st = pair_state(-6.0, 6.0)
+        st.pi[1000] = np.nan
+        with pytest.raises(ModulationError, match="velocities not finite"):
+            decompose(st, (-6.0, 6.0))
+
+    def test_track_marks_nan_frame_invalid(self):
+        good = pair_state(-6.0, 6.0)
+        bad = pair_state(-6.0, 6.0)
+        bad.phi[1000] = np.nan
+        frames = track([good, bad, good])
+        assert [f.valid for f in frames] == [True, False, True]
+        assert not frames[1].solved and math.isnan(frames[1].matrix_det)
+
+
+class TestFrameStorage:
+    """A frame points at its snapshot and rebuilds (g, g_t) from it."""
+
+    def test_no_full_grid_array_on_a_frame(self):
+        st = pair_state(-6.0, 6.0, extra=lambda x: 0.01 * np.exp(-(x**2)))
+        frames = track([st, pair_state(-0.9, 0.9, half=51.0), st])
+        assert [f.valid for f in frames] == [True, False, True]
+        for frame in frames:
+            for f in dataclasses.fields(frame):
+                assert not isinstance(getattr(frame, f.name), np.ndarray), f.name
+
+    def test_rebuilt_remainder_matches_its_definition(self):
+        v = 0.1
+        pi = lambda x: -v * kink_derivative(1, x - 5.3) + 1e-3 * np.exp(-(x**2))
+        st = pair_state(-5.1, 5.3, pi=pi, extra=lambda x: 0.01 * np.exp(-(x**2)))
+        frame = decompose(st, (-5.0, 5.0))
+        assert frame.state is st
+        x = st.x
+        g_ref = st.phi - antikink_value(x - frame.x1) - kink_value(x - frame.x2)
+        g_t_ref = (st.pi + frame.xdot1 * antikink_derivative(1, x - frame.x1)
+                   + frame.xdot2 * kink_derivative(1, x - frame.x2))
+        assert np.array_equal(frame.g, g_ref)
+        assert np.array_equal(frame.g_t, g_t_ref)
+        assert np.array_equal(frame.x, x) and frame.dx == st.dx
+
+    def test_failed_solve_reads_zero_remainder(self):
+        st = pair_state(-6.0, 6.0)
+        frame = modulation._invalid_frame(st, (-6.0, 6.0))
+        assert not frame.solved
+        assert np.array_equal(frame.g, np.zeros(st.n))
+        assert np.array_equal(frame.g_t, np.zeros(st.n))
 
 
 class TestVelocities:

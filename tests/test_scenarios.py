@@ -1,6 +1,8 @@
 """Scenario runner, report formats, verdicts, and the growth probe."""
+import dataclasses
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -205,6 +207,14 @@ class TestReporting:
         path.write_text("\n".join(lines) + "\n")
         width = len(CSV_HEADER.split(","))
         with pytest.raises(ValueError, match=f"t.csv line 3: {width - 1} fields, expected {width}"):
+            parse_csv(path)
+
+    def test_non_numeric_field_names_file_line_and_column(self, quick_report, tmp_path):
+        path = emit_csv(quick_report, tmp_path / "t.csv")
+        lines = path.read_text().splitlines()
+        lines[3] = lines[3].rsplit(",", 1)[0] + ",x"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="t.csv line 4: field F_t is 'x', not a number"):
             parse_csv(path)
 
     def test_missing_summary_key_names_file_and_key(self, quick_report, tmp_path):
@@ -462,6 +472,28 @@ class TestSharedPairTerms:
         monkeypatch.setattr(functionals, "spatial_derivative", counted)
         report = run_scenario(self._collision())
         assert orders.count(2) == len(report.rows) == sum(f.valid for f in report.frames)
+
+
+class TestFrameMemory:
+    """Frames point at their snapshots: a run holds the snapshots' phi and pi
+    and little else, not a second full-grid copy of (g, g_t) per frame."""
+
+    def test_peak_memory_near_the_snapshots(self):
+        config = TestSharedPairTerms._collision()
+        run_scenario(config)  # warm-up: weight and reference-energy caches
+        tracemalloc.start()
+        try:
+            report = run_scenario(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        n = config.resolved_grid().n
+        assert (n, len(report.frames)) == (2041, 101)
+        snapshot_bytes = len(report.frames) * 2 * n * 8
+        assert peak <= 1.3 * snapshot_bytes
+        for frame in report.frames:
+            for f in dataclasses.fields(frame):
+                assert not isinstance(getattr(frame, f.name), np.ndarray), f.name
 
 
 class TestProbe:
