@@ -254,35 +254,36 @@ class PairTerms:
     diagnostics."""
 
     x: np.ndarray
-    g: np.ndarray      # phi - K1 - K2
-    g_t: np.ndarray    # d_t g
-    anti: np.ndarray   # K1 = antikink_value(x - x1)
-    kink: np.ndarray   # K2 = kink_value(x - x2)
-    total: np.ndarray  # K1 + K2
-    upp: np.ndarray    # U''(K1 + K2)
-    dg: np.ndarray     # d_x g, 2nd order
-    g_h1_sq: float     # int g^2 + (d_x g)^2 = ||g||_H1^2
-    gt_l2: float       # ||g_t||_L2
+    g: np.ndarray        # phi - K1 - K2
+    g_t: np.ndarray      # d_t g
+    dd_anti: np.ndarray  # K1'' = U'(K1)
+    dd_kink: np.ndarray  # K2'' = U'(K2)
+    total: np.ndarray    # K1 + K2
+    upp: np.ndarray      # U''(K1 + K2)
+    dg: np.ndarray       # d_x g, 2nd order
+    g_h1_sq: float       # int g^2 + (d_x g)^2 = ||g||_H1^2
+    gt_l2: float         # ||g_t||_L2
 
 
-def pair_terms(frame) -> PairTerms:
-    """Evaluate the superposed pair and the remainder norms at a frame's
+def pair_terms(frame, pair) -> PairTerms:
+    """The superposed pair's terms and the remainder norms at a frame's
     centers, once per frame.
 
-    The pair and (g, g_t) come from one frame.fields() rebuild:
-    K1 = antikink_value(x - x1) is exactly -h1 and K2 = kink_value(x - x2)
-    is h2.
+    ``pair`` is the modulation.PairFields at those centers: the arrays of
+    the center solve's last residual evaluation, or frame.fields().  With
+    K1 = antikink_value(x - x1) = -h1 and K2 = kink_value(x - x2) = h2, the
+    profile curvatures are the solve's mode derivatives: K1'' = -U'(h1) and
+    K2'' = U'(h2).  U'(K1) = U'(-h1) is the same value, as U' is odd in its
+    Horner form (bit for bit, but for the sign of the zero at h1 = 1).
     """
     if frame.z <= 0:
         raise ValueError("frame separation must be positive")
-    fields = frame.fields()
-    g, g_t, dx = fields.g, fields.g_t, frame.dx
-    anti = -fields.h1
-    kink = fields.h2
-    total = anti + kink
+    g, dx = pair.g, frame.dx
+    g_t = frame.remainder_rate(pair)
+    total = pair.h2 - pair.h1
     dg = spatial_derivative(g, dx, order=2)
-    return PairTerms(frame.x, g, g_t, anti, kink, total, eval_potential_derivative(2, total),
-                     dg, integrate(g * g + dg * dg, dx),
+    return PairTerms(frame.x, g, g_t, pair.dm1, pair.dm2, total,
+                     eval_potential_derivative(2, total), dg, integrate(g * g + dg * dg, dx),
                      float(np.sqrt(integrate(g_t * g_t, dx))))
 
 
@@ -293,17 +294,14 @@ def lyapunov_F(frame, terms: PairTerms) -> float:
     pair, a linear interaction correction, a centripetal correction, the
     momentum correction weighted by a smooth partition moving with each
     kink, and the cubic term of the potential expansion.  ``terms`` is
-    pair_terms(frame).
+    pair_terms(frame, pair).
     """
     x = terms.x
     dx = frame.dx
     g = terms.g
     g_t = terms.g_t
     xdot1, xdot2 = frame.xdot1, frame.xdot2
-    anti, kink, total, dg = terms.anti, terms.kink, terms.total, terms.dg
-    # K'' = U'(K) for both: the antikink -H(-s) has K'' = -U'(H(-s)) = U'(anti), U' being odd
-    dd_anti = eval_potential_derivative(1, anti)
-    dd_kink = eval_potential_derivative(1, kink)
+    dd_anti, dd_kink, total, dg = terms.dd_anti, terms.dd_kink, terms.total, terms.dg
 
     f1 = integrate(g_t * g_t + dg * dg + terms.upp * g * g, dx)
     interaction = dd_anti + dd_kink - eval_potential_derivative(1, total)
@@ -312,13 +310,13 @@ def lyapunov_F(frame, terms: PairTerms) -> float:
     xi = (x - frame.x1) / frame.z
     omega = cut_function(xi, _OMEGA_UPPER, _OMEGA_LOWER)
     f4 = 2.0 * integrate(g_t * dg * (xdot1 * omega + xdot2 * (1.0 - omega)), dx)
-    f5 = integrate(eval_potential_derivative(3, total) * g**3, dx) / 3.0
+    f5 = integrate(eval_potential_derivative(3, total) * (g * g * g), dx) / 3.0
     return float(f1 + f2 + f3 + f4 + f5)
 
 
 def coercivity_ratio(frame, terms: PairTerms) -> float:
     """Empirical ratio of the energy-Hessian quadratic form to ||g||_H1^2;
-    ``terms`` is pair_terms(frame)."""
+    ``terms`` is pair_terms(frame, pair)."""
     g = terms.g
     dg = terms.dg
     quad = integrate(dg * dg + terms.upp * g * g, frame.dx)

@@ -8,7 +8,7 @@ The center velocities follow from projecting d_t phi on the same modes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -30,33 +30,44 @@ class ModulationError(RuntimeError):
 
 @dataclass(frozen=True)
 class PairFields:
-    """The superposed pair at a frame's centers and the remainder it leaves."""
+    """The superposed pair at a pair of centers, its translation modes and
+    the remainder it leaves: what one residual evaluation of the center
+    solve forms."""
 
     h1: np.ndarray   # H(-(x - x1)) = -K1
     h2: np.ndarray   # H(x - x2) = K2
     g: np.ndarray    # phi - K1 - K2
-    g_t: np.ndarray  # pi + xdot1 K1' + xdot2 K2'
+    m1: np.ndarray   # K1' = kink_mode(h1)
+    m2: np.ndarray   # K2' = kink_mode(h2)
+    dm1: np.ndarray  # K1'' = -U'(h1)
+    dm2: np.ndarray  # K2'' = U'(h2)
 
 
-def _pair(state, x1, x2):
-    """h1, h2 and g = phi + h1 - h2 = phi - K1 - K2 at centers (x1, x2).
+def _pair_fields(state, x1, x2) -> PairFields:
+    """The pair, its modes and g = phi + h1 - h2 = phi - K1 - K2 at (x1, x2).
 
     One profile evaluation per kink: the antikink is the reflection
-    K1(x) = -H(-(x - x1)) = -h1, and K2 = H(x - x2) = h2.
+    K1(x) = -H(-(x - x1)) = -h1, and K2 = H(x - x2) = h2.  Each mode and its
+    derivative follow from the profile value: K1' = kink_mode(h1) and
+    K1'' = -U'(h1), likewise K2' = kink_mode(h2) and K2'' = U'(h2).
     """
     x = state.x
     h1 = kink_value(-(x - x1))
     h2 = kink_value(x - x2)
-    return h1, h2, state.phi + h1 - h2
+    return PairFields(h1, h2, state.phi + h1 - h2, kink_mode(h1), kink_mode(h2),
+                      -eval_potential_derivative(1, h1), eval_potential_derivative(1, h2))
 
 
 @dataclass(frozen=True)
 class ModulationFrame:
     """Extracted centers and solve diagnostics of one snapshot.
 
-    The frame holds no full-grid array of its own: ``state`` is the snapshot
-    it was solved on, and ``fields()`` rebuilds the pair and the remainder
-    from it.  A frame whose solve failed reads g = g_t = 0.
+    A stored frame holds no full-grid array of its own: ``state`` is the
+    snapshot it was solved on, and ``fields()`` rebuilds the pair and the
+    remainder from it.  ``decompose`` also hands back, in ``pair``, the
+    arrays of its last residual evaluation; ``track`` gives them to its
+    per-frame hook and drops them.  A frame whose solve failed reads
+    g = g_t = 0.
     """
 
     t: float
@@ -70,6 +81,7 @@ class ModulationFrame:
     xdot2: float
     state: FieldState
     valid: bool = True
+    pair: PairFields | None = field(default=None, repr=False, compare=False)
 
     @property
     def dx(self) -> float:
@@ -85,11 +97,12 @@ class ModulationFrame:
         return not math.isnan(self.matrix_det)
 
     def fields(self) -> PairFields:
-        """Rebuild the pair and the remainder (g, g_t) from the snapshot, the
-        centers and their velocities: K1' = kink_mode(h1), K2' = kink_mode(h2)."""
-        h1, h2, g = _pair(self.state, self.x1, self.x2)
-        g_t = self.state.pi + self.xdot1 * kink_mode(h1) + self.xdot2 * kink_mode(h2)
-        return PairFields(h1, h2, g, g_t)
+        """Rebuild the pair at the frame's centers from the snapshot."""
+        return _pair_fields(self.state, self.x1, self.x2)
+
+    def remainder_rate(self, pair: PairFields) -> np.ndarray:
+        """d_t g = pi + xdot1 K1' + xdot2 K2' from the pair at the frame's centers."""
+        return self.state.pi + self.xdot1 * pair.m1 + self.xdot2 * pair.m2
 
     @property
     def g(self) -> np.ndarray:
@@ -97,30 +110,23 @@ class ModulationFrame:
 
     @property
     def g_t(self) -> np.ndarray:
-        return self.fields().g_t if self.solved else np.zeros(self.state.n)
+        return self.remainder_rate(self.fields()) if self.solved else np.zeros(self.state.n)
 
 
 def _residual_and_matrix(state, w, x1, x2):
-    """Orthogonality residuals, their Jacobian, the remainder and the modes.
-
-    With h1, h2 from _pair, K1' = kink_mode(h1) and K1'' = -U'(h1);
-    likewise K2' = kink_mode(h2), K2'' = U'(h2).
-    """
-    h1, h2, g = _pair(state, x1, x2)
-    m1 = kink_mode(h1)
-    m2 = kink_mode(h2)
-    dm1 = -eval_potential_derivative(1, h1)
-    dm2 = eval_potential_derivative(1, h2)
+    """Orthogonality residuals, their Jacobian and the pair they came from."""
+    pair = _pair_fields(state, x1, x2)
+    g, m1, m2 = pair.g, pair.m1, pair.m2
     r1 = float(w @ (g * m1))
     r2 = float(w @ (g * m2))
     cross = float(w @ (m1 * m2))
     mat = np.array(
         [
-            [float(w @ (m1 * m1)) - float(w @ (g * dm1)), cross],
-            [cross, float(w @ (m2 * m2)) - float(w @ (g * dm2))],
+            [float(w @ (m1 * m1)) - float(w @ (g * pair.dm1)), cross],
+            [cross, float(w @ (m2 * m2)) - float(w @ (g * pair.dm2))],
         ]
     )
-    return np.array([r1, r2]), mat, g, (m1, m2)
+    return np.array([r1, r2]), mat, pair
 
 
 def decompose(state, guess: tuple[float, float]) -> ModulationFrame:
@@ -137,11 +143,11 @@ def decompose(state, guess: tuple[float, float]) -> ModulationFrame:
     if x2 - x1 < TRACK_VALID_SEPARATION:
         raise ModulationError(f"initial guess separation {x2 - x1:.3f} < 2")
     w = simpson_weights(state.n, state.dx)
-    res, mat, g, modes = _residual_and_matrix(state, w, x1, x2)
+    res, mat, pair = _residual_and_matrix(state, w, x1, x2)
     res_norm = float(np.max(np.abs(res)))
     iters = 0
-    mode_l2 = math.sqrt(float(w @ (modes[0] ** 2)))
-    g_l2 = math.sqrt(max(float(w @ (g * g)), 0.0))
+    mode_l2 = math.sqrt(float(w @ (pair.m1 ** 2)))
+    g_l2 = math.sqrt(max(float(w @ (pair.g * pair.g)), 0.0))
     while iters < MAX_NEWTON_ITERS and res_norm > max(1e-16, 1e-13 * g_l2):
         det = float(np.linalg.det(mat))
         if abs(det) < _DET_FLOOR:
@@ -150,13 +156,13 @@ def decompose(state, guess: tuple[float, float]) -> ModulationFrame:
         nx1, nx2 = x1 + delta[0], x2 + delta[1]
         if nx2 - nx1 < MIN_SEPARATION:
             break
-        new_res, new_mat, new_g, new_modes = _residual_and_matrix(state, w, nx1, nx2)
+        new_res, new_mat, new_pair = _residual_and_matrix(state, w, nx1, nx2)
         new_norm = float(np.max(np.abs(new_res)))
         if not new_norm < res_norm:
             break  # residual at numerical floor (or not finite)
-        x1, x2, res, mat, g, modes = nx1, nx2, new_res, new_mat, new_g, new_modes
+        x1, x2, res, mat, pair = nx1, nx2, new_res, new_mat, new_pair
         res_norm = new_norm
-        g_l2 = math.sqrt(max(float(w @ (g * g)), 0.0))
+        g_l2 = math.sqrt(max(float(w @ (pair.g * pair.g)), 0.0))
         iters += 1
     if not math.isfinite(res_norm) or res_norm > _ORTHO_RTOL * mode_l2 * g_l2 + _ORTHO_ATOL:
         raise ModulationError(
@@ -167,8 +173,7 @@ def decompose(state, guess: tuple[float, float]) -> ModulationFrame:
     det = float(np.linalg.det(mat))
     if not math.isfinite(det) or det < _DET_FLOOR:
         raise ModulationError(f"modulation matrix not positive: det={det:.2e}")
-    m1, m2 = modes
-    rhs = np.array([-float(w @ (state.pi * m1)), -float(w @ (state.pi * m2))])
+    rhs = np.array([-float(w @ (state.pi * pair.m1)), -float(w @ (state.pi * pair.m2))])
     xdot = np.linalg.solve(mat, rhs)
     if not np.isfinite(xdot).all():
         raise ModulationError(f"center velocities not finite: {xdot}")
@@ -183,6 +188,7 @@ def decompose(state, guess: tuple[float, float]) -> ModulationFrame:
         xdot1=float(xdot[0]),
         xdot2=float(xdot[1]),
         state=state,
+        pair=pair,
     )
 
 
@@ -218,21 +224,30 @@ def _first_crossing(x, phi, level):
     return float(x[i] + frac * (x[i + 1] - x[i]))
 
 
-def track(snapshots) -> list[ModulationFrame]:
+def track(snapshots, on_valid=None) -> list[ModulationFrame]:
     """Decompose a chronological snapshot sequence, seeding each solve
     with the previous centers.
 
     A first-frame failure raises; later frames entering the collision
     regime (z < 2) or failing to converge are marked invalid and the last
-    valid centers keep seeding subsequent attempts.
+    valid centers keep seeding subsequent attempts.  ``on_valid(frame,
+    pair)`` is called for each valid frame, in order and before the next
+    snapshot is solved, with the arrays of the solve's last residual
+    evaluation; the returned frames do not keep them.
     """
     if not snapshots:
         raise ValueError("no snapshots to track")
     frames: list[ModulationFrame] = []
-    guess = initial_center_guess(snapshots[0])
-    first = decompose(snapshots[0], guess)
-    frames.append(first)
-    prev = first
+
+    def keep(frame):
+        pair = frame.pair
+        frame = replace(frame, pair=None)
+        if on_valid is not None:
+            on_valid(frame, pair)
+        frames.append(frame)
+        return frame
+
+    prev = keep(decompose(snapshots[0], initial_center_guess(snapshots[0])))
     for snap in snapshots[1:]:
         dt = snap.t - prev.t
         seed = (prev.x1 + prev.xdot1 * dt, prev.x2 + prev.xdot2 * dt)
@@ -248,10 +263,9 @@ def track(snapshots) -> list[ModulationFrame]:
             frames.append(_invalid_frame(snap, (prev.x1, prev.x2)))
             continue
         if frame.z < TRACK_VALID_SEPARATION:
-            frames.append(replace(frame, valid=False))
+            frames.append(replace(frame, valid=False, pair=None))
             continue
-        frames.append(frame)
-        prev = frame
+        prev = keep(frame)
     return frames
 
 

@@ -124,30 +124,27 @@ def build_initial_state(config: ScenarioConfig) -> FieldState:
 
 
 def run_scenario(config: ScenarioConfig) -> ComparisonReport:
-    """init -> evolve -> track -> anchor reduced dynamics -> report."""
+    """init -> evolve -> track, with each valid frame's diagnostics taken from
+    the arrays of its center solve -> anchor reduced dynamics -> report."""
     state = build_initial_state(config)
     snapshots = run(state, config.solver, config.t_end, config.frame_cadence)
-    frames = track(snapshots)
 
     fd_order = config.solver.stencil_order
-    f0 = frames[0]
-    params = params_from_initial(f0.x1, f0.x2, f0.xdot1, f0.xdot2)
-
+    params = None
     rows: list[FrameRow] = []
     d1_dots: list[float] = []
     d2_dots: list[float] = []
-    failed_at: int | None = None
     coer_min = math.inf
-    for idx, (snap, frame) in enumerate(zip(snapshots, frames)):
-        if not frame.valid:
-            if failed_at is None:
-                failed_at = idx
-            continue
+
+    def diagnose(frame, pair):
+        nonlocal params, coer_min
+        if params is None:  # frame 0, which track raises on unless it is valid
+            params = params_from_initial(frame.x1, frame.x2, frame.xdot1, frame.xdot2)
         d1, d2 = centers_d1_d2(frame.t, params)
         d = separation_d(frame.t, params)
         d1dot, d2dot = centers_velocities(frame.t, params)
-        eps_t = energy_breakdown(snap, fd_order=fd_order).epsilon
-        terms = pair_terms(frame)
+        eps_t = energy_breakdown(frame.state, fd_order=fd_order).epsilon
+        terms = pair_terms(frame, pair)
         norm_g_h1 = float(np.sqrt(terms.g_h1_sq))
         f_t = lyapunov_F(frame, terms)
         rows.append(
@@ -172,6 +169,9 @@ def run_scenario(config: ScenarioConfig) -> ComparisonReport:
         d2_dots.append(d2dot)
         if norm_g_h1 > 1e-9:
             coer_min = min(coer_min, coercivity_ratio(frame, terms))
+
+    frames = track(snapshots, diagnose)
+    failed_at = next((idx for idx, frame in enumerate(frames) if not frame.valid), None)
 
     report = ComparisonReport(
         rows=rows,
@@ -301,8 +301,11 @@ class TrackingVerdict:
 
 def verify_tracking(report: ComparisonReport, t_window: float | None = None) -> TrackingVerdict:
     """Fit C in |z - d| <= C min(sqrt(eps) t, eps t^2) over t in (0, window]
-    and pass when C <= TRACKING_C_LIMIT."""
+    and pass when C <= TRACKING_C_LIMIT.  Without a positive excess there
+    is no envelope, and the verdict fails with C = nan."""
     eps = report.epsilon
+    if not eps > 0:
+        return TrackingVerdict(math.nan, math.nan, False)
     c_fit = 0.0
     max_dev = 0.0
     for r in report.rows:

@@ -1,6 +1,9 @@
+import dataclasses
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
 from hypothesis import settings
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -9,3 +12,24 @@ if str(SRC) not in sys.path:
 
 settings.register_profile("default", deadline=None, max_examples=50)
 settings.load_profile("default")
+
+from phi6kinks.pde import FieldState  # noqa: E402  (needs SRC on the path)
+
+
+@pytest.fixture
+def arrays_held():
+    """A function listing every ndarray a value holds through dataclass
+    fields, tuples and lists, except inside the snapshot a frame points at."""
+
+    def held(value):
+        if isinstance(value, np.ndarray):
+            return [value]
+        if dataclasses.is_dataclass(value) and not isinstance(value, type):
+            if isinstance(value, FieldState):
+                return []
+            value = [getattr(value, f.name) for f in dataclasses.fields(value)]
+        if isinstance(value, (tuple, list)):
+            return [a for item in value for a in held(item)]
+        return []
+
+    return held

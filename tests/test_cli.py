@@ -125,6 +125,19 @@ def test_verify_fails_on_tampered_report(tmp_path, config_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("eps", [-1e-3, 0.0], ids=["negative", "zero"])
+def test_verify_fails_tracking_without_positive_excess(tmp_path, config_path, capsys, eps):
+    out = tmp_path / "out"
+    main(["run", "--config", str(config_path), "--out", str(out)])
+    summary = json.loads((out / "summary.json").read_text())
+    summary["epsilon"] = eps
+    (out / "summary.json").write_text(json.dumps(summary))
+    capsys.readouterr()
+    assert main(["verify", "--report", str(out)]) == 1
+    (tracking,) = [line for line in capsys.readouterr().out.splitlines() if "tracking:" in line]
+    assert "C=nan" in tracking and tracking.endswith("-> FAIL")
+
+
 def test_verify_scans_directory_of_reports(tmp_path, config_path):
     main(["run", "--config", str(config_path), "--out", str(tmp_path / "suite" / "a")])
     main(["run", "--config", str(config_path), "--out", str(tmp_path / "suite" / "b")])

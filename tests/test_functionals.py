@@ -272,7 +272,7 @@ class TestRemainderNorms:
                                 ortho_residuals=(0.0, 0.0), newton_iters=0, matrix_det=1.0,
                                 xdot1=0.0, xdot2=0.0, state=state)
         assert np.array_equal(frame.g, g) and np.array_equal(frame.g_t, g_t)
-        terms = pair_terms(frame)
+        terms = pair_terms(frame, frame.fields())
         return math.sqrt(terms.g_h1_sq), terms.gt_l2
 
     def test_zero(self):
@@ -357,13 +357,14 @@ class TestLyapunovFunctional:
 
     def test_zero_remainder(self):
         frame = self._frame(0.0)
-        assert lyapunov_F(frame, pair_terms(frame)) == pytest.approx(0.0, abs=1e-18)
+        terms = pair_terms(frame, frame.fields())
+        assert lyapunov_F(frame, terms) == pytest.approx(0.0, abs=1e-18)
 
     def test_matches_quadratic_form_for_small_remainder(self):
         from phi6kinks.functionals import spatial_derivative
 
         frame = self._frame(1e-2)
-        f_val = lyapunov_F(frame, pair_terms(frame))
+        f_val = lyapunov_F(frame, pair_terms(frame, frame.fields()))
         x = frame.x
         total = antikink_value(x - frame.x1) + kink_value(x - frame.x2)
         dg = spatial_derivative(frame.g, frame.dx, order=2)
@@ -376,7 +377,7 @@ class TestLyapunovFunctional:
 
     def test_quadratic_scaling(self):
         frames = {lam: self._frame(lam * 1e-2) for lam in (1.0, 0.5, 0.25)}
-        vals = {lam: lyapunov_F(f, pair_terms(f)) for lam, f in frames.items()}
+        vals = {lam: lyapunov_F(f, pair_terms(f, f.fields())) for lam, f in frames.items()}
         assert vals[0.5] / vals[1.0] == pytest.approx(0.25, rel=1e-3)
         assert vals[0.25] / vals[1.0] == pytest.approx(0.0625, rel=1e-3)
 
@@ -385,4 +386,4 @@ class TestLyapunovFunctional:
 
         frame = dataclasses.replace(self._frame(0.0), z=-1.0)
         with pytest.raises(ValueError):
-            lyapunov_F(frame, pair_terms(frame))
+            lyapunov_F(frame, pair_terms(frame, frame.fields()))

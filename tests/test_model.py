@@ -185,6 +185,17 @@ class TestKernelBitExactness:
             want = self._horner_out_of_place(_U_DERIV_COEFFS[k], phi)
             assert eval_potential_derivative(k, phi).tobytes() == want.tobytes()
 
+    def test_potential_derivative_is_odd_on_profile_values(self):
+        # the diagnostics take U'(K1) = U'(-h1) from the center solve's
+        # K1'' = -U'(h1); that holds bit for bit off the vacuum h = 1, where
+        # the two are zeros of opposite sign
+        h = kink_value(np.linspace(-400.0, 60.0, 200_001))
+        assert h.min() > 0.0 and (h == 1.0).any()
+        odd, negated = eval_potential_derivative(1, -h), -eval_potential_derivative(1, h)
+        off_vacuum = h != 1.0
+        assert odd[off_vacuum].tobytes() == negated[off_vacuum].tobytes()
+        assert (odd[~off_vacuum] == 0.0).all() and (negated[~off_vacuum] == 0.0).all()
+
 
 class TestBoost:
     """The Lorentz-boosted profiles that init_two_kink_state builds at t=0."""

@@ -44,7 +44,7 @@ class TestDecompose:
         frame = decompose(st, (-5.0, 5.0))
         assert frame.x1 == pytest.approx(-5.1, abs=1e-10)
         assert frame.x2 == pytest.approx(5.3, abs=1e-10)
-        assert math.sqrt(pair_terms(frame).g_h1_sq) < 1e-10
+        assert math.sqrt(pair_terms(frame, frame.fields()).g_h1_sq) < 1e-10
         assert frame.z == frame.x2 - frame.x1
         assert orthogonality_ok(frame)
 
@@ -63,7 +63,7 @@ class TestDecompose:
         assert abs(frame.x2 - 5.3) <= 0.1
         assert abs(frame.x1 + 5.1) <= 0.1
         assert orthogonality_ok(frame)
-        assert math.sqrt(pair_terms(frame).g_h1_sq) < 0.02
+        assert math.sqrt(pair_terms(frame, frame.fields()).g_h1_sq) < 0.02
 
     def test_displaced_guesses_agree(self):
         bump = lambda x: 0.01 * np.exp(-(x**2))
@@ -125,7 +125,8 @@ class TestDecompose:
         bump = lambda x: 0.01 * np.exp(-((x - 1.0) ** 2))
         st = pair_state(x1, x2, extra=bump)
         w = simpson_weights(st.n, st.dx)
-        res, mat, g, (m1, m2) = _residual_and_matrix(st, w, x1, x2)
+        res, mat, pair = _residual_and_matrix(st, w, x1, x2)
+        g, m1, m2 = pair.g, pair.m1, pair.m2
 
         x = st.x
         g_ref = st.phi - antikink_value(x - x1) - kink_value(x - x2)
@@ -142,6 +143,8 @@ class TestDecompose:
         assert np.array_equal(g, g_ref)
         assert np.array_equal(m1, m1_ref)
         assert np.array_equal(m2, m2_ref)
+        assert np.array_equal(pair.dm1, dm1_ref)
+        assert np.array_equal(pair.dm2, dm2_ref)
         assert np.array_equal(mat, mat_ref)
         assert np.array_equal(res, res_ref)
 
@@ -173,13 +176,41 @@ class TestNonFiniteField:
 class TestFrameStorage:
     """A frame points at its snapshot and rebuilds (g, g_t) from it."""
 
-    def test_no_full_grid_array_on_a_frame(self):
+    def test_no_full_grid_array_on_a_frame(self, arrays_held):
         st = pair_state(-6.0, 6.0, extra=lambda x: 0.01 * np.exp(-(x**2)))
         frames = track([st, pair_state(-0.9, 0.9, half=51.0), st])
         assert [f.valid for f in frames] == [True, False, True]
         for frame in frames:
-            for f in dataclasses.fields(frame):
-                assert not isinstance(getattr(frame, f.name), np.ndarray), f.name
+            assert arrays_held(frame) == []
+
+    def test_hook_gets_the_solve_arrays_and_frames_drop_them(self, monkeypatch, arrays_held):
+        solves = []
+
+        def counted(*args):
+            solves.append(args[0].t)
+            return decompose(*args)
+
+        monkeypatch.setattr(modulation, "decompose", counted)
+        snaps = [pair_state(-6.0, 6.0, extra=lambda x: 0.01 * np.exp(-(x**2))),
+                 pair_state(-0.9, 0.9, half=51.0),
+                 pair_state(-5.9, 6.1)]
+        snaps = [dataclasses.replace(s, t=float(i)) for i, s in enumerate(snaps)]
+        seen = []
+
+        def on_valid(frame, pair):
+            assert solves[-1] == frame.t  # called before the next snapshot is solved
+            seen.append((frame, pair))
+
+        frames = track(snaps, on_valid)
+        assert [f.valid for f in frames] == [True, False, True]
+        valid = [f for f in frames if f.valid]
+        assert len(seen) == len(valid) and all(a is b for (a, _), b in zip(seen, valid))
+        for frame, pair in seen:
+            rebuilt = frame.fields()
+            for f in dataclasses.fields(rebuilt):
+                assert getattr(pair, f.name).tobytes() == getattr(rebuilt, f.name).tobytes()
+        for frame in frames:
+            assert arrays_held(frame) == []
 
     def test_rebuilt_remainder_matches_its_definition(self):
         v = 0.1

@@ -1,5 +1,4 @@
 """Scenario runner, report formats, verdicts, and the growth probe."""
-import dataclasses
 import json
 import math
 import tracemalloc
@@ -8,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from phi6kinks import functionals
+from phi6kinks import functionals, modulation
 from phi6kinks.functionals import (
     coercivity_ratio,
     cut_function,
@@ -407,7 +406,7 @@ class TestSharedPairTerms:
         kink = kink_value(x - frame.x2)
         return x, anti, kink, anti + kink, spatial_derivative(frame.g, frame.dx, order=2)
 
-    def _lyapunov_F(self, frame):
+    def _lyapunov_F(self, frame, cube=lambda g: g * g * g):
         x, anti, kink, total, dg = self._pair(frame)
         g, g_t, dx = frame.g, frame.g_t, frame.dx
         xdot1, xdot2 = frame.xdot1, frame.xdot2
@@ -419,7 +418,7 @@ class TestSharedPairTerms:
         f3 = 2.0 * integrate(g * (xdot1 * xdot1 * dd_anti + xdot2 * xdot2 * dd_kink), dx)
         omega = cut_function((x - frame.x1) / frame.z, 0.80, 0.75)
         f4 = 2.0 * integrate(g_t * dg * (xdot1 * omega + xdot2 * (1.0 - omega)), dx)
-        f5 = integrate(eval_potential_derivative(3, total) * g**3, dx) / 3.0
+        f5 = integrate(eval_potential_derivative(3, total) * cube(g), dx) / 3.0
         return float(f1 + f2 + f3 + f4 + f5)
 
     def _coercivity_ratio(self, frame):
@@ -453,7 +452,7 @@ class TestSharedPairTerms:
         assert len(frames) == len(report.rows) == 101
         ratios = []
         for frame, row in zip(frames, report.rows):
-            terms = pair_terms(frame)
+            terms = pair_terms(frame, frame.fields())
             assert row.F_t == lyapunov_F(frame, terms) == self._lyapunov_F(frame)
             assert (row.norm_g_h1, row.norm_gt_l2) == self._remainder_norms(frame)
             ratio = coercivity_ratio(frame, terms)
@@ -473,12 +472,49 @@ class TestSharedPairTerms:
         report = run_scenario(self._collision())
         assert orders.count(2) == len(report.rows) == sum(f.valid for f in report.frames)
 
+    def test_cube_within_two_ulp_of_pow(self):
+        # g * g * g rounds twice where g**3 rounds once
+        report = run_scenario(self._collision())
+        frames = [f for f in report.frames if f.valid]
+        for frame, row in zip(frames, report.rows):
+            pow_form = self._lyapunov_F(frame, cube=lambda g: g**3)
+            assert abs(row.F_t - pow_form) <= 2 * np.spacing(abs(pow_form))
+
+    def test_diagnostics_never_rebuild_the_pair(self, monkeypatch):
+        rebuilds = []
+        fields = modulation.ModulationFrame.fields
+
+        def counted(frame):
+            rebuilds.append(frame.t)
+            return fields(frame)
+
+        monkeypatch.setattr(modulation.ModulationFrame, "fields", counted)
+        run_scenario(self._collision())
+        assert rebuilds == []
+
+    def test_two_profile_evaluations_per_residual_evaluation(self, monkeypatch):
+        profiles, residuals = [], []
+        kink_value_, residual_and_matrix = modulation.kink_value, modulation._residual_and_matrix
+
+        def counted_profile(x):
+            profiles.append(len(x))
+            return kink_value_(x)
+
+        def counted_residual(*args):
+            residuals.append(args[2:])
+            return residual_and_matrix(*args)
+
+        monkeypatch.setattr(modulation, "kink_value", counted_profile)
+        monkeypatch.setattr(modulation, "_residual_and_matrix", counted_residual)
+        report = run_scenario(self._collision())
+        assert report.rows and len(profiles) == 2 * len(residuals)
+
 
 class TestFrameMemory:
     """Frames point at their snapshots: a run holds the snapshots' phi and pi
     and little else, not a second full-grid copy of (g, g_t) per frame."""
 
-    def test_peak_memory_near_the_snapshots(self):
+    def test_peak_memory_near_the_snapshots(self, arrays_held):
         config = TestSharedPairTerms._collision()
         run_scenario(config)  # warm-up: weight and reference-energy caches
         tracemalloc.start()
@@ -492,8 +528,7 @@ class TestFrameMemory:
         snapshot_bytes = len(report.frames) * 2 * n * 8
         assert peak <= 1.3 * snapshot_bytes
         for frame in report.frames:
-            for f in dataclasses.fields(frame):
-                assert not isinstance(getattr(frame, f.name), np.ndarray), f.name
+            assert arrays_held(frame) == []
 
 
 class TestProbe:

@@ -1,23 +1,32 @@
-"""The suite script's exit status follows every verdict it prints."""
+"""The suite script's exit status follows every verdict it prints, and the
+digest script names the report column that moved."""
 import importlib.util
+import json
 import math
 import sys
 from pathlib import Path
 
 import pytest
 
+from phi6kinks.reporting import CSV_HEADER
 from phi6kinks.scenarios import GrowthVerdict, KinkArrangement, ScenarioConfig
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_default_suite.py"
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+SCRIPT = SCRIPTS / "run_default_suite.py"
+
+
+def load_script(path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
 
 
 @pytest.mark.parametrize("growth_passed, code", [(True, 0), (False, 1)],
                          ids=["growth-pass", "growth-fail"])
 def test_suite_exit_status_follows_growth_verdict(tmp_path, monkeypatch, capsys,
                                                   growth_passed, code):
-    spec = importlib.util.spec_from_file_location("run_default_suite", SCRIPT)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = load_script(SCRIPT)
 
     def short_suite(outputs):
         return [ScenarioConfig(kinks=KinkArrangement(x1=-6.0, x2=6.0), t_end=5.0,
@@ -34,3 +43,26 @@ def test_suite_exit_status_follows_growth_verdict(tmp_path, monkeypatch, capsys,
     monkeypatch.setattr(sys, "argv", [str(SCRIPT), str(tmp_path)])
     assert script.main() == code
     assert (tmp_path / "rest" / "summary.json").exists()
+
+
+def test_report_digest_names_the_column_that_moved(tmp_path, capsys):
+    digest = load_script(SCRIPTS / "report_digest.py")
+    config = ScenarioConfig(kinks=KinkArrangement(x1=-6.0, x2=6.0), t_end=2.0,
+                            frame_cadence=25, seed_label="rest")
+    for side in ("old", "new"):
+        written = digest.write_reports(tmp_path / side, {"tiny/rest": config})
+        assert json.loads((tmp_path / side / "digest.json").read_text()) == written
+    assert len(written) == len(CSV_HEADER.split(",")) + 1 + 5
+    assert digest.main(["compare", str(tmp_path / "old"), str(tmp_path / "new")]) == 0
+    assert capsys.readouterr().out == "identical\n"
+
+    csv = tmp_path / "new" / "tiny" / "rest" / "trajectory.csv"
+    header, *rows = csv.read_text().splitlines()
+    column = header.split(",").index("F_t")
+    fields = rows[1].split(",")
+    fields[column] = repr(math.nextafter(float(fields[column]), math.inf))
+    rows[1] = ",".join(fields)
+    csv.write_text("\n".join([header, *rows]) + "\n")
+    assert digest.compare(tmp_path / "old", tmp_path / "new") == [
+        f"tiny/rest/trajectory.csv:F_t: 1 of {len(rows)} values, max 1 ULP"
+    ]
