@@ -11,16 +11,17 @@ scenario and every config of the ``VARIANTS`` seed variants (0 .. 15) of the
 three benchmark workloads (``perfbench/bench_workloads.build``), with the
 phi6kinks of this checkout.  Each report goes to OUT_DIR/<group>/<label>/
 with an extras.json next to it: ``coercivity_ratio_min``, the
-``lyapunov_diagnostics`` constants and the d1/d2 velocities, which the report
-files do not hold.
+``lyapunov_diagnostics`` constants, the d1/d2 velocities and
+``snapshots_sha256``, one sha256 of the phi, pi and t bytes of every
+snapshot the run took, which the report files do not hold.
 OUT_DIR/digest.json records one sha256 per ``trajectory.csv`` column, per
 ``summary.json`` and per extras entry.
 
 ``compare`` digests both directories again, names every entry that moved,
 with the number of values that moved and their largest difference in units
-in the last place (ULP), and exits 1 when anything moved.  To compare two
-commits, run ``write`` from a checkout of each (copy this script into the
-older one if it lacks it).
+in the last place (ULP), or as a moved hash for ``snapshots_sha256``, and
+exits 1 when anything moved.  To compare two commits, run ``write`` from a
+checkout of each (copy this script into the older one if it lacks it).
 """
 from __future__ import annotations
 
@@ -48,6 +49,7 @@ from phi6kinks.scenarios import (  # noqa: E402
 CSV = "trajectory.csv"
 SUMMARY = "summary.json"
 EXTRAS = "extras.json"
+SNAPSHOTS = "snapshots_sha256"
 
 
 def benchmark_configs() -> dict:
@@ -74,11 +76,24 @@ def write_reports(out_dir: Path, configs: dict) -> dict:
             "fdot_ratio_max": diag.fdot_ratio_max,
             "d1_dots": report.d1_dots,
             "d2_dots": report.d2_dots,
+            SNAPSHOTS: snapshot_digest(report),
         }
         (out_dir / key / EXTRAS).write_text(json.dumps(extras))
     digest = digest_dir(out_dir)
     (out_dir / "digest.json").write_text(json.dumps(digest, indent=1, sort_keys=True))
     return digest
+
+
+def snapshot_digest(report) -> str:
+    """sha256 of the phi, pi and t bytes of every snapshot behind a report;
+    every frame, valid or not, keeps its snapshot."""
+    digest = hashlib.sha256()
+    for frame in report.frames:
+        state = frame.state
+        digest.update(state.phi.tobytes())
+        digest.update(state.pi.tobytes())
+        digest.update(struct.pack("<d", state.t))
+    return digest.hexdigest()
 
 
 def _report_values(report_dir: Path) -> dict:
@@ -89,6 +104,9 @@ def _report_values(report_dir: Path) -> dict:
                for i, name in enumerate(header.split(","))}
     entries[SUMMARY] = [(report_dir / SUMMARY).read_text()]
     for name, value in json.loads((report_dir / EXTRAS).read_text()).items():
+        if name == SNAPSHOTS:
+            entries[f"extras:{name}"] = [value]
+            continue
         values = value if isinstance(value, list) else [value]
         entries[f"extras:{name}"] = [repr(float(v)) for v in values]
     return entries
@@ -128,6 +146,8 @@ def _moved(entry: str, old: list[str], new: list[str]) -> str:
         keys = sorted(k for k in old_keys.keys() | new_keys.keys()
                       if old_keys.get(k) != new_keys.get(k))
         return "keys " + ", ".join(keys)
+    if entry == f"extras:{SNAPSHOTS}":
+        return "hash moved"
     if len(old) != len(new):
         return f"{len(old)} -> {len(new)} values"
     ulps = [ulp_distance(float(a), float(b)) for a, b in zip(old, new) if a != b]

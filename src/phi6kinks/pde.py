@@ -68,10 +68,11 @@ class SolverConfig:
 class _Verlet:
     """Velocity-Verlet kernel that owns its field, acceleration and scratch buffers.
 
-    Built once per run: the CFL check, the stencil constants and the clamped
-    edge values are fixed here, and each advance updates the buffers in
-    place.  ``acc`` always holds the acceleration of the current ``phi``, so
-    an advance evaluates it once.
+    Built once per run: the CFL check, the stencil constants, the clamped
+    edge values and the slice views are fixed here, and each advance updates
+    the buffers in place.  ``acc`` always holds the acceleration of the
+    current ``phi`` and ``kick`` its half kick acc*dt/2, which ends one
+    advance and starts the next, so an advance evaluates each once.
     """
 
     def __init__(self, state: FieldState, cfg: SolverConfig):
@@ -81,12 +82,21 @@ class _Verlet:
         self.order = cfg.stencil_order
         self.inv = 1.0 / (state.dx * state.dx)
         self.inv12 = self.inv / 12.0
-        self.phi = np.array(state.phi, dtype=float)
+        self.phi = phi = np.array(state.phi, dtype=float)
         self.pi = np.array(state.pi, dtype=float)
-        self.edges = (self.phi[0], self.phi[-1])
-        self.acc = np.zeros(state.n)  # edge entries stay zero: the edges are clamped
-        self.scratch = np.empty(state.n)
+        self.edges = (phi[0], phi[-1])
+        self.acc = acc = np.zeros(state.n)  # edge entries stay zero: the edges are clamped
+        self.scratch = scratch = np.empty(state.n)
+        self.kick = np.empty(state.n)
+        if self.order == 4:  # the operands of each stencil term, in order
+            self.phi16 = phi16 = np.empty(state.n)
+            self.lap = (acc[2:-2], scratch[2:-2], phi16[1:-3], phi[:-4], phi[2:-2],
+                        phi16[3:-1], phi[4:])
+        else:
+            self.lap = (acc[1:-1], scratch[1:-1], phi[:-2], phi[1:-1], phi[2:])
+        self.inner = (phi[1:-1], scratch[1:-1], acc[1:-1])
         self._update_acceleration()
+        np.multiply(acc, self.half_dt, out=self.kick)
 
     def _update_acceleration(self) -> None:
         """acc = d_xx phi - U'(phi) on the interior nodes.
@@ -95,28 +105,29 @@ class _Verlet:
         ((-phi[i-2] + 16 phi[i-1]) - 30 phi[i] + 16 phi[i+1]) - phi[i+2]
         scaled by inv/12 (2nd-order next to the edges), and of the Horner
         form (((6 phi) phi - 8) phi phi + 2) phi of eval_potential_derivative
-        without its additions of 0.0, which change no value.
+        without its additions of 0.0, which change no value.  16 phi is
+        formed once for both of its terms; a power of two scales exactly.
         """
         phi, acc, inv = self.phi, self.acc, self.inv
         if self.order == 4:
-            lap, tmp = acc[2:-2], self.scratch[2:-2]
-            np.multiply(phi[1:-3], 16.0, out=lap)
-            lap -= phi[:-4]
-            np.multiply(phi[2:-2], 30.0, out=tmp)
+            lap, tmp, left16, left2, mid, right16, right2 = self.lap
+            np.multiply(phi, 16.0, out=self.phi16)
+            np.subtract(left16, left2, out=lap)
+            np.multiply(mid, 30.0, out=tmp)
             lap -= tmp
-            np.multiply(phi[3:-1], 16.0, out=tmp)
-            lap += tmp
-            lap -= phi[4:]
+            lap += right16
+            lap -= right2
             lap *= self.inv12
-            acc[1] = (phi[0] - 2.0 * phi[1] + phi[2]) * inv
-            acc[-2] = (phi[-3] - 2.0 * phi[-2] + phi[-1]) * inv
+            at = phi.item  # a Python float: the same arithmetic, at half the call cost
+            acc[1] = (at(0) - 2.0 * at(1) + at(2)) * inv
+            acc[-2] = (at(-3) - 2.0 * at(-2) + at(-1)) * inv
         else:
-            lap, tmp = acc[1:-1], self.scratch[1:-1]
-            np.multiply(phi[1:-1], 2.0, out=tmp)
-            np.subtract(phi[:-2], tmp, out=lap)
-            lap += phi[2:]
+            lap, tmp, left, mid, right = self.lap
+            np.multiply(mid, 2.0, out=tmp)
+            np.subtract(left, tmp, out=lap)
+            lap += right
             lap *= inv
-        p, du = phi[1:-1], self.scratch[1:-1]
+        p, du, acc_in = self.inner
         np.multiply(p, 6.0, out=du)
         du *= p
         du -= 8.0
@@ -124,22 +135,26 @@ class _Verlet:
         du *= p
         du += 2.0
         du *= p
-        acc[1:-1] -= du
+        acc_in -= du
 
-    def advance(self, t: float) -> None:
-        """One kick-drift-kick update from time t, which a non-finite result
-        reports as the last valid time."""
-        phi, pi, acc, tmp = self.phi, self.pi, self.acc, self.scratch
-        np.multiply(acc, self.half_dt, out=tmp)
-        pi += tmp
+    def advance(self) -> None:
+        """One kick-drift-kick update; it does not check the result."""
+        phi, pi, kick, tmp = self.phi, self.pi, self.kick, self.scratch
+        pi += kick
         np.multiply(pi, self.dt, out=tmp)
         phi += tmp
         phi[0], phi[-1] = self.edges
         self._update_acceleration()
-        np.multiply(acc, self.half_dt, out=tmp)
-        pi += tmp
+        np.multiply(self.acc, self.half_dt, out=kick)
+        pi += kick
         pi[0] = pi[-1] = 0.0
-        if not (_all_finite(phi) and _all_finite(pi)):
+
+    def finite(self) -> bool:
+        return _all_finite(self.phi) and _all_finite(self.pi)
+
+    def check(self, t: float) -> None:
+        """Raise unless the fields are finite, naming t as the last valid time."""
+        if not self.finite():
             raise FloatingPointError(f"non-finite field detected; last valid time t={t:.6f}")
 
 
@@ -152,7 +167,8 @@ def _all_finite(a: np.ndarray) -> bool:
 def step(state: FieldState, cfg: SolverConfig) -> FieldState:
     """One velocity-Verlet update with clamped boundary nodes."""
     kernel = _Verlet(state, cfg)
-    kernel.advance(state.t)
+    kernel.advance()
+    kernel.check(state.t)
     return replace(state, phi=kernel.phi, pi=kernel.pi, t=state.t + cfg.dt)
 
 
@@ -160,7 +176,9 @@ def run(state: FieldState, cfg: SolverConfig, t_end: float, frame_cadence: int =
     """Evolve to t_end, returning snapshots every frame_cadence steps.
 
     The returned list always includes the initial and final states; each
-    snapshot owns its arrays.
+    snapshot owns its arrays.  The fields are checked once per snapshot; a
+    non-finite field raises FloatingPointError naming the last time at
+    which every field was finite, as a check after every step would.
     """
     if t_end <= state.t:
         raise ValueError(f"t_end={t_end} must exceed state.t={state.t}")
@@ -171,12 +189,19 @@ def run(state: FieldState, cfg: SolverConfig, t_end: float, frame_cadence: int =
         raise ValueError("t_end too close to state.t for one step")
     kernel = _Verlet(state, cfg)
     snapshots = [state.copy()]
-    t0 = t = state.t
+    t0 = state.t
     for k in range(1, n_steps + 1):
-        kernel.advance(t)
-        t = t0 + k * cfg.dt
+        kernel.advance()
         if k % frame_cadence == 0 or k == n_steps:
-            snapshots.append(replace(state, phi=kernel.phi.copy(), pi=kernel.pi.copy(), t=t))
+            if not kernel.finite():
+                # x += y keeps a value non-finite, so the first bad step follows
+                # the previous snapshot: replay from it, checking each step
+                kernel = _Verlet(snapshots[-1], cfg)
+                for j in range((k - 1) // frame_cadence * frame_cadence, k):
+                    kernel.advance()
+                    kernel.check(t0 + j * cfg.dt)
+            snapshots.append(replace(state, phi=kernel.phi.copy(), pi=kernel.pi.copy(),
+                                     t=t0 + k * cfg.dt))
     return snapshots
 
 

@@ -152,8 +152,10 @@ def load_report(directory) -> ComparisonReport:
     failure = summary.get("failure")
     failed_at = None
     if failure is not None:
-        if not failure.startswith(FAILURE_PREFIX):
-            raise ValueError(f"unrecognised failure entry {failure!r} in {directory}")
+        if not (isinstance(failure, str) and failure.startswith(FAILURE_PREFIX)
+                and failure[len(FAILURE_PREFIX):].isdecimal()):
+            raise ValueError(f"{summary_path}: failure entry {json.dumps(failure)} is not "
+                             f"'{FAILURE_PREFIX}<frame>'")
         failed_at = int(failure[len(FAILURE_PREFIX):])
     return ComparisonReport(
         rows=rows,

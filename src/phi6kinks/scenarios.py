@@ -216,7 +216,7 @@ def verify_orbital_stability(report: ComparisonReport) -> StabilityVerdict:
     within a factor 10 of eps.
     """
     eps = report.epsilon
-    if eps <= 0 or not report.rows:
+    if not eps > 0 or not report.rows:
         return StabilityVerdict(math.nan, math.nan, math.nan, math.nan, False)
     c_stab = max(r.norm_g_h1 for r in report.rows) / math.sqrt(eps)
     sep = max(math.exp(-SQRT2 * r.z) for r in report.rows) / (0.5 * eps)
@@ -252,7 +252,7 @@ def fit_growth_constant(report: ComparisonReport) -> float:
     """Smallest C with ||(g,g_t)||^2 <= C (||(g,g_t)(0)||^2 + eps^2)
     exp(C sqrt(eps) |t| / ln(1/eps)) across all frames (bisection)."""
     eps = report.epsilon
-    if eps <= 0 or eps >= math.exp(-1.0) or not report.rows:
+    if not 0 < eps < math.exp(-1.0) or not report.rows:
         return float("nan")
     samples = [(r.remainder ** 2, abs(r.t)) for r in report.rows]
     base = samples[0][0] + eps * eps
@@ -284,7 +284,9 @@ def verify_remainder_growth(report: ComparisonReport) -> GrowthVerdict:
     """Fit the exponential growth envelope and confirm one constant covers
     the run including the final frame."""
     eps = report.epsilon
-    if eps <= 0 or math.log(1.0 / eps) <= 1.0:
+    if not eps > 0:
+        raise ValueError(f"degenerate fit: energy excess {eps} is not a positive number")
+    if math.log(1.0 / eps) <= 1.0:
         raise ValueError(f"degenerate fit: energy excess {eps} has ln(1/eps) <= 1")
     if len(report.rows) < MIN_GROWTH_FRAMES:
         raise ValueError(f"need >= {MIN_GROWTH_FRAMES} frames, got {len(report.rows)}")
@@ -342,7 +344,7 @@ class LyapunovDiagnostics:
 
 def lyapunov_diagnostics(report: ComparisonReport) -> LyapunovDiagnostics:
     eps = report.epsilon
-    if eps <= 0 or math.log(1.0 / eps) <= 1.0 or len(report.rows) < 2:
+    if not eps > 0 or math.log(1.0 / eps) <= 1.0 or len(report.rows) < 2:
         return LyapunovDiagnostics(float("nan"), float("nan"))
     log_inv = math.log(1.0 / eps)
     a1 = 0.0

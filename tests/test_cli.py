@@ -138,6 +138,19 @@ def test_verify_fails_tracking_without_positive_excess(tmp_path, config_path, ca
     assert "C=nan" in tracking and tracking.endswith("-> FAIL")
 
 
+def test_verify_never_passes_growth_without_a_positive_excess(tmp_path, config_path, capsys):
+    out = tmp_path / "out"
+    main(["run", "--config", str(config_path), "--out", str(out)])
+    summary = json.loads((out / "summary.json").read_text())
+    summary["epsilon"] = "nan"
+    (out / "summary.json").write_text(json.dumps(summary))
+    capsys.readouterr()
+    assert main(["verify", "--report", str(out)]) == 1
+    (growth,) = [line for line in capsys.readouterr().out.splitlines() if "growth envelope:" in line]
+    assert growth.endswith("growth envelope: skipped (degenerate fit: energy excess nan "
+                           "is not a positive number)")
+
+
 def test_verify_scans_directory_of_reports(tmp_path, config_path):
     main(["run", "--config", str(config_path), "--out", str(tmp_path / "suite" / "a")])
     main(["run", "--config", str(config_path), "--out", str(tmp_path / "suite" / "b")])

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from phi6kinks import pde
 from phi6kinks.functionals import energy_breakdown
 from phi6kinks.model import SQRT2, kink_value
 from phi6kinks.pde import FieldState, SolverConfig, init_two_kink_state, run, step
@@ -107,6 +108,37 @@ class TestStep:
             assert all(np.isfinite(s.phi).all() and np.isfinite(s.pi).all() for s in finite)
             with pytest.raises(FloatingPointError, match=r"last valid time t=0\.060000"):
                 run(bad, cfg, 1.0, frame_cadence=1)
+
+    @pytest.mark.parametrize("cadence", [2, 4, 50])
+    def test_snapshot_check_names_the_same_last_finite_time(self, cadence):
+        # the fields are checked only at snapshots; at cadence 4 the overflow
+        # lands on a snapshot step, at 2 and 50 between two of them
+        st = single_kink_state()
+        bad = dataclasses.replace(st, phi=st.phi.copy())
+        bad.phi[800] = 10.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError, match=r"last valid time t=0\.060000"):
+                run(bad, SolverConfig(dt=0.02), 1.0, frame_cadence=cadence)
+
+    def test_non_finite_initial_field_names_the_start_time(self):
+        st = dataclasses.replace(single_kink_state(), t=0.7)
+        bad = dataclasses.replace(st, phi=st.phi.copy())
+        bad.phi[100] = np.nan
+        with pytest.raises(FloatingPointError, match=r"last valid time t=0\.700000"):
+            run(bad, SolverConfig(dt=0.02), 2.0)
+
+    def test_run_checks_the_fields_once_per_snapshot(self, monkeypatch):
+        calls = []
+
+        def counting(a):
+            calls.append(a.shape)
+            return np.isfinite(a).all()
+
+        monkeypatch.setattr(pde, "_all_finite", counting)
+        st = single_kink_state()
+        snaps = run(st, SolverConfig(dt=0.02), 150 * 0.02, frame_cadence=50)
+        assert len(snaps) == 4
+        assert len(calls) == 2 * 3  # phi and pi at each of the 3 snapshots after the start
 
     def test_boundaries_clamped(self):
         st = single_kink_state()

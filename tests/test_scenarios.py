@@ -224,6 +224,19 @@ class TestReporting:
         with pytest.raises(ValueError, match="summary.json lacks key.* 'epsilon'"):
             load_report(out)
 
+    @pytest.mark.parametrize("failure", [7, "tracking invalid from frame x"],
+                             ids=["not-a-string", "not-an-index"])
+    def test_malformed_failure_entry_names_file_and_entry(self, quick_report, tmp_path,
+                                                          failure):
+        out = write_report(quick_report, tmp_path / "rep")
+        summary = json.loads((out / "summary.json").read_text())
+        summary["failure"] = failure
+        (out / "summary.json").write_text(json.dumps(summary))
+        with pytest.raises(ValueError) as err:
+            load_report(out)
+        assert str(err.value).startswith(f"{out / 'summary.json'}: failure entry "
+                                         f"{json.dumps(failure)} is not")
+
 
 class TestStabilityVerdict:
     def test_quick_scenario_passes(self, quick_report):
@@ -326,6 +339,14 @@ class TestGrowthVerdict:
     def test_degenerate_epsilon_rejected(self, quick_report):
         rep = replace(quick_report, epsilon=0.9)
         with pytest.raises(ValueError):
+            verify_remainder_growth(rep)
+
+    def test_nan_epsilon_fits_nothing(self, quick_report):
+        rep = replace(quick_report, epsilon=math.nan)
+        assert math.isnan(fit_growth_constant(rep))
+        diag = lyapunov_diagnostics(rep)
+        assert math.isnan(diag.a1_fit) and math.isnan(diag.fdot_ratio_max)
+        with pytest.raises(ValueError, match="energy excess nan is not a positive number"):
             verify_remainder_growth(rep)
 
 

@@ -1,5 +1,5 @@
 """The suite script's exit status follows every verdict it prints, and the
-digest script names the report column that moved."""
+digest script names the report column or the snapshots that moved."""
 import importlib.util
 import json
 import math
@@ -52,7 +52,7 @@ def test_report_digest_names_the_column_that_moved(tmp_path, capsys):
     for side in ("old", "new"):
         written = digest.write_reports(tmp_path / side, {"tiny/rest": config})
         assert json.loads((tmp_path / side / "digest.json").read_text()) == written
-    assert len(written) == len(CSV_HEADER.split(",")) + 1 + 5
+    assert len(written) == len(CSV_HEADER.split(",")) + 1 + 6
     assert digest.main(["compare", str(tmp_path / "old"), str(tmp_path / "new")]) == 0
     assert capsys.readouterr().out == "identical\n"
 
@@ -65,4 +65,25 @@ def test_report_digest_names_the_column_that_moved(tmp_path, capsys):
     csv.write_text("\n".join([header, *rows]) + "\n")
     assert digest.compare(tmp_path / "old", tmp_path / "new") == [
         f"tiny/rest/trajectory.csv:F_t: 1 of {len(rows)} values, max 1 ULP"
+    ]
+
+
+def test_report_digest_names_a_moved_snapshot(tmp_path, monkeypatch):
+    digest = load_script(SCRIPTS / "report_digest.py")
+    configs = {"tiny/rest": ScenarioConfig(kinks=KinkArrangement(x1=-6.0, x2=6.0), t_end=2.0,
+                                           frame_cadence=25, seed_label="rest")}
+    digest.write_reports(tmp_path / "old", configs)
+    run_scenario = digest.run_scenario
+
+    def planted(config):
+        # 1 ULP in one pi of the last snapshot, after the rows were measured
+        report = run_scenario(config)
+        pi = report.frames[-1].state.pi
+        pi[pi.size // 2] = math.nextafter(pi[pi.size // 2], math.inf)
+        return report
+
+    monkeypatch.setattr(digest, "run_scenario", planted)
+    digest.write_reports(tmp_path / "new", configs)
+    assert digest.compare(tmp_path / "old", tmp_path / "new") == [
+        "tiny/rest/extras:snapshots_sha256: hash moved"
     ]
