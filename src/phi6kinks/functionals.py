@@ -254,15 +254,17 @@ class PairTerms:
     diagnostics."""
 
     x: np.ndarray
-    g: np.ndarray        # phi - K1 - K2
-    g_t: np.ndarray      # d_t g
-    dd_anti: np.ndarray  # K1'' = U'(K1)
-    dd_kink: np.ndarray  # K2'' = U'(K2)
-    total: np.ndarray    # K1 + K2
-    upp: np.ndarray      # U''(K1 + K2)
-    dg: np.ndarray       # d_x g, 2nd order
-    g_h1_sq: float       # int g^2 + (d_x g)^2 = ||g||_H1^2
-    gt_l2: float         # ||g_t||_L2
+    g: np.ndarray         # phi - K1 - K2
+    g_t: np.ndarray       # d_t g
+    dd_anti: np.ndarray   # K1'' = U'(K1)
+    dd_kink: np.ndarray   # K2'' = U'(K2)
+    total: np.ndarray     # K1 + K2
+    dg: np.ndarray        # d_x g, 2nd order
+    gt_sq: np.ndarray     # g_t g_t
+    dg_sq: np.ndarray     # d_x g d_x g
+    upp_g_sq: np.ndarray  # (U''(K1 + K2) g) g
+    g_h1_sq: float        # int g^2 + (d_x g)^2 = ||g||_H1^2
+    gt_l2: float          # ||g_t||_L2
 
 
 def pair_terms(frame, pair) -> PairTerms:
@@ -274,7 +276,9 @@ def pair_terms(frame, pair) -> PairTerms:
     K1 = antikink_value(x - x1) = -h1 and K2 = kink_value(x - x2) = h2, the
     profile curvatures are the solve's mode derivatives: K1'' = -U'(h1) and
     K2'' = U'(h2).  U'(K1) = U'(-h1) is the same value, as U' is odd in its
-    Horner form (bit for bit, but for the sign of the zero at h1 = 1).
+    Horner form (bit for bit, but for the sign of the zero at h1 = 1).  The
+    squares that the norms, F and the coercivity ratio each sum are formed
+    here once.
     """
     if frame.z <= 0:
         raise ValueError("frame separation must be positive")
@@ -282,9 +286,10 @@ def pair_terms(frame, pair) -> PairTerms:
     g_t = frame.remainder_rate(pair)
     total = pair.h2 - pair.h1
     dg = spatial_derivative(g, dx, order=2)
-    return PairTerms(frame.x, g, g_t, pair.dm1, pair.dm2, total,
-                     eval_potential_derivative(2, total), dg, integrate(g * g + dg * dg, dx),
-                     float(np.sqrt(integrate(g_t * g_t, dx))))
+    gt_sq, dg_sq = g_t * g_t, dg * dg
+    upp_g_sq = eval_potential_derivative(2, total) * g * g
+    return PairTerms(frame.x, g, g_t, pair.dm1, pair.dm2, total, dg, gt_sq, dg_sq, upp_g_sq,
+                     integrate(g * g + dg_sq, dx), float(np.sqrt(integrate(gt_sq, dx))))
 
 
 def lyapunov_F(frame, terms: PairTerms) -> float:
@@ -303,7 +308,7 @@ def lyapunov_F(frame, terms: PairTerms) -> float:
     xdot1, xdot2 = frame.xdot1, frame.xdot2
     dd_anti, dd_kink, total, dg = terms.dd_anti, terms.dd_kink, terms.total, terms.dg
 
-    f1 = integrate(g_t * g_t + dg * dg + terms.upp * g * g, dx)
+    f1 = integrate(terms.gt_sq + terms.dg_sq + terms.upp_g_sq, dx)
     interaction = dd_anti + dd_kink - eval_potential_derivative(1, total)
     f2 = -2.0 * integrate(g * interaction, dx)
     f3 = 2.0 * integrate(g * (xdot1 * xdot1 * dd_anti + xdot2 * xdot2 * dd_kink), dx)
@@ -317,9 +322,7 @@ def lyapunov_F(frame, terms: PairTerms) -> float:
 def coercivity_ratio(frame, terms: PairTerms) -> float:
     """Empirical ratio of the energy-Hessian quadratic form to ||g||_H1^2;
     ``terms`` is pair_terms(frame, pair)."""
-    g = terms.g
-    dg = terms.dg
-    quad = integrate(dg * dg + terms.upp * g * g, frame.dx)
+    quad = integrate(terms.dg_sq + terms.upp_g_sq, frame.dx)
     if terms.g_h1_sq <= 0.0:
         return float("nan")
     return float(quad / terms.g_h1_sq)

@@ -25,6 +25,11 @@ _U_DERIV_COEFFS = {
     5: (0.0, 720.0, 0.0, 0.0, 0.0, 0.0),
     6: (720.0, 0.0, 0.0, 0.0, 0.0, 0.0),
 }
+# the power each Horner evaluation starts from: the highest non-zero one, or 1
+_U_DERIV_TOP = {
+    k: max((p for p in range(2, 6) if coeffs[p]), default=1)
+    for k, coeffs in _U_DERIV_COEFFS.items()
+}
 
 
 def eval_potential(phi):
@@ -34,15 +39,25 @@ def eval_potential(phi):
 
 
 def eval_potential_derivative(k, phi):
-    """k-th derivative of U for 1 <= k <= 6 (U is a sextic, so U^(k>=7) = 0)."""
+    """k-th derivative of U for 1 <= k <= 6 (U is a sextic, so U^(k>=7) = 0).
+
+    Horner from the highest non-zero power (at least phi^1), skipping the
+    additions of interior zeros: adding 0.0 only turns -0.0 into +0.0, which
+    a later addition, the final + c_0 at the latest, erases.  So the bytes
+    are those of the six-term loop on finite and NaN input; +-inf, which
+    profile values in [-1, 1] never reach, may differ.
+    """
     if k not in _U_DERIV_COEFFS:
         raise ValueError(f"derivative order must be in 1..6, got {k}")
     phi = np.asarray(phi, dtype=float)
     coeffs = _U_DERIV_COEFFS[k]
-    out = np.full_like(phi, coeffs[5])
-    for power in range(4, -1, -1):  # Horner, in place
+    top = _U_DERIV_TOP[k]
+    out = coeffs[top] * phi
+    for power in range(top - 1, 0, -1):  # Horner, in place
+        if coeffs[power]:
+            out += coeffs[power]
         out *= phi
-        out += coeffs[power]
+    out += coeffs[0]
     return out
 
 

@@ -34,7 +34,7 @@ class PairFields:
     the remainder it leaves: what one residual evaluation of the center
     solve forms."""
 
-    h1: np.ndarray   # H(-(x - x1)) = -K1
+    h1: np.ndarray   # H(x1 - x) = -K1
     h2: np.ndarray   # H(x - x2) = K2
     g: np.ndarray    # phi - K1 - K2
     m1: np.ndarray   # K1' = kink_mode(h1)
@@ -47,12 +47,12 @@ def _pair_fields(state, x1, x2) -> PairFields:
     """The pair, its modes and g = phi + h1 - h2 = phi - K1 - K2 at (x1, x2).
 
     One profile evaluation per kink: the antikink is the reflection
-    K1(x) = -H(-(x - x1)) = -h1, and K2 = H(x - x2) = h2.  Each mode and its
+    K1(x) = -H(x1 - x) = -h1, and K2 = H(x - x2) = h2.  Each mode and its
     derivative follow from the profile value: K1' = kink_mode(h1) and
     K1'' = -U'(h1), likewise K2' = kink_mode(h2) and K2'' = U'(h2).
     """
     x = state.x
-    h1 = kink_value(-(x - x1))
+    h1 = kink_value(x1 - x)
     h2 = kink_value(x - x2)
     return PairFields(h1, h2, state.phi + h1 - h2, kink_mode(h1), kink_mode(h2),
                       -eval_potential_derivative(1, h1), eval_potential_derivative(1, h2))

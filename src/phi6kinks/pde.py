@@ -6,6 +6,7 @@ initial data.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -14,6 +15,14 @@ import numpy as np
 from .model import MARGIN, kink_mode, kink_value
 
 _CFL_LIMIT = {2: 0.9, 4: 0.7}
+
+
+@functools.lru_cache(maxsize=32)
+def _grid_nodes(x0: float, dx: float, n: int) -> np.ndarray:
+    """x0 + dx * arange(n), built once per grid and shared, so read-only."""
+    x = x0 + dx * np.arange(n)
+    x.flags.writeable = False
+    return x
 
 
 @dataclass(frozen=True)
@@ -37,7 +46,8 @@ class FieldState:
 
     @property
     def x(self) -> np.ndarray:
-        return self.x0 + self.dx * np.arange(self.n)
+        """The grid nodes, one read-only array shared by every state on this grid."""
+        return _grid_nodes(float(self.x0), float(self.dx), self.n)
 
     def copy(self) -> "FieldState":
         return replace(self, phi=self.phi.copy(), pi=self.pi.copy())
@@ -105,7 +115,7 @@ class _Verlet:
         ((-phi[i-2] + 16 phi[i-1]) - 30 phi[i] + 16 phi[i+1]) - phi[i+2]
         scaled by inv/12 (2nd-order next to the edges), and of the Horner
         form (((6 phi) phi - 8) phi phi + 2) phi of eval_potential_derivative
-        without its additions of 0.0, which change no value.  16 phi is
+        without its final addition of 0.0, which changes no value.  16 phi is
         formed once for both of its terms; a power of two scales exactly.
         """
         phi, acc, inv = self.phi, self.acc, self.inv
@@ -200,8 +210,8 @@ def run(state: FieldState, cfg: SolverConfig, t_end: float, frame_cadence: int =
                 for j in range((k - 1) // frame_cadence * frame_cadence, k):
                     kernel.advance()
                     kernel.check(t0 + j * cfg.dt)
-            snapshots.append(replace(state, phi=kernel.phi.copy(), pi=kernel.pi.copy(),
-                                     t=t0 + k * cfg.dt))
+            snapshots.append(FieldState(state.x0, state.dx, state.n, kernel.phi.copy(),
+                                        kernel.pi.copy(), t0 + k * cfg.dt))
     return snapshots
 
 

@@ -140,13 +140,31 @@ def parse_csv(path) -> list[FrameRow]:
     return rows
 
 
+def _summary_number(summary_path, key, value) -> float:
+    """A summary value as emit_summary writes it: a JSON number (never a
+    bool) or one of the strings "nan", "inf" and "-inf"."""
+    if value in ("nan", "inf", "-inf") or (isinstance(value, (int, float))
+                                           and not isinstance(value, bool)):
+        try:
+            return float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise ValueError(f"{summary_path}: {key} is {json.dumps(value)}, not a number")
+
+
 def load_report(directory) -> ComparisonReport:
     """Rebuild a report from trajectory.csv + summary.json in a directory."""
     directory = Path(directory)
     rows = parse_csv(directory / "trajectory.csv")
     summary_path = directory / "summary.json"
-    summary = json.loads(summary_path.read_text())
-    missing = [key for key in ("epsilon", "v", "c", "a", "b") if key not in summary]
+    try:
+        summary = json.loads(summary_path.read_text())
+    except json.JSONDecodeError as err:
+        raise ValueError(f"{summary_path} is not valid JSON: {err}") from None
+    if not isinstance(summary, dict):
+        raise ValueError(f"{summary_path} must hold a JSON object, got {json.dumps(summary)}")
+    required = ("epsilon", "v", "c", "a", "b")
+    missing = [key for key in required if key not in summary]
     if missing:
         raise ValueError(f"{summary_path} lacks key(s) {', '.join(map(repr, missing))}")
     failure = summary.get("failure")
@@ -157,14 +175,7 @@ def load_report(directory) -> ComparisonReport:
             raise ValueError(f"{summary_path}: failure entry {json.dumps(failure)} is not "
                              f"'{FAILURE_PREFIX}<frame>'")
         failed_at = int(failure[len(FAILURE_PREFIX):])
-    return ComparisonReport(
-        rows=rows,
-        epsilon=float(summary["epsilon"]),
-        v=float(summary["v"]),
-        c=float(summary["c"]),
-        a=float(summary["a"]),
-        b=float(summary["b"]),
-        fitted_C_growth=float(summary.get("fitted_C_growth", "nan")),
-        seed_label=directory.name,
-        failed_at_frame=failed_at,
-    )
+    numbers = {key: _summary_number(summary_path, key, summary.get(key, "nan"))
+               for key in (*required, "fitted_C_growth")}
+    return ComparisonReport(rows=rows, **numbers, seed_label=directory.name,
+                            failed_at_frame=failed_at)

@@ -151,6 +151,20 @@ def test_verify_never_passes_growth_without_a_positive_excess(tmp_path, config_p
                            "is not a positive number)")
 
 
+def test_verify_rejects_a_bool_excess(tmp_path, config_path, capsys):
+    # a bool is no number: true must not read as an excess of 1.0
+    out = tmp_path / "out"
+    main(["run", "--config", str(config_path), "--out", str(out)])
+    summary = json.loads((out / "summary.json").read_text())
+    summary["epsilon"] = True
+    (out / "summary.json").write_text(json.dumps(summary))
+    capsys.readouterr()
+    assert main(["verify", "--report", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {out / 'summary.json'}: epsilon is true, not a number\n"
+
+
 def test_verify_scans_directory_of_reports(tmp_path, config_path):
     main(["run", "--config", str(config_path), "--out", str(tmp_path / "suite" / "a")])
     main(["run", "--config", str(config_path), "--out", str(tmp_path / "suite" / "b")])

@@ -71,6 +71,31 @@ class TestInit:
                 init_two_kink_state((-46.0, 0.05, n), -6.0, 6.0, v1, v2)
 
 
+class TestGridNodes:
+    """FieldState.x is one read-only array per grid, shared by its states."""
+
+    def test_one_array_per_grid(self):
+        st = single_kink_state()
+        assert st.x is st.x
+        assert st.copy().x is st.x
+        snaps = run(st, SolverConfig(dt=0.02), 0.2, frame_cadence=3)
+        assert len(snaps) == 5
+        assert all(s.x is st.x for s in snaps)
+        assert single_kink_state(dx=0.04).x is not st.x
+
+    def test_bytes_equal_the_formula(self):
+        for x0, dx, n in ((-40.0, 0.05, 1601), (-46.0, 0.05, 1841), (-12.5, 0.025, 4241)):
+            st = FieldState(x0=x0, dx=dx, n=n, phi=np.zeros(n), pi=np.zeros(n))
+            assert st.x.tobytes() == (x0 + dx * np.arange(n)).tobytes()
+
+    def test_read_only(self):
+        x = single_kink_state().x
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+        with pytest.raises(ValueError):
+            x += 1.0
+
+
 class TestStep:
     def test_vacuum_is_fixed_point(self):
         n = 201

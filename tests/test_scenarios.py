@@ -175,7 +175,8 @@ class TestReporting:
         with pytest.raises(ValueError, match="tracking lost"):
             load_report(out)
 
-    @pytest.mark.parametrize("growth", [float("nan"), float("inf")], ids=["nan", "inf"])
+    @pytest.mark.parametrize("growth", [float("nan"), float("inf"), float("-inf")],
+                             ids=["nan", "inf", "-inf"])
     def test_non_finite_summary_is_strict_json(self, quick_report, tmp_path, growth):
         # an empty report has NaN maxima; a growth constant can be NaN or infinite
         rep = replace(quick_report, rows=[], fitted_C_growth=growth)
@@ -236,6 +237,41 @@ class TestReporting:
             load_report(out)
         assert str(err.value).startswith(f"{out / 'summary.json'}: failure entry "
                                          f"{json.dumps(failure)} is not")
+
+    @pytest.mark.parametrize("value", ["x", [1], None, True, {"v": 1}, 10**400],
+                             ids=["string", "list", "null", "bool", "object", "huge-int"])
+    def test_malformed_summary_value_names_file_and_key(self, quick_report, tmp_path, value):
+        out = write_report(quick_report, tmp_path / "rep")
+        summary = json.loads((out / "summary.json").read_text())
+        summary["epsilon"] = value
+        (out / "summary.json").write_text(json.dumps(summary))
+        with pytest.raises(ValueError) as err:
+            load_report(out)
+        assert str(err.value) == (f"{out / 'summary.json'}: epsilon is {json.dumps(value)}, "
+                                  "not a number")
+
+    def test_integer_summary_value_loads_as_float(self, quick_report, tmp_path):
+        out = write_report(quick_report, tmp_path / "rep")
+        summary = json.loads((out / "summary.json").read_text())
+        summary["c"] = 3
+        (out / "summary.json").write_text(json.dumps(summary))
+        c = load_report(out).c
+        assert type(c) is float and c == 3.0
+
+    def test_summary_that_is_not_an_object_names_file(self, quick_report, tmp_path):
+        out = write_report(quick_report, tmp_path / "rep")
+        (out / "summary.json").write_text("5\n")
+        with pytest.raises(ValueError) as err:
+            load_report(out)
+        assert str(err.value) == f"{out / 'summary.json'} must hold a JSON object, got 5"
+
+    def test_invalid_summary_json_names_file(self, quick_report, tmp_path):
+        out = write_report(quick_report, tmp_path / "rep")
+        (out / "summary.json").write_text("{epsilon: 1}\n")
+        with pytest.raises(ValueError) as err:
+            load_report(out)
+        assert str(err.value).startswith(f"{out / 'summary.json'} is not valid JSON: "
+                                         "Expecting property name")
 
 
 class TestStabilityVerdict:
