@@ -8,17 +8,18 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .functionals import odd_sample_count
 from .pde import SolverConfig
-from .reporting import load_report
+from .reporting import FAILURE_PREFIX, ComparisonReport, load_report
 from .scenarios import (
     GaussianPerturbation,
     GridSpec,
     KinkArrangement,
     ScenarioConfig,
+    lyapunov_diagnostics,
     optimality_probe,
     run_scenario,
     verify_orbital_stability,
@@ -115,36 +116,53 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _verify_one(directory: Path) -> bool:
-    report = load_report(directory)
-    ok = report.failed_at_frame is None
-    if not ok:
-        print(f"[{directory.name}] tracking invalid from frame {report.failed_at_frame} -> FAIL")
-    stability = verify_orbital_stability(report)
-    print(
-        f"[{directory.name}] stability: C={stability.c_stability:.3g} "
-        f"sep={stability.separation_margin:.3g} "
-        f"t2=[{stability.t2_ratio_min:.3g}, {stability.t2_ratio_max:.3g}] "
-        f"-> {'pass' if stability.passed else 'FAIL'}"
-    )
-    ok = ok and stability.passed
-    tracking = verify_tracking(report)
-    print(
-        f"[{directory.name}] tracking: C={tracking.fitted_C:.3g} "
-        f"max|z-d|={tracking.max_abs_z_minus_d:.3g} "
-        f"-> {'pass' if tracking.passed else 'FAIL'}"
-    )
-    ok = ok and tracking.passed
+@dataclass(frozen=True)
+class Verdict:
+    """A measured constant, passed (None: skipped or only recorded) and the line verify prints."""
+
+    name: str
+    constant: float
+    passed: bool | None
+    text: str
+
+
+def verdicts(report: ComparisonReport, window: float | None = None) -> list[Verdict]:
+    """Every verdict on a report, in the order verify prints them: tracking is
+    fitted over t <= window, and lyapunov's constant is A1.  The verify_*
+    calls go through this module's names because perfbench's tracer wraps them."""
+    records = []
+
+    def add(name: str, constant: float, passed: bool | None, text: str) -> None:
+        if passed is not None:
+            text += f" -> {'pass' if passed else 'FAIL'}"
+        records.append(Verdict(name, constant, passed, text))
+
+    if report.failed_at_frame is not None:
+        add("invalid", report.failed_at_frame, False, f"{FAILURE_PREFIX}{report.failed_at_frame}")
+    stab = verify_orbital_stability(report)
+    add("stability", stab.c_stability, stab.passed,
+        f"stability: C={stab.c_stability:.3g} sep={stab.separation_margin:.3g} "
+        f"t2=[{stab.t2_ratio_min:.3g}, {stab.t2_ratio_max:.3g}]")
+    track = verify_tracking(report, t_window=window)
+    add("tracking", track.fitted_C, track.passed,
+        f"tracking: C={track.fitted_C:.3g} max|z-d|={track.max_abs_z_minus_d:.3g}")
     try:
         growth = verify_remainder_growth(report)
-        print(
-            f"[{directory.name}] growth envelope: C={growth.fitted_C:.3g} "
-            f"({growth.frames_used} frames) -> {'pass' if growth.passed else 'FAIL'}"
-        )
-        ok = ok and growth.passed
+        add("growth", growth.fitted_C, growth.passed,
+            f"growth envelope: C={growth.fitted_C:.3g} ({growth.frames_used} frames)")
     except ValueError as exc:
-        print(f"[{directory.name}] growth envelope: skipped ({exc})")
-    return ok
+        add("growth", math.nan, None, f"growth envelope: skipped ({exc})")
+    lyap = lyapunov_diagnostics(report)
+    add("lyapunov", lyap.a1_fit, None,
+        f"lyapunov: A1={lyap.a1_fit:.3g} A3={lyap.fdot_ratio_max:.3g}")
+    return records
+
+
+def print_verdicts(label: str, records: list[Verdict]) -> bool:
+    """Print each record under the label; True unless one failed."""
+    for record in records:
+        print(f"[{label}] {record.text}")
+    return all(record.passed is not False for record in records)
 
 
 def _cmd_verify(args) -> int:
@@ -155,7 +173,7 @@ def _cmd_verify(args) -> int:
         dirs = sorted(d for d in root.iterdir() if (d / "summary.json").exists())
     if not dirs:
         raise FileNotFoundError(f"no reports found under {root}")
-    all_ok = all([_verify_one(d) for d in dirs])
+    all_ok = all([print_verdicts(d.name, verdicts(load_report(d))) for d in dirs])
     return 0 if all_ok else 1
 
 
@@ -165,16 +183,9 @@ def _cmd_probe(args) -> int:
         raise ValueError(f"--eps {args.eps!r} lists no excess")
     records = optimality_probe(eps_values, kappa=args.kappa)
     for rec in records:
-        if rec.hit:
-            print(
-                f"eps={rec.eps_measured:.4g} (target {rec.eps_target:g}) z0={rec.z0:.3f} "
-                f"t_hit={rec.t_hit:.2f} of t_max={rec.t_max:.2f} ratio={rec.hit_ratio:.3f}"
-            )
-        else:
-            print(
-                f"eps={rec.eps_measured:.4g} (target {rec.eps_target:g}) z0={rec.z0:.3f} "
-                f"no hit within t_max={rec.t_max:.2f}"
-            )
+        outcome = (f"t_hit={rec.t_hit:.2f} of t_max={rec.t_max:.2f} ratio={rec.hit_ratio:.3f}"
+                   if rec.hit else f"no hit within t_max={rec.t_max:.2f}")
+        print(f"eps={rec.eps_measured:.4g} (target {rec.eps_target:g}) z0={rec.z0:.3f} {outcome}")
     return 0
 
 

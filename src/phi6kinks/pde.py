@@ -18,7 +18,7 @@ _CFL_LIMIT = {2: 0.9, 4: 0.7}
 
 
 @functools.lru_cache(maxsize=32)
-def _grid_nodes(x0: float, dx: float, n: int) -> np.ndarray:
+def grid_nodes(x0: float, dx: float, n: int) -> np.ndarray:
     """x0 + dx * arange(n), built once per grid and shared, so read-only."""
     x = x0 + dx * np.arange(n)
     x.flags.writeable = False
@@ -47,7 +47,7 @@ class FieldState:
     @property
     def x(self) -> np.ndarray:
         """The grid nodes, one read-only array shared by every state on this grid."""
-        return _grid_nodes(float(self.x0), float(self.dx), self.n)
+        return grid_nodes(float(self.x0), float(self.dx), self.n)
 
     def copy(self) -> "FieldState":
         return replace(self, phi=self.phi.copy(), pi=self.pi.copy())
@@ -256,7 +256,7 @@ def init_two_kink_state(
     if not (abs(v1) < 1.0 and abs(v2) < 1.0):
         raise ValueError("kink speeds must satisfy |v| < 1")
     check_margins(x0, x0 + dx * (n - 1), x1, x2)
-    x = x0 + dx * np.arange(n)
+    x = grid_nodes(float(x0), float(dx), n)
     a_val, a_dot = _boosted_kink(x, x1, v1, reflect=True)
     k_val, k_dot = _boosted_kink(x, x2, v2, reflect=False)
     phi = a_val + k_val

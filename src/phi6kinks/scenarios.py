@@ -27,7 +27,7 @@ from .functionals import (
 )
 from .model import MARGIN, SQRT2
 from .modulation import track
-from .pde import FieldState, SolverConfig, check_margins, init_two_kink_state, run
+from .pde import FieldState, SolverConfig, check_margins, grid_nodes, init_two_kink_state, run
 from .reporting import ComparisonReport, FrameRow, write_report
 
 STABILITY_C_LIMIT = 10.0  # max ||g||_H1 / sqrt(eps) allowed by verify_orbital_stability
@@ -109,8 +109,7 @@ def build_initial_state(config: ScenarioConfig) -> FieldState:
     grid = config.resolved_grid()
     perturbation = None
     if config.perturbation is not None:
-        x = grid.x0 + grid.dx * np.arange(grid.n)
-        bump = config.perturbation.sample(x)
+        bump = config.perturbation.sample(grid_nodes(float(grid.x0), float(grid.dx), grid.n))
         zero = np.zeros_like(bump)
         perturbation = (bump, zero) if config.perturbation.channel == "g0" else (zero, bump)
     return init_two_kink_state(
@@ -294,6 +293,12 @@ def verify_remainder_growth(report: ComparisonReport) -> GrowthVerdict:
     return GrowthVerdict(fitted_C=c, frames_used=len(report.rows), passed=math.isfinite(c))
 
 
+def tracking_window(config: ScenarioConfig) -> float | None:
+    """The tracking fit's window t <= 2/|v1| of a moving pair; a resting pair
+    (v1 = 0) is fitted over every frame."""
+    return 2.0 / abs(config.kinks.v1) if config.kinks.v1 else None
+
+
 @dataclass(frozen=True)
 class TrackingVerdict:
     fitted_C: float
@@ -304,17 +309,15 @@ class TrackingVerdict:
 def verify_tracking(report: ComparisonReport, t_window: float | None = None) -> TrackingVerdict:
     """Fit C in |z - d| <= C min(sqrt(eps) t, eps t^2) over t in (0, window]
     and pass when C <= TRACKING_C_LIMIT.  Without a positive excess there
-    is no envelope, and the verdict fails with C = nan."""
+    is no envelope, and without a frame in the window no evidence: either
+    way the verdict fails with C = nan."""
     eps = report.epsilon
-    if not eps > 0:
+    rows = [r for r in report.rows if r.t > 0.0 and (t_window is None or r.t <= t_window)]
+    if not eps > 0 or not rows:
         return TrackingVerdict(math.nan, math.nan, False)
     c_fit = 0.0
     max_dev = 0.0
-    for r in report.rows:
-        if r.t <= 0.0:
-            continue
-        if t_window is not None and r.t > t_window:
-            continue
+    for r in rows:
         bound = min(math.sqrt(eps) * r.t, eps * r.t * r.t)
         dev = abs(r.z_minus_d)
         max_dev = max(max_dev, dev)

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from phi6kinks.cli import verdicts
 from phi6kinks.effective import (
     conserved_quantity,
     integrate_reduced,
@@ -27,8 +28,8 @@ from phi6kinks.scenarios import (
     default_suite,
     optimality_probe,
     run_scenario,
+    tracking_window,
     verify_orbital_stability,
-    verify_tracking,
 )
 
 
@@ -216,8 +217,9 @@ def test_criterion_6_tracking_bound(suite_reports):
     start = time.time()
     fitted = {}
     for label, (cfg, report) in suite_reports.items():
-        window = 2.0 / abs(cfg.kinks.v1) if cfg.kinks.v1 != 0.0 else None
-        fitted[label] = verify_tracking(report, t_window=window).fitted_C
+        (tracking,) = [v for v in verdicts(report, window=tracking_window(cfg))
+                       if v.name == "tracking"]
+        fitted[label] = tracking.constant
     suite_c = max(fitted.values())
     elapsed = time.time() - start
     ok = suite_c <= 20.0

@@ -300,3 +300,22 @@ def test_verify_fails_on_failed_tracking(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", "--report", str(out)]) == 1
     assert "tracking invalid from frame 34 -> FAIL" in capsys.readouterr().out
+
+
+def test_verify_fails_tracking_without_a_frame_after_t0(tmp_path, capsys):
+    # cut to its t = 0 row, a moving pair's report holds no tracking evidence
+    config = {"kinks": {"x1": -6.0, "x2": 6.0, "v1": 0.05, "v2": -0.05},
+              "t_end": 2.0, "frame_cadence": 25}
+    path = tmp_path / "moving.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "moving"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    csv = out / "trajectory.csv"
+    csv.write_text("\n".join(csv.read_text().splitlines()[:2]) + "\n")
+    capsys.readouterr()
+    assert main(["verify", "--report", str(out)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "[moving] tracking: C=nan max|z-d|=nan -> FAIL" in lines
+    assert any(line.startswith("[moving] stability:") and line.endswith("-> pass")
+               for line in lines)
+    assert "[moving] growth envelope: skipped (need >= 20 frames, got 1)" in lines

@@ -39,6 +39,7 @@ from phi6kinks.scenarios import (
     lyapunov_diagnostics,
     optimality_probe,
     run_scenario,
+    tracking_window,
     verify_orbital_stability,
     verify_remainder_growth,
     verify_tracking,
@@ -396,6 +397,19 @@ class TestTrackingVerdict:
         full = verify_tracking(quick_report)
         windowed = verify_tracking(quick_report, t_window=2.0)
         assert windowed.fitted_C <= full.fitted_C + 1e-15
+
+    def test_no_frame_in_the_window_fails(self, quick_report):
+        # a fit over no frame has no evidence: it fails like a fit without an excess
+        first = quick_report.rows[1].t
+        for report, window in ((quick_report, 0.5 * first),
+                               (replace(quick_report, rows=quick_report.rows[:1]), None)):
+            verdict = verify_tracking(report, t_window=window)
+            assert math.isnan(verdict.fitted_C) and not verdict.passed
+
+    def test_window_of_each_suite_config(self):
+        for c in default_suite():
+            expected = 2.0 / abs(c.kinks.v1) if c.kinks.v1 != 0.0 else None
+            assert tracking_window(c) == expected
 
 
 @pytest.fixture(scope="module")

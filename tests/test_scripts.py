@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from phi6kinks import cli
 from phi6kinks.reporting import CSV_HEADER
 from phi6kinks.scenarios import GrowthVerdict, KinkArrangement, ScenarioConfig
 
@@ -22,16 +23,17 @@ def load_script(path):
     return script
 
 
+def short_suite(outputs):
+    """One resting pair with 11 frames, too few for the growth fit."""
+    return [ScenarioConfig(kinks=KinkArrangement(x1=-6.0, x2=6.0), t_end=5.0,
+                           frame_cadence=25, outputs=f"{outputs}/rest", seed_label="rest")]
+
+
 @pytest.mark.parametrize("growth_passed, code", [(True, 0), (False, 1)],
                          ids=["growth-pass", "growth-fail"])
 def test_suite_exit_status_follows_growth_verdict(tmp_path, monkeypatch, capsys,
                                                   growth_passed, code):
     script = load_script(SCRIPT)
-
-    def short_suite(outputs):
-        return [ScenarioConfig(kinks=KinkArrangement(x1=-6.0, x2=6.0), t_end=5.0,
-                               frame_cadence=25, outputs=f"{outputs}/rest",
-                               seed_label="rest")]
 
     def growth(report):
         fitted = 1.0 if growth_passed else math.inf
@@ -39,10 +41,24 @@ def test_suite_exit_status_follows_growth_verdict(tmp_path, monkeypatch, capsys,
                              passed=growth_passed)
 
     monkeypatch.setattr(script, "default_suite", short_suite)
-    monkeypatch.setattr(script, "verify_remainder_growth", growth)
+    monkeypatch.setattr(cli, "verify_remainder_growth", growth)
     monkeypatch.setattr(sys, "argv", [str(SCRIPT), str(tmp_path)])
     assert script.main() == code
     assert (tmp_path / "rest" / "summary.json").exists()
+
+
+def test_suite_skips_growth_like_verify(tmp_path, monkeypatch, capsys):
+    # the script and verify print the same verdict lines on one report
+    script = load_script(SCRIPT)
+    monkeypatch.setattr(script, "default_suite", short_suite)
+    monkeypatch.setattr(sys, "argv", [str(SCRIPT), str(tmp_path)])
+    assert script.main() == 0
+    printed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[")]
+    assert "[rest] growth envelope: skipped (need >= 20 frames, got 11)" in printed
+    assert [line.partition(" ")[2].partition(":")[0] for line in printed] == [
+        "stability", "tracking", "growth envelope", "lyapunov"]
+    assert cli.main(["verify", "--report", str(tmp_path / "rest")]) == 0
+    assert capsys.readouterr().out.splitlines() == printed
 
 
 def test_report_digest_names_the_column_that_moved(tmp_path, capsys):
