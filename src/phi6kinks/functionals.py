@@ -312,9 +312,13 @@ def lyapunov_F(frame, terms: PairTerms) -> float:
     interaction = dd_anti + dd_kink - eval_potential_derivative(1, total)
     f2 = -2.0 * integrate(g * interaction, dx)
     f3 = 2.0 * integrate(g * (xdot1 * xdot1 * dd_anti + xdot2 * xdot2 * dd_kink), dx)
-    xi = (x - frame.x1) / frame.z
-    omega = cut_function(xi, _OMEGA_UPPER, _OMEGA_LOWER)
-    f4 = 2.0 * integrate(g_t * dg * (xdot1 * omega + xdot2 * (1.0 - omega)), dx)
+    # omega is exactly 1 left of x1 + 0.75z and 0 right of x1 + 0.8z, and a node that rounding
+    # puts on the wrong side reads the same: exp(-1/(1 - s)) underflows near s = 1, as near 0
+    lo, hi = np.searchsorted(x, frame.x1 + frame.z * np.array([_OMEGA_LOWER, _OMEGA_UPPER]))
+    omega = cut_function((x[lo:hi] - frame.x1) / frame.z, _OMEGA_UPPER, _OMEGA_LOWER)
+    weight = np.full_like(x, xdot1 + xdot2 * 0.0)
+    weight[lo:hi], weight[hi:] = xdot1 * omega + xdot2 * (1.0 - omega), xdot1 * 0.0 + xdot2
+    f4 = 2.0 * integrate(g_t * dg * weight, dx)
     f5 = integrate(eval_potential_derivative(3, total) * (g * g * g), dx) / 3.0
     return float(f1 + f2 + f3 + f4 + f5)
 

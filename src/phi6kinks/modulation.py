@@ -114,19 +114,28 @@ class ModulationFrame:
 
 
 def _residual_and_matrix(state, w, x1, x2):
-    """Orthogonality residuals, their Jacobian and the pair they came from."""
+    """Orthogonality residuals (r1, r2), their symmetric Jacobian's entries
+    (a11, a12, a22), int K1'^2 (Python floats) and the pair they came from."""
     pair = _pair_fields(state, x1, x2)
     g, m1, m2 = pair.g, pair.m1, pair.m2
-    r1 = float(w @ (g * m1))
-    r2 = float(w @ (g * m2))
-    cross = float(w @ (m1 * m2))
-    mat = np.array(
-        [
-            [float(w @ (m1 * m1)) - float(w @ (g * pair.dm1)), cross],
-            [cross, float(w @ (m2 * m2)) - float(w @ (g * pair.dm2))],
-        ]
-    )
-    return np.array([r1, r2]), mat, pair
+    m11 = float(w @ (m1 * m1))
+    jac = (m11 - float(w @ (g * pair.dm1)), float(w @ (m1 * m2)),
+           float(w @ (m2 * m2)) - float(w @ (g * pair.dm2)))
+    return (float(w @ (g * m1)), float(w @ (g * m2))), jac, m11, pair
+
+
+def _solve(jac, b1, b2):
+    """det A and the u with A u = (b1, b2) for A = [[a11, a12], [a12, a22]],
+    by Cramer's rule; u is NaN when det = 0."""
+    a11, a12, a22 = jac
+    det = a11 * a22 - a12 * a12
+    d = det or math.nan  # a zero det would raise ZeroDivisionError
+    return det, (a22 * b1 - a12 * b2) / d, (a11 * b2 - a12 * b1) / d
+
+
+def _max_abs(r) -> float:
+    """max(|r1|, |r2|), NaN if either is: Python's max drops a NaN 2nd argument."""
+    return max(abs(r[0]), abs(r[1])) if r[1] == r[1] else math.nan
 
 
 def decompose(state, guess: tuple[float, float]) -> ModulationFrame:
@@ -137,56 +146,54 @@ def decompose(state, guess: tuple[float, float]) -> ModulationFrame:
     iteration, until the orthogonality residuals reach numerical floor: the
     solve stops at the first step that does not lower the residual or that
     would bring the separation below MIN_SEPARATION.  A solve of k accepted
-    steps evaluates the residual at most k + 2 times.
+    steps evaluates the residual at most k + 2 times.  Steps, determinant
+    and center velocities are closed 2x2 formulas in Python floats.
     """
     x1, x2 = float(guess[0]), float(guess[1])
     if x2 - x1 < TRACK_VALID_SEPARATION:
         raise ModulationError(f"initial guess separation {x2 - x1:.3f} < 2")
     w = simpson_weights(state.n, state.dx)
-    res, mat, pair = _residual_and_matrix(state, w, x1, x2)
-    res_norm = float(np.max(np.abs(res)))
+    res, jac, m11, pair = _residual_and_matrix(state, w, x1, x2)
+    res_norm = _max_abs(res)
     iters = 0
-    mode_l2 = math.sqrt(float(w @ (pair.m1 ** 2)))
     g_l2 = math.sqrt(max(float(w @ (pair.g * pair.g)), 0.0))
     while iters < MAX_NEWTON_ITERS and res_norm > max(1e-16, 1e-13 * g_l2):
-        det = float(np.linalg.det(mat))
+        det, d1, d2 = _solve(jac, -res[0], -res[1])
         if abs(det) < _DET_FLOOR:
             raise ModulationError(f"modulation matrix near-singular: det={det:.2e}")
-        delta = np.linalg.solve(mat, -res)
-        nx1, nx2 = x1 + delta[0], x2 + delta[1]
+        nx1, nx2 = x1 + d1, x2 + d2
         if nx2 - nx1 < MIN_SEPARATION:
             break
-        new_res, new_mat, new_pair = _residual_and_matrix(state, w, nx1, nx2)
-        new_norm = float(np.max(np.abs(new_res)))
+        new_res, new_jac, _, new_pair = _residual_and_matrix(state, w, nx1, nx2)
+        new_norm = _max_abs(new_res)
         if not new_norm < res_norm:
             break  # residual at numerical floor (or not finite)
-        x1, x2, res, mat, pair = nx1, nx2, new_res, new_mat, new_pair
+        x1, x2, res, jac, pair = nx1, nx2, new_res, new_jac, new_pair
         res_norm = new_norm
         g_l2 = math.sqrt(max(float(w @ (pair.g * pair.g)), 0.0))
         iters += 1
-    if not math.isfinite(res_norm) or res_norm > _ORTHO_RTOL * mode_l2 * g_l2 + _ORTHO_ATOL:
+    if not math.isfinite(res_norm) or res_norm > _ORTHO_RTOL * math.sqrt(m11) * g_l2 + _ORTHO_ATOL:
         raise ModulationError(
             f"Newton stopped after {iters} iterations with residual {res_norm:.2e} "
             f"above tolerance"
         )
 
-    det = float(np.linalg.det(mat))
+    det, xdot1, xdot2 = _solve(jac, -float(w @ (state.pi * pair.m1)),
+                               -float(w @ (state.pi * pair.m2)))
     if not math.isfinite(det) or det < _DET_FLOOR:
         raise ModulationError(f"modulation matrix not positive: det={det:.2e}")
-    rhs = np.array([-float(w @ (state.pi * pair.m1)), -float(w @ (state.pi * pair.m2))])
-    xdot = np.linalg.solve(mat, rhs)
-    if not np.isfinite(xdot).all():
-        raise ModulationError(f"center velocities not finite: {xdot}")
+    if not (math.isfinite(xdot1) and math.isfinite(xdot2)):
+        raise ModulationError(f"center velocities not finite: ({xdot1}, {xdot2})")
     return ModulationFrame(
         t=state.t,
         x1=x1,
         x2=x2,
         z=x2 - x1,
-        ortho_residuals=(float(res[0]), float(res[1])),
+        ortho_residuals=res,
         newton_iters=iters,
         matrix_det=det,
-        xdot1=float(xdot[0]),
-        xdot2=float(xdot[1]),
+        xdot1=xdot1,
+        xdot2=xdot2,
         state=state,
         pair=pair,
     )

@@ -253,15 +253,19 @@ def fit_growth_constant(report: ComparisonReport) -> float:
     eps = report.epsilon
     if not 0 < eps < math.exp(-1.0) or not report.rows:
         return float("nan")
-    samples = [(r.remainder ** 2, abs(r.t)) for r in report.rows]
-    base = samples[0][0] + eps * eps
+    y = np.array([r.remainder ** 2 for r in report.rows])
+    t = np.abs([r.t for r in report.rows])
+    base = float(y[0]) + eps * eps
     rate = math.sqrt(eps) / math.log(1.0 / eps)
 
     def holds(c: float) -> bool:
-        for y, t in samples:
-            if y > c * base * math.exp(min(c * rate * t, 700.0)):
-                return False
-        return True
+        # math.exp decides rows within 1e-12 of their bound, where np.exp may round otherwise
+        with np.errstate(over="ignore", invalid="ignore"):  # inf, as in the scalar product
+            bound = c * base * np.exp(np.minimum(c * rate * t, 700.0))
+            close = np.abs(y - bound) <= 1e-12 * bound
+        return not (y > bound)[~close].any() and not any(
+            y[i] > c * base * math.exp(min(c * rate * t[i], 700.0))
+            for i in np.flatnonzero(close))
 
     lo, hi = 0.0, 1.0
     while not holds(hi):

@@ -14,6 +14,14 @@ settings.register_profile("default", deadline=None, max_examples=50)
 settings.load_profile("default")
 
 from phi6kinks.pde import FieldState  # noqa: E402  (needs SRC on the path)
+from phi6kinks.scenarios import default_suite, run_scenario  # noqa: E402
+
+
+@pytest.fixture(scope="session")
+def suite_reports():
+    """{label: (config, report)} of one run of the default suite, shared by
+    the acceptance criteria and the growth-fit tests."""
+    return {cfg.seed_label: (cfg, run_scenario(cfg)) for cfg in default_suite()}
 
 
 @pytest.fixture

@@ -1,15 +1,14 @@
 """Acceptance suite: one test per shipped criterion, each printing a verdict line.
 
-Criteria 4, 6 and 7 share one run of the default scenario suite (module-scope
-fixture).  Stated runtime budgets are asserted; they carry large margins on
-commodity hardware.
+Criteria 4, 6 and 7 share one run of the default scenario suite (the
+session-scope ``suite_reports`` fixture of conftest.py).  Stated runtime
+budgets are asserted; they carry large margins on commodity hardware.
 """
 import dataclasses
 import math
 import time
 
 import numpy as np
-import pytest
 
 from phi6kinks.cli import verdicts
 from phi6kinks.effective import (
@@ -25,7 +24,6 @@ from phi6kinks.modulation import decompose, orthogonality_ok
 from phi6kinks.pde import FieldState, SolverConfig, init_two_kink_state, run, step
 from phi6kinks.scenarios import (
     auto_grid,
-    default_suite,
     optimality_probe,
     run_scenario,
     tracking_window,
@@ -35,11 +33,6 @@ from phi6kinks.scenarios import (
 
 def _verdict(criterion, ok, detail):
     print(f"criterion {criterion}: {'PASS' if ok else 'FAIL'} - {detail}")
-
-
-@pytest.fixture(scope="module")
-def suite_reports():
-    return {cfg.seed_label: (cfg, run_scenario(cfg)) for cfg in default_suite()}
 
 
 def test_criterion_1_closed_form_identities():

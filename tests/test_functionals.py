@@ -1,12 +1,15 @@
 """Quadrature, energies, interaction energy, norms, and the Lyapunov functional."""
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from phi6kinks import functionals
 from phi6kinks.functionals import (
+    PairTerms,
     bogomolny_rest_energy,
     cut_function,
     energy_breakdown,
@@ -387,3 +390,54 @@ class TestLyapunovFunctional:
         frame = dataclasses.replace(self._frame(0.0), z=-1.0)
         with pytest.raises(ValueError):
             lyapunov_F(frame, pair_terms(frame, frame.fields()))
+
+
+class TestMomentumWeightBand:
+    """F's momentum weight xdot1 omega + xdot2 (1 - omega): cut_function runs
+    only on the band x1 + 0.75z < x < x1 + 0.8z, and the weight has the bytes
+    of the full-grid formula."""
+
+    DX = 0.05
+    X = -10.0 + DX * np.arange(401)
+
+    def _weight(self, monkeypatch, x1, z, xdot1, xdot2):
+        """The weight lyapunov_F integrates, read off its f4 integrand
+        g_t dg weight with g_t = dg = 1, and the sizes cut_function saw."""
+        integrands, cut_sizes = [], []
+        integrate_, cut_ = functionals.integrate, functionals.cut_function
+
+        def recorded_integrate(samples, dx):
+            integrands.append(np.array(samples))
+            return integrate_(samples, dx)
+
+        def recorded_cut(xi, upper, lower):
+            cut_sizes.append(np.size(xi))
+            return cut_(xi, upper, lower)
+
+        monkeypatch.setattr(functionals, "integrate", recorded_integrate)
+        monkeypatch.setattr(functionals, "cut_function", recorded_cut)
+        ones, zeros = np.ones_like(self.X), np.zeros_like(self.X)
+        terms = PairTerms(self.X, zeros, ones, zeros, zeros, zeros, ones, ones, ones, zeros,
+                          1.0, 1.0)
+        frame = SimpleNamespace(dx=self.DX, x1=x1, z=z, xdot1=xdot1, xdot2=xdot2)
+        lyapunov_F(frame, terms)
+        assert len(integrands) == 5  # f1 .. f5, in order
+        return integrands[3], cut_sizes
+
+    @pytest.mark.parametrize("x1, z", [
+        (-3.0, 6.0),      # band inside the grid
+        (-4.0, 8.0),      # band ends on nodes 2.0 and 2.4, up to rounding
+        (-12.0, 2.6),     # band across the left edge
+        (5.0, 6.5),       # band across the right edge
+        (0.013, 0.5),     # band narrower than one dx
+        (-30.0, 10.0),    # band left of the grid: omega = 0 everywhere
+        (20.0, 10.0),     # band right of the grid: omega = 1 everywhere
+    ])
+    @pytest.mark.parametrize("xdot1, xdot2", [(0.3, -0.7), (-0.0, 0.25), (0.25, -0.0)])
+    def test_same_bytes_as_full_grid_weight(self, monkeypatch, x1, z, xdot1, xdot2):
+        weight, cut_sizes = self._weight(monkeypatch, x1, z, xdot1, xdot2)
+        omega = cut_function((self.X - x1) / z, 0.80, 0.75)
+        full = xdot1 * omega + xdot2 * (1.0 - omega)
+        assert weight.tobytes() == full.tobytes()
+        # one cut_function call, on the nodes of the band alone
+        assert len(cut_sizes) == 1 and cut_sizes[0] <= 0.05 * z / self.DX + 1

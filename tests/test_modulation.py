@@ -15,8 +15,10 @@ from phi6kinks.model import (
     kink_value,
 )
 from phi6kinks.modulation import (
+    _DET_FLOOR,
     ModulationError,
     _residual_and_matrix,
+    _solve,
     decompose,
     initial_center_guess,
     orthogonality_ok,
@@ -125,7 +127,7 @@ class TestDecompose:
         bump = lambda x: 0.01 * np.exp(-((x - 1.0) ** 2))
         st = pair_state(x1, x2, extra=bump)
         w = simpson_weights(st.n, st.dx)
-        res, mat, pair = _residual_and_matrix(st, w, x1, x2)
+        (r1, r2), (a11, a12, a22), m11, pair = _residual_and_matrix(st, w, x1, x2)
         g, m1, m2 = pair.g, pair.m1, pair.m2
 
         x = st.x
@@ -134,19 +136,129 @@ class TestDecompose:
         m2_ref = kink_derivative(1, x - x2)
         dm1_ref = antikink_derivative(2, x - x1)
         dm2_ref = kink_derivative(2, x - x2)
-        cross = float(w @ (m1_ref * m2_ref))
-        mat_ref = np.array([
-            [float(w @ (m1_ref * m1_ref)) - float(w @ (g_ref * dm1_ref)), cross],
-            [cross, float(w @ (m2_ref * m2_ref)) - float(w @ (g_ref * dm2_ref))],
-        ])
-        res_ref = np.array([float(w @ (g_ref * m1_ref)), float(w @ (g_ref * m2_ref))])
         assert np.array_equal(g, g_ref)
         assert np.array_equal(m1, m1_ref)
         assert np.array_equal(m2, m2_ref)
         assert np.array_equal(pair.dm1, dm1_ref)
         assert np.array_equal(pair.dm2, dm2_ref)
-        assert np.array_equal(mat, mat_ref)
-        assert np.array_equal(res, res_ref)
+        # each Jacobian entry and residual is a Python float, equal bit for bit
+        values = (a11, a12, a22, r1, r2, m11)
+        assert all(type(v) is float for v in values)
+        assert m11 == float(w @ (m1_ref * m1_ref))
+        assert a11 == m11 - float(w @ (g_ref * dm1_ref))
+        assert a12 == float(w @ (m1_ref * m2_ref))
+        assert a22 == float(w @ (m2_ref * m2_ref)) - float(w @ (g_ref * dm2_ref))
+        assert r1 == float(w @ (g_ref * m1_ref))
+        assert r2 == float(w @ (g_ref * m2_ref))
+
+
+def ulps_apart(a, b, scale):
+    """|a - b| in units in the last place of ``scale``."""
+    return abs(a - b) / math.ulp(scale)
+
+
+class TestClosedForm2x2:
+    """The center solve's 2x2 algebra in Python floats, against numpy.linalg."""
+
+    def test_det_and_solution_match_linalg(self):
+        rng = np.random.default_rng(1515)
+        for _ in range(2000):
+            # symmetric, positive definite, condition number below 3
+            a11, a22 = rng.uniform(0.2, 0.5, 2)
+            a12 = float(rng.uniform(-0.25, 0.25) * math.sqrt(a11 * a22))
+            b1, b2 = rng.uniform(-1.0, 1.0, 2)
+            mat = np.array([[a11, a12], [a12, a22]])
+            det, u1, u2 = _solve((float(a11), a12, float(a22)), float(b1), float(b2))
+            ref_det = float(np.linalg.det(mat))
+            ref = np.linalg.solve(mat, np.array([b1, b2]))
+            assert type(det) is float and type(u1) is float and type(u2) is float
+            assert ulps_apart(det, ref_det, abs(ref_det)) <= 6
+            # normwise: a component near zero carries the cancellation of both
+            scale = float(np.max(np.abs(ref)))
+            assert ulps_apart(u1, ref[0], scale) <= 6
+            assert ulps_apart(u2, ref[1], scale) <= 6
+
+    def test_zero_det_gives_nan_solution(self):
+        det, u1, u2 = _solve((1.0, 1.0, 1.0), 1.0, 2.0)
+        assert det == 0.0 and math.isnan(u1) and math.isnan(u2)
+
+    def test_decompose_does_not_call_linalg(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.linalg called")
+
+        monkeypatch.setattr(np.linalg, "det", refuse)
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        v = 0.1
+        pi = lambda x: -v * kink_derivative(1, x - 5.3) + 1e-3 * np.exp(-(x**2))
+        st = pair_state(-5.1, 5.3, pi=pi, extra=lambda x: 0.01 * np.exp(-(x**2)))
+        frame = decompose(st, (-5.0, 5.0))
+        assert frame.newton_iters >= 1 and orthogonality_ok(frame)
+
+    def test_velocities_and_det_match_linalg_on_a_frame(self):
+        v = 0.1
+        pi = lambda x: -v * kink_derivative(1, x - 5.3) + 1e-3 * np.exp(-(x**2))
+        st = pair_state(-5.1, 5.3, pi=pi, extra=lambda x: 0.01 * np.exp(-(x**2)))
+        frame = decompose(st, (-5.0, 5.0))
+        w = simpson_weights(st.n, st.dx)
+        _, (a11, a12, a22), _, pair = _residual_and_matrix(st, w, frame.x1, frame.x2)
+        mat = np.array([[a11, a12], [a12, a22]])
+        rhs = np.array([-float(w @ (st.pi * pair.m1)), -float(w @ (st.pi * pair.m2))])
+        ref = np.linalg.solve(mat, rhs)
+        scale = float(np.max(np.abs(ref)))
+        assert ulps_apart(frame.xdot1, ref[0], scale) <= 4
+        assert ulps_apart(frame.xdot2, ref[1], scale) <= 4
+        ref_det = float(np.linalg.det(mat))
+        assert ulps_apart(frame.matrix_det, ref_det, ref_det) <= 4
+
+
+class TestPlantedSolveValues:
+    """A NaN or a small determinant handed to the solve's algebra fails it,
+    with the messages the numpy.linalg version raised."""
+
+    @staticmethod
+    def _planted(monkeypatch, res=None, jac=None):
+        def planted(*args):
+            r, j, m11, pair = _residual_and_matrix(*args)
+            return (r if res is None else res), (j if jac is None else jac), m11, pair
+
+        monkeypatch.setattr(modulation, "_residual_and_matrix", planted)
+        return pair_state(-6.0, 6.0, extra=lambda x: 0.01 * np.exp(-(x**2)))
+
+    @pytest.mark.parametrize("res", [(math.nan, 0.0), (0.0, math.nan), (math.nan, 1e-3)])
+    def test_nan_residual_fails(self, monkeypatch, res):
+        # Python's max(0.0, nan) is 0.0: the norm must not drop the NaN
+        st = self._planted(monkeypatch, res=res)
+        with pytest.raises(ModulationError, match="residual nan"):
+            decompose(st, (-6.0, 6.0))
+
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    @pytest.mark.parametrize("res", [(0.0, 0.0), None])
+    def test_nan_jacobian_entry_fails(self, monkeypatch, slot, res):
+        # res (0, 0) skips the Newton loop and reaches the determinant check;
+        # the real residual takes a NaN step first
+        jac = [0.35, 1e-4, 0.35]
+        jac[slot] = math.nan
+        st = self._planted(monkeypatch, res=res, jac=tuple(jac))
+        with pytest.raises(ModulationError):
+            decompose(st, (-6.0, 6.0))
+
+    @pytest.mark.parametrize("jac", [(1e-5, 0.0, 1e-5), (1e-4, 0.0, -1e-5)])
+    def test_small_det_in_newton_loop(self, monkeypatch, jac):
+        st = self._planted(monkeypatch, res=(1e-3, 1e-3), jac=jac)
+        det = float(np.linalg.det(np.array([[jac[0], jac[1]], [jac[1], jac[2]]])))
+        assert abs(det) < _DET_FLOOR
+        with pytest.raises(ModulationError) as err:
+            decompose(st, (-6.0, 6.0))
+        assert str(err.value) == f"modulation matrix near-singular: det={det:.2e}"
+
+    @pytest.mark.parametrize("jac", [(1e-5, 0.0, 1e-5), (0.35, 0.0, -0.35)])
+    def test_small_det_at_the_velocity_solve(self, monkeypatch, jac):
+        st = self._planted(monkeypatch, res=(0.0, 0.0), jac=jac)
+        det = float(np.linalg.det(np.array([[jac[0], jac[1]], [jac[1], jac[2]]])))
+        assert det < _DET_FLOOR
+        with pytest.raises(ModulationError) as err:
+            decompose(st, (-6.0, 6.0))
+        assert str(err.value) == f"modulation matrix not positive: det={det:.2e}"
 
 
 class TestNonFiniteField:

@@ -2,6 +2,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -385,6 +386,100 @@ class TestGrowthVerdict:
         assert math.isnan(diag.a1_fit) and math.isnan(diag.fdot_ratio_max)
         with pytest.raises(ValueError, match="energy excess nan is not a positive number"):
             verify_remainder_growth(rep)
+
+
+def scalar_fit_growth_constant(report) -> float:
+    """fit_growth_constant as a scalar loop over the rows with math.exp: the
+    oracle of the vectorized fit."""
+    eps = report.epsilon
+    if not 0 < eps < math.exp(-1.0) or not report.rows:
+        return float("nan")
+    samples = [(r.remainder ** 2, abs(r.t)) for r in report.rows]
+    base = samples[0][0] + eps * eps
+    rate = math.sqrt(eps) / math.log(1.0 / eps)
+
+    def holds(c: float) -> bool:
+        for y, t in samples:
+            if y > c * base * math.exp(min(c * rate * t, 700.0)):
+                return False
+        return True
+
+    lo, hi = 0.0, 1.0
+    while not holds(hi):
+        hi *= 2.0
+        if hi > 1e12:
+            return float("inf")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def same_float(a, b) -> bool:
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+class TestVectorizedGrowthFit:
+    """fit_growth_constant tests all rows in one numpy expression and must
+    return the scalar loop's constant to the bit."""
+
+    def test_every_suite_report(self, suite_reports):
+        for label, (_, report) in suite_reports.items():
+            assert fit_growth_constant(report) == scalar_fit_growth_constant(report), label
+
+    def test_short_collision_report(self):
+        report = run_scenario(TestSharedPairTerms._collision())
+        assert len(report.rows) == 101
+        assert fit_growth_constant(report) == scalar_fit_growth_constant(report)
+
+    @pytest.mark.parametrize("c0", np.linspace(1.5, 3.0, 31))
+    def test_every_row_at_its_bound(self, c0):
+        # every row sits at the envelope of c0 to round-off, so the bisection
+        # ends on rows whose comparison one ULP of exp can flip: with numpy
+        # 2.4's AVX-512 exp, a plain np.exp fit moves the constant for
+        # c0 = 2.05 and 2.4
+        eps, rate = 1e-3, math.sqrt(1e-3) / math.log(1e3)
+        base = 2.0 * eps * eps
+        rows = [FrameRow(t=t, x1=0, x2=1, z=1, d1=0, d2=1, d=1, z_minus_d=0, xdot1=0, xdot2=0,
+                         norm_g_h1=math.sqrt(c0 * base * math.exp(c0 * rate * t)) if t else eps,
+                         norm_gt_l2=0.0, eps_t=eps, F_t=0)
+                for t in np.linspace(0.0, 50.0, 41)]
+        rep = ComparisonReport(rows=rows, epsilon=eps, v=0.0, c=0.0, a=0.0, b=0.0)
+        assert fit_growth_constant(rep) == scalar_fit_growth_constant(rep)
+
+    def test_infinite_constant(self, quick_report):
+        # a row at t = 0 far above the first one: no c <= 1e12 bounds it
+        rows = list(quick_report.rows)
+        rows[1] = replace(rows[1], t=0.0, norm_g_h1=1e8 * (rows[0].remainder + 1.0))
+        rep = replace(quick_report, rows=rows)
+        assert fit_growth_constant(rep) == scalar_fit_growth_constant(rep) == math.inf
+
+    def test_overflowing_bound_warns_nothing(self, quick_report):
+        # base ~ 1 and t = 50: doubling c toward 1e12 overflows c base e^700
+        rows = [replace(quick_report.rows[0], t=t, norm_g_h1=h, norm_gt_l2=0.0)
+                for t, h in [(0.0, 1.0), (0.0, 1e7), (50.0, 1.0), (50.0, math.inf)]]
+        rep = replace(quick_report, rows=rows, epsilon=1e-3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fit_growth_constant(rep) == scalar_fit_growth_constant(rep) == math.inf
+
+    @pytest.mark.parametrize("eps", [math.nan, 0.0, -1e-3, 0.5])
+    def test_epsilon_outside_the_fit(self, quick_report, eps):
+        rep = replace(quick_report, epsilon=eps)
+        assert math.isnan(fit_growth_constant(rep)) and math.isnan(scalar_fit_growth_constant(rep))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rows(self, quick_report, bad):
+        rows = list(quick_report.rows)
+        rows[5] = replace(rows[5], norm_gt_l2=bad)
+        rows[7] = replace(rows[7], t=bad)
+        rep = replace(quick_report, rows=rows)
+        assert same_float(fit_growth_constant(rep), scalar_fit_growth_constant(rep))
 
 
 class TestTrackingVerdict:
