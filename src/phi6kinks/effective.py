@@ -43,14 +43,17 @@ def params_from_initial(
     if z0 <= 0:
         raise ValueError(f"initial separation must be positive, got {z0}")
     zdot0 = xdot2_0 - xdot1_0
-    v = math.sqrt(0.25 * zdot0 * zdot0 + 8.0 * math.exp(-SQRT2 * z0))
-    ratio = zdot0 / (2.0 * v)
-    if 1.0 - abs(ratio) < _ARCTANH_GUARD:
+    bound = 8.0 * math.exp(-SQRT2 * z0)
+    v = math.sqrt(0.25 * zdot0 * zdot0 + bound)
+    # c = atanh(r), r = zdot0/(2v): 1 - |r| = 2 bound/(v (2v + |zdot0|)) has no
+    # cancellation, and atanh(r) = sign(r) log1p(2|r|/(1 - |r|))/2
+    delta = 2.0 * bound / (v * (2.0 * v + abs(zdot0)))
+    if delta < _ARCTANH_GUARD:
         raise ValueError(
             "free-streaming initial data: |zdot/(2v)| is within 1e-15 of 1, "
             "the interaction term has underflowed"
         )
-    c = math.atanh(ratio)
+    c = math.copysign(0.5 * math.log1p(abs(zdot0) / (v * delta)), zdot0)
     return EffectiveParams(
         v=v, c=c, a=0.5 * (x1_0 + x2_0), b=0.5 * (xdot1_0 + xdot2_0)
     )

@@ -87,23 +87,22 @@ def spatial_derivative(f, dx: float, order: int = 4) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+_STEP_EDGE = 1e-3
+
+
 def smooth_step(s):
     """C-infinity step: 0 for s <= 0, 1 for s >= 1, strictly monotone between.
 
     Inside (0, 1) it is a / (a + b) with the bumps a = exp(-1/s) and
     b = exp(-1/(1 - s)), whose derivatives all vanish at 0 and 1; one of the
-    two is at least e^-2 there, so a + b > 0.  The plateaus are filled
-    without evaluating either bump, and NaN reads 0.
+    two is at least e^-2 there, so a + b > 0.  a is exactly 0 for s <= 1e-3
+    and b for s >= 1 - 1e-3 (exp underflows below -745), so clamping s to
+    that range, without a mask, changes no value; fmax reads NaN as 0.
     """
-    s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    out[s >= 1.0] = 1.0
-    band = (s > 0.0) & (s < 1.0)
-    inner = s[band]
-    a = np.exp(-1.0 / inner)
-    b = np.exp(-1.0 / (1.0 - inner))
-    out[band] = a / (a + b)
-    return out
+    s = np.fmin(np.fmax(s, _STEP_EDGE), 1.0 - _STEP_EDGE)
+    a = np.exp(-1.0 / s)
+    b = np.exp(-1.0 / (1.0 - s))
+    return a / (a + b)
 
 
 def cut_function(xi, upper: float, lower: float):

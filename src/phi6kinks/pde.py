@@ -1,8 +1,9 @@
 """Time evolution of d_tt phi = d_xx phi - U'(phi) on a finite grid.
 
-Velocity Verlet (kick-drift-kick) in time, centered 2nd- or 4th-order
-Laplacian in space.  Boundary nodes are clamped to the vacuum values of the
-initial data.
+Stormer leapfrog in time, which is velocity Verlet (kick-drift-kick) in exact
+arithmetic, carried as phi and p = dt * pi at half steps; centered 2nd- or
+4th-order Laplacian in space.  Boundary nodes are clamped to the vacuum values
+of the initial data.
 """
 from __future__ import annotations
 
@@ -75,50 +76,51 @@ class SolverConfig:
             )
 
 
-class _Verlet:
-    """Velocity-Verlet kernel that owns its field, acceleration and scratch buffers.
+class _Leapfrog:
+    """Stormer leapfrog kernel that owns its field, half-step momentum and buffers.
 
-    Built once per run: the CFL check, the stencil constants, the clamped
-    edge values and the slice views are fixed here, and each advance updates
-    the buffers in place.  ``acc`` always holds the acceleration of the
-    current ``phi`` and ``kick`` its half kick acc*dt/2, which ends one
-    advance and starts the next, so an advance evaluates each once.
+    Built once per run: the CFL check, the stencil constants and the slice
+    views are fixed here.  Between snapshots it carries phi_k and
+    p = dt * pi_{k+1/2}, and a step is phi += p, inc = dt^2 (d_xx phi - U'(phi)),
+    p += inc: the trajectory of kick-drift-kick velocity Verlet, in three
+    updates.  The edge entries of p and inc stay 0, so the clamped edges of
+    phi never move.
     """
 
     def __init__(self, state: FieldState, cfg: SolverConfig):
         cfg.validate_cfl(state.dx)
+        dt2 = cfg.dt * cfg.dt
         self.dt = cfg.dt
-        self.half_dt = 0.5 * cfg.dt
         self.order = cfg.stencil_order
-        self.inv = 1.0 / (state.dx * state.dx)
-        self.inv12 = self.inv / 12.0
+        self.scale = dt2 / (state.dx * state.dx)
+        self.scale12 = self.scale / 12.0
+        self.du_coeffs = (6.0 * dt2, 4.0 * dt2)
         self.phi = phi = np.array(state.phi, dtype=float)
-        self.pi = np.array(state.pi, dtype=float)
-        self.edges = (phi[0], phi[-1])
-        self.acc = acc = np.zeros(state.n)  # edge entries stay zero: the edges are clamped
-        self.scratch = scratch = np.empty(state.n)
-        self.kick = np.empty(state.n)
+        self.inc = inc = np.zeros(state.n)
+        scratch, spare = np.empty(state.n), np.empty(state.n)
         if self.order == 4:  # the operands of each stencil term, in order
-            self.phi16 = phi16 = np.empty(state.n)
-            self.lap = (acc[2:-2], scratch[2:-2], phi16[1:-3], phi[:-4], phi[2:-2],
+            self.phi16 = phi16 = spare  # 16 phi in the stencil, then dt^2 U'
+            self.lap = (inc[2:-2], scratch[2:-2], phi16[1:-3], phi[:-4], phi[2:-2],
                         phi16[3:-1], phi[4:])
         else:
-            self.lap = (acc[1:-1], scratch[1:-1], phi[:-2], phi[1:-1], phi[2:])
-        self.inner = (phi[1:-1], scratch[1:-1], acc[1:-1])
-        self._update_acceleration()
-        np.multiply(acc, self.half_dt, out=self.kick)
+            self.lap = (inc[1:-1], scratch[1:-1], phi[:-2], phi[1:-1], phi[2:])
+        self.inner = (phi[1:-1], scratch[1:-1], spare[1:-1], inc[1:-1])
+        self._update_increment()
+        self.p = p = np.multiply(state.pi, self.dt, dtype=float)
+        p += 0.5 * inc
+        p[0] = p[-1] = 0.0
 
-    def _update_acceleration(self) -> None:
-        """acc = d_xx phi - U'(phi) on the interior nodes.
+    def _update_increment(self) -> None:
+        """inc = dt^2 (d_xx phi - U'(phi)) on the interior nodes.
 
-        The operations and their order are those of the 4th-order stencil
-        ((-phi[i-2] + 16 phi[i-1]) - 30 phi[i] + 16 phi[i+1]) - phi[i+2]
-        scaled by inv/12 (2nd-order next to the edges), and of the Horner
-        form (((6 phi) phi - 8) phi phi + 2) phi of eval_potential_derivative
-        without its final addition of 0.0, which changes no value.  16 phi is
-        formed once for both of its terms; a power of two scales exactly.
+        The stencil sum is ((-phi[i-2] + 16 phi[i-1]) - 30 phi[i] + 16 phi[i+1])
+        - phi[i+2], with 16 phi formed once for both of its terms, scaled by
+        dt^2/(12 dx^2) (2nd order next to the edges).  dt^2 U'(phi) is
+        2 dt^2 phi (phi^2 - 1)(3 phi^2 - 1), formed as
+        (6 dt^2 (phi^2 - 1) + 4 dt^2)(phi^2 - 1) phi, which is exactly 0 at
+        phi = +-1.
         """
-        phi, acc, inv = self.phi, self.acc, self.inv
+        phi, inc = self.phi, self.inc
         if self.order == 4:
             lap, tmp, left16, left2, mid, right16, right2 = self.lap
             np.multiply(phi, 16.0, out=self.phi16)
@@ -127,40 +129,46 @@ class _Verlet:
             lap -= tmp
             lap += right16
             lap -= right2
-            lap *= self.inv12
+            lap *= self.scale12
             at = phi.item  # a Python float: the same arithmetic, at half the call cost
-            acc[1] = (at(0) - 2.0 * at(1) + at(2)) * inv
-            acc[-2] = (at(-3) - 2.0 * at(-2) + at(-1)) * inv
+            inc[1] = (at(0) - 2.0 * at(1) + at(2)) * self.scale
+            inc[-2] = (at(-3) - 2.0 * at(-2) + at(-1)) * self.scale
         else:
             lap, tmp, left, mid, right = self.lap
             np.multiply(mid, 2.0, out=tmp)
             np.subtract(left, tmp, out=lap)
             lap += right
-            lap *= inv
-        p, du, acc_in = self.inner
-        np.multiply(p, 6.0, out=du)
-        du *= p
-        du -= 8.0
-        du *= p
-        du *= p
-        du += 2.0
-        du *= p
-        acc_in -= du
+            lap *= self.scale
+        core, sq, du, inc_in = self.inner
+        c6, c4 = self.du_coeffs
+        np.multiply(core, core, out=sq)
+        sq -= 1.0
+        np.multiply(sq, c6, out=du)
+        du += c4
+        du *= sq
+        du *= core
+        inc_in -= du
 
     def advance(self) -> None:
-        """One kick-drift-kick update; it does not check the result."""
-        phi, pi, kick, tmp = self.phi, self.pi, self.kick, self.scratch
-        pi += kick
-        np.multiply(pi, self.dt, out=tmp)
-        phi += tmp
-        phi[0], phi[-1] = self.edges
-        self._update_acceleration()
-        np.multiply(self.acc, self.half_dt, out=kick)
-        pi += kick
-        pi[0] = pi[-1] = 0.0
+        """One leapfrog step; it does not check the result."""
+        self.phi += self.p
+        self._update_increment()
+        self.p += self.inc
+
+    def pi(self) -> np.ndarray:
+        """pi at the current phi, (p - inc/2)/dt, in one new array; a readout
+        that never feeds back."""
+        pi = np.multiply(self.inc, -0.5)
+        pi += self.p
+        pi /= self.dt
+        return pi
+
+    def restart(self, phi: np.ndarray, p: np.ndarray) -> None:
+        np.copyto(self.phi, phi)
+        np.copyto(self.p, p)
 
     def finite(self) -> bool:
-        return _all_finite(self.phi) and _all_finite(self.pi)
+        return _all_finite(self.phi) and _all_finite(self.p)
 
     def check(self, t: float) -> None:
         """Raise unless the fields are finite, naming t as the last valid time."""
@@ -175,20 +183,18 @@ def _all_finite(a: np.ndarray) -> bool:
 
 
 def step(state: FieldState, cfg: SolverConfig) -> FieldState:
-    """One velocity-Verlet update with clamped boundary nodes."""
-    kernel = _Verlet(state, cfg)
-    kernel.advance()
-    kernel.check(state.t)
-    return replace(state, phi=kernel.phi, pi=kernel.pi, t=state.t + cfg.dt)
+    """One leapfrog step with clamped boundary nodes: a one-step ``run``."""
+    return run(state, cfg, state.t + cfg.dt, 1)[-1]
 
 
 def run(state: FieldState, cfg: SolverConfig, t_end: float, frame_cadence: int = 50):
     """Evolve to t_end, returning snapshots every frame_cadence steps.
 
     The returned list always includes the initial and final states; each
-    snapshot owns its arrays.  The fields are checked once per snapshot; a
+    snapshot owns its arrays, and its pi is read out from the half-step
+    momentum.  The fields phi and p are checked once per snapshot; a
     non-finite field raises FloatingPointError naming the last time at
-    which every field was finite, as a check after every step would.
+    which both were finite, as a check after every step would.
     """
     if t_end <= state.t:
         raise ValueError(f"t_end={t_end} must exceed state.t={state.t}")
@@ -197,21 +203,23 @@ def run(state: FieldState, cfg: SolverConfig, t_end: float, frame_cadence: int =
     n_steps = int(round((t_end - state.t) / cfg.dt))
     if n_steps < 1:
         raise ValueError("t_end too close to state.t for one step")
-    kernel = _Verlet(state, cfg)
+    kernel = _Leapfrog(state, cfg)
     snapshots = [state.copy()]
+    snapshot_p = kernel.p.copy()
     t0 = state.t
     for k in range(1, n_steps + 1):
         kernel.advance()
         if k % frame_cadence == 0 or k == n_steps:
             if not kernel.finite():
-                # x += y keeps a value non-finite, so the first bad step follows
-                # the previous snapshot: replay from it, checking each step
-                kernel = _Verlet(snapshots[-1], cfg)
+                # x += y keeps a value non-finite, so the first bad step follows the
+                # previous snapshot: replay from its phi and p, checking each step
+                kernel.restart(snapshots[-1].phi, snapshot_p)
                 for j in range((k - 1) // frame_cadence * frame_cadence, k):
                     kernel.advance()
                     kernel.check(t0 + j * cfg.dt)
+            np.copyto(snapshot_p, kernel.p)
             snapshots.append(FieldState(state.x0, state.dx, state.n, kernel.phi.copy(),
-                                        kernel.pi.copy(), t0 + k * cfg.dt))
+                                        kernel.pi(), t0 + k * cfg.dt))
     return snapshots
 
 

@@ -16,6 +16,8 @@ from phi6kinks.effective import (
     separation_d_dot,
 )
 from phi6kinks.model import SQRT2
+from phi6kinks.modulation import track
+from phi6kinks.scenarios import build_initial_state, default_suite
 
 
 class TestParams:
@@ -58,6 +60,24 @@ class TestParams:
             d1dot, d2dot = centers_velocities(0.0, p)
             assert d1dot == pytest.approx(v1, abs=1e-12)
             assert d2dot == pytest.approx(v2, abs=1e-12)
+
+    def test_c_within_a_few_ulp_of_mpmath_on_the_suite_head_ons(self):
+        # the t = 0 frames of the suite's head-on runs have |zdot/(2v)| within
+        # ~2e-7 of 1; c must not lose digits there (measured: <= 0.93 ULP)
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 50
+        head_ons = [c for c in default_suite() if c.kinks.v1 != 0.0]
+        assert len(head_ons) == 3
+        for config in head_ons:
+            f = track([build_initial_state(config)])[0]
+            p = params_from_initial(f.x1, f.x2, f.xdot1, f.xdot2)
+            z0 = mp.mpf(f.x2) - mp.mpf(f.x1)
+            zdot0 = mp.mpf(f.xdot2) - mp.mpf(f.xdot1)
+            v = mp.sqrt(zdot0 ** 2 / 4 + 8 * mp.exp(-mp.sqrt(2) * z0))
+            ratio = zdot0 / (2 * v)
+            assert 1 - abs(ratio) < 1e-6
+            want = mp.atanh(ratio)
+            assert abs(p.c - want) <= 4 * math.ulp(float(want))
 
     def test_rejects_unordered(self):
         with pytest.raises(ValueError):
