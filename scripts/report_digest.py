@@ -19,9 +19,12 @@ OUT_DIR/digest.json records one sha256 per ``trajectory.csv`` column, per
 
 ``compare`` digests both directories again, names every entry that moved,
 with the number of values that moved and their largest difference in units
-in the last place (ULP), or as a moved hash for ``snapshots_sha256``, and
-exits 1 when anything moved.  To compare two commits, run ``write`` from a
-checkout of each (copy this script into the older one if it lacks it).
+in the last place (ULP), or as a moved hash for ``snapshots_sha256``.  Then
+it totals each entry name over the reports: how many moved, the largest ULP
+distance and the largest |difference| over the largest |value| of the
+report's column.  It exits 1 when anything moved.  To compare two commits,
+run ``write`` from a checkout of each (copy this script into the older one
+if it lacks it).
 """
 from __future__ import annotations
 
@@ -138,34 +141,56 @@ def ulp_distance(a: float, b: float) -> float:
     return float(abs(ordered(a) - ordered(b)))
 
 
-def _moved(entry: str, old: list[str], new: list[str]) -> str:
+def _largest(values) -> float:
+    """The largest value that is not NaN; 0 for none."""
+    return max((v for v in values if not math.isnan(v)), default=0.0)
+
+
+def _moved(entry: str, old: list[str], new: list[str]) -> tuple[str, float, float]:
     """How one entry moved: the summary keys, or the count of values that
-    moved and their largest ULP difference."""
+    moved and their largest ULP difference; with, for numbers of one length,
+    that ULP difference and the largest |difference| over the largest old
+    |value| (NaN otherwise).  A NaN on one side is an infinite move."""
     if entry == SUMMARY:
         old_keys, new_keys = json.loads(old[0]), json.loads(new[0])
         keys = sorted(k for k in old_keys.keys() | new_keys.keys()
                       if old_keys.get(k) != new_keys.get(k))
-        return "keys " + ", ".join(keys)
+        return "keys " + ", ".join(keys), math.nan, math.nan
     if entry == f"extras:{SNAPSHOTS}":
-        return "hash moved"
+        return "hash moved", math.nan, math.nan
     if len(old) != len(new):
-        return f"{len(old)} -> {len(new)} values"
-    ulps = [ulp_distance(float(a), float(b)) for a, b in zip(old, new) if a != b]
-    return f"{len(ulps)} of {len(old)} values, max {max(ulps):g} ULP"
+        return f"{len(old)} -> {len(new)} values", math.nan, math.nan
+    pairs = [(float(a), float(b)) for a, b in zip(old, new) if a != b]
+    ulps = _largest(ulp_distance(a, b) for a, b in pairs)
+    change = _largest(math.inf if math.isnan(b - a) else abs(b - a) for a, b in pairs)
+    scale = _largest(abs(float(v)) for v in old)
+    relative = change / scale if scale > 0 else math.inf
+    return f"{len(pairs)} of {len(old)} values, max {ulps:g} ULP", ulps, relative
 
 
 def compare(old_root: Path, new_root: Path) -> list[str]:
-    """One line per entry that moved or exists on one side only."""
+    """One line per entry that moved or exists on one side only, then one
+    line per entry name that moved in any report, totalled over the reports."""
     old_digest, new_digest = digest_dir(old_root), digest_dir(new_root)
     lines = [f"{key}: only in {old_root if key in old_digest else new_root}"
              for key in sorted(old_digest.keys() ^ new_digest.keys())]
     moved = sorted(k for k in old_digest.keys() & new_digest.keys()
                    if old_digest[k] != new_digest[k])
+    sizes = {}  # entry name -> (ULP, relative change) of each report it moved in
     for key in moved:
         report, _, entry = key.rpartition("/")
         old = _report_values(old_root / report)[entry]
         new = _report_values(new_root / report)[entry]
-        lines.append(f"{key}: {_moved(entry, old, new)}")
+        text, ulps, relative = _moved(entry, old, new)
+        lines.append(f"{key}: {text}")
+        sizes.setdefault(entry, []).append((ulps, relative))
+    reports = len({key.rpartition("/")[0] for key in old_digest.keys() & new_digest.keys()})
+    for entry, moves in sorted(sizes.items()):
+        line = f"{entry}: {len(moves)} of {reports} reports moved"
+        if any(not math.isnan(ulps) for ulps, _ in moves):
+            line += (f", max {_largest(u for u, _ in moves):g} ULP, max |change| "
+                     f"{_largest(r for _, r in moves):.2g} of the column's largest |value|")
+        lines.append(line)
     return lines
 
 

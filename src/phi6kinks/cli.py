@@ -38,9 +38,9 @@ _JSON_TYPES = {
 }
 
 
-def _check_section(section: str, data, cls, *extra: str) -> None:
-    """Raise unless data is a JSON object whose keys are fields of cls (or
-    extra) and whose values have their field's declared type.
+def _check_section(section: str, data, cls) -> None:
+    """Raise unless data is a JSON object whose keys are fields of cls and
+    whose values have their field's declared type.
 
     A bool is never a number.  A field declared as another dataclass is a
     section of its own and is checked as one.
@@ -48,7 +48,7 @@ def _check_section(section: str, data, cls, *extra: str) -> None:
     if not isinstance(data, dict):
         raise ValueError(f"{section} must be a JSON object, got {json.dumps(data)}")
     declared = {f.name: f.type.split(" | ") for f in fields(cls)}
-    unknown = sorted(set(data) - set(declared) - set(extra))
+    unknown = sorted(set(data) - set(declared))
     if unknown:
         raise ValueError(f"unknown {section} key(s): {', '.join(map(repr, unknown))}")
     for key, types in declared.items():
@@ -62,32 +62,22 @@ def _check_section(section: str, data, cls, *extra: str) -> None:
 
 def config_from_dict(data: dict) -> ScenarioConfig:
     """Scenario from a parsed JSON config whose sections pass _check_section;
-    a null grid, solver or perturbation section means it is absent."""
+    a null grid, solver or perturbation section means it is absent, and a
+    non-empty perturbation section is a GaussianPerturbation."""
     _check_section("config", data, ScenarioConfig)
     top = dict(data)
     sections = [top.pop(s, None) for s in ("kinks", "grid", "solver", "perturbation")]
     kinks, grid, solver, pert = ({} if value is None else value for value in sections)
     for section, values, cls in (("kinks", kinks, KinkArrangement), ("grid", grid, GridSpec),
-                                 ("solver", solver, SolverConfig)):
+                                 ("solver", solver, SolverConfig),
+                                 ("perturbation", pert, GaussianPerturbation)):
         _check_section(section, values, cls)
-    _check_section("perturbation", pert, GaussianPerturbation, "kind")
-    perturbation = None
-    kind = pert.get("kind", "none")
-    if kind not in ("none", "gaussian"):
-        raise ValueError(f"unknown perturbation kind {kind!r}; use 'none' or 'gaussian'")
-    if kind == "gaussian":
-        if "amplitude" not in pert:
-            raise ValueError("perturbation.amplitude is required for a gaussian perturbation")
-        perturbation = GaussianPerturbation(
-            amplitude=pert["amplitude"],
-            width=pert.get("width", 1.0),
-            center=pert.get("center", 0.0),
-            channel=pert.get("channel", "g0"),
-        )
+    if pert and "amplitude" not in pert:
+        raise ValueError("perturbation.amplitude is required")
     return ScenarioConfig(
         kinks=KinkArrangement(**kinks),
         grid=GridSpec(**grid) if grid else None,
-        perturbation=perturbation,
+        perturbation=GaussianPerturbation(**pert) if pert else None,
         solver=SolverConfig(**solver),
         **top,  # t_end, frame_cadence, outputs, seed_label: only those given
     )

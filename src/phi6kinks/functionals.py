@@ -125,12 +125,13 @@ class EnergyBreakdown:
     epsilon: float
 
 
-def potential_energy_samples(phi, dx: float, fd_order: int = 4) -> float:
-    """E_pot of a sampled field: Simpson of (1/2)(d_x phi)^2 + U(phi)."""
+def potential_energy_samples(phi, dx: float) -> float:
+    """E_pot of a sampled field: Simpson of (1/2)(d_x phi)^2 + U(phi), with the
+    4th-order d_x phi."""
     phi = np.asarray(phi, dtype=float)
     if phi.size < 5:
         raise ValueError("grid too small (need >= 5 points)")
-    dphi = spatial_derivative(phi, dx, order=fd_order)
+    dphi = spatial_derivative(phi, dx)
     return integrate(0.5 * dphi * dphi + eval_potential(phi), dx)
 
 
@@ -151,7 +152,7 @@ def bogomolny_rest_energy() -> float:
 
 
 @functools.lru_cache(maxsize=64)
-def reference_kink_energy(dx: float, fd_order: int = 4) -> float:
+def reference_kink_energy(dx: float) -> float:
     """Single-kink E_pot measured with the same grid operators as states.
 
     Using the identical spacing and difference stencil makes the
@@ -159,15 +160,15 @@ def reference_kink_energy(dx: float, fd_order: int = 4) -> float:
     of multi-kink states.
     """
     x = -MARGIN + dx * np.arange(odd_sample_count(2.0 * MARGIN, dx))
-    return potential_energy_samples(kink_value(x), dx, fd_order=fd_order)
+    return potential_energy_samples(kink_value(x), dx)
 
 
-def energy_breakdown(state, fd_order: int = 4) -> EnergyBreakdown:
+def energy_breakdown(state) -> EnergyBreakdown:
     """Kinetic/potential/total energy and the excess over two resting kinks."""
     e_kin = kinetic_energy_samples(state.pi, state.dx)
-    e_pot = potential_energy_samples(state.phi, state.dx, fd_order=fd_order)
+    e_pot = potential_energy_samples(state.phi, state.dx)
     e_total = e_kin + e_pot
-    eps = e_total - 2.0 * reference_kink_energy(state.dx, fd_order)
+    eps = e_total - 2.0 * reference_kink_energy(state.dx)
     return EnergyBreakdown(e_kin=e_kin, e_pot=e_pot, e_total=e_total, epsilon=eps)
 
 

@@ -1,7 +1,7 @@
 """Time evolution of d_tt phi = d_xx phi - U'(phi) on a finite grid.
 
 Stormer leapfrog in time, which is velocity Verlet (kick-drift-kick) in exact
-arithmetic, carried as phi and p = dt * pi at half steps; centered 2nd- or
+arithmetic, carried as phi and p = dt * pi at half steps; centered
 4th-order Laplacian in space.  Boundary nodes are clamped to the vacuum values
 of the initial data.
 """
@@ -15,7 +15,7 @@ import numpy as np
 
 from .model import MARGIN, kink_mode, kink_value
 
-_CFL_LIMIT = {2: 0.9, 4: 0.7}
+_CFL_LIMIT = 0.7
 
 
 @functools.lru_cache(maxsize=32)
@@ -56,24 +56,17 @@ class FieldState:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Time step and spatial scheme."""
+    """Time step of the leapfrog; the Laplacian is always the 4th-order stencil."""
 
     dt: float = 0.02
-    stencil_order: int = 4
 
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.stencil_order not in (2, 4):
-            raise ValueError(f"stencil_order must be 2 or 4, got {self.stencil_order}")
 
     def validate_cfl(self, dx: float) -> None:
-        limit = _CFL_LIMIT[self.stencil_order]
-        if self.dt / dx > limit:
-            raise ValueError(
-                f"CFL violation: dt/dx = {self.dt / dx:.3f} exceeds {limit} "
-                f"for stencil order {self.stencil_order}"
-            )
+        if self.dt / dx > _CFL_LIMIT:
+            raise ValueError(f"CFL violation: dt/dx = {self.dt / dx:.3f} exceeds {_CFL_LIMIT}")
 
 
 class _Leapfrog:
@@ -91,19 +84,16 @@ class _Leapfrog:
         cfg.validate_cfl(state.dx)
         dt2 = cfg.dt * cfg.dt
         self.dt = cfg.dt
-        self.order = cfg.stencil_order
         self.scale = dt2 / (state.dx * state.dx)
         self.scale12 = self.scale / 12.0
         self.du_coeffs = (6.0 * dt2, 4.0 * dt2)
         self.phi = phi = np.array(state.phi, dtype=float)
         self.inc = inc = np.zeros(state.n)
         scratch, spare = np.empty(state.n), np.empty(state.n)
-        if self.order == 4:  # the operands of each stencil term, in order
-            self.phi16 = phi16 = spare  # 16 phi in the stencil, then dt^2 U'
-            self.lap = (inc[2:-2], scratch[2:-2], phi16[1:-3], phi[:-4], phi[2:-2],
-                        phi16[3:-1], phi[4:])
-        else:
-            self.lap = (inc[1:-1], scratch[1:-1], phi[:-2], phi[1:-1], phi[2:])
+        self.phi16 = phi16 = spare  # 16 phi in the stencil, then dt^2 U'
+        # the operands of each stencil term, in order
+        self.lap = (inc[2:-2], scratch[2:-2], phi16[1:-3], phi[:-4], phi[2:-2],
+                    phi16[3:-1], phi[4:])
         self.inner = (phi[1:-1], scratch[1:-1], spare[1:-1], inc[1:-1])
         self._update_increment()
         self.p = p = np.multiply(state.pi, self.dt, dtype=float)
@@ -121,24 +111,17 @@ class _Leapfrog:
         phi = +-1.
         """
         phi, inc = self.phi, self.inc
-        if self.order == 4:
-            lap, tmp, left16, left2, mid, right16, right2 = self.lap
-            np.multiply(phi, 16.0, out=self.phi16)
-            np.subtract(left16, left2, out=lap)
-            np.multiply(mid, 30.0, out=tmp)
-            lap -= tmp
-            lap += right16
-            lap -= right2
-            lap *= self.scale12
-            at = phi.item  # a Python float: the same arithmetic, at half the call cost
-            inc[1] = (at(0) - 2.0 * at(1) + at(2)) * self.scale
-            inc[-2] = (at(-3) - 2.0 * at(-2) + at(-1)) * self.scale
-        else:
-            lap, tmp, left, mid, right = self.lap
-            np.multiply(mid, 2.0, out=tmp)
-            np.subtract(left, tmp, out=lap)
-            lap += right
-            lap *= self.scale
+        lap, tmp, left16, left2, mid, right16, right2 = self.lap
+        np.multiply(phi, 16.0, out=self.phi16)
+        np.subtract(left16, left2, out=lap)
+        np.multiply(mid, 30.0, out=tmp)
+        lap -= tmp
+        lap += right16
+        lap -= right2
+        lap *= self.scale12
+        at = phi.item  # a Python float: the same arithmetic, at half the call cost
+        inc[1] = (at(0) - 2.0 * at(1) + at(2)) * self.scale
+        inc[-2] = (at(-3) - 2.0 * at(-2) + at(-1)) * self.scale
         core, sq, du, inc_in = self.inner
         c6, c4 = self.du_coeffs
         np.multiply(core, core, out=sq)

@@ -57,7 +57,7 @@ def test_criterion_2_interaction_energy_asymptotics():
     from phi6kinks.functionals import interaction_energy_A
 
     start = time.time()
-    e_ref = reference_kink_energy(0.01, 4)
+    e_ref = reference_kink_energy(0.01)
     residuals = {}
     for z in (6.0, 8.0, 10.0, 12.0):
         resid = interaction_energy_A(z) - 2 * e_ref - 2 * SQRT2 * math.exp(-SQRT2 * z)
@@ -118,23 +118,23 @@ def test_criterion_3_solver_integrity():
         float(np.max(np.abs(cur.pi - moving.pi))),
     )
 
-    def order2_sup_err(dxc, dtc):
+    def order4_sup_err(dxc, dtc):
         nc = int(round(80 / dxc)) + 1
         xc = -40 + dxc * np.arange(nc)
         sc = FieldState(x0=-40, dx=dxc, n=nc, phi=kink_value(xc), pi=np.zeros(nc), t=0.0)
-        out = run(sc, SolverConfig(dt=dtc, stencil_order=2), 10.0, frame_cadence=10**9)
+        out = run(sc, SolverConfig(dt=dtc), 10.0, frame_cadence=10**9)
         return float(np.max(np.abs(out[-1].phi - kink_value(xc))))
 
-    ratio = order2_sup_err(0.05, 0.02) / order2_sup_err(0.025, 0.01)
+    ratio = order4_sup_err(0.05, 0.02) / order4_sup_err(0.025, 0.01)
     elapsed = time.time() - start
-    ok = sup_err <= 1e-4 and drift <= 1e-5 and rev_err <= 1e-10 and 3.5 <= ratio <= 4.5
+    ok = sup_err <= 1e-4 and drift <= 1e-5 and rev_err <= 1e-10 and 14.0 <= ratio <= 18.0
     _verdict(3, ok and elapsed < 120.0,
              f"sup_err={sup_err:.2e}, energy drift={drift:.2e}, "
              f"reversibility={rev_err:.2e}, convergence ratio={ratio:.2f}, {elapsed:.0f}s")
     assert sup_err <= 1e-4
     assert drift <= 1e-5
     assert rev_err <= 1e-10
-    assert 3.5 <= ratio <= 4.5
+    assert 14.0 <= ratio <= 18.0
     assert elapsed < 120.0
 
 

@@ -72,22 +72,32 @@ def test_run_overrides_apply(tmp_path, config_path, capsys):
     assert_same_reports(out, tmp_path / "oracle")
 
 
-def test_gaussian_perturbation_config(tmp_path, capsys):
-    config = {
-        "kinks": {"x1": -6.0, "x2": 6.0},
-        "perturbation": {"kind": "gaussian", "amplitude": 1e-3},
-        "t_end": 1.0,
-    }
+def assert_perturbation_section_runs_as(tmp_path, section, perturbation):
+    """`run` on a config with this perturbation section writes the report of
+    the oracle run with this GaussianPerturbation."""
+    config = {"kinks": {"x1": -6.0, "x2": 6.0}, "perturbation": section, "t_end": 1.0}
     path = tmp_path / "gaussian.json"
     path.write_text(json.dumps(config))
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "cli")]) == 0
     run_scenario(ScenarioConfig(
         kinks=KinkArrangement(x1=-6.0, x2=6.0),
-        perturbation=GaussianPerturbation(1e-3, width=1.0, center=0.0),
+        perturbation=perturbation,
         t_end=1.0,
         outputs=str(tmp_path / "oracle"),
     ))
     assert_same_reports(tmp_path / "cli", tmp_path / "oracle")
+
+
+def test_gaussian_perturbation_config(tmp_path, capsys):
+    # the amplitude alone makes a Gaussian with the dataclass defaults
+    assert_perturbation_section_runs_as(tmp_path, {"amplitude": 1e-3},
+                                        GaussianPerturbation(1e-3))
+
+
+def test_perturbation_section_sets_every_field(tmp_path, capsys):
+    section = {"amplitude": 1e-3, "width": 2.0, "center": 0.5, "channel": "g1"}
+    assert_perturbation_section_runs_as(
+        tmp_path, section, GaussianPerturbation(1e-3, width=2.0, center=0.5, channel="g1"))
 
 
 @pytest.mark.parametrize("flag", ["--dx", "--dt", "--t-end"])
@@ -220,16 +230,19 @@ def test_invalid_config_is_runtime_error(tmp_path, capsys):
 @pytest.mark.parametrize("section, key", [
     (None, "t_ned"), ("kinks", "t_ned"), ("grid", "t_ned"), ("solver", "t_ned"),
     ("perturbation", "t_ned"),
-    # settings that no longer exist: the uncontracted start and the sponge
+    # settings that no longer exist: the uncontracted start, the sponge, the
+    # 2nd-order stencil and the perturbation kind
     (None, "lorentz_contract"), ("solver", "sponge_width"), ("solver", "sponge_strength"),
+    ("solver", "stencil_order"), ("perturbation", "kind"),
 ], ids=["None", "kinks", "grid", "solver", "perturbation",
-        "lorentz_contract", "solver.sponge_width", "solver.sponge_strength"])
+        "lorentz_contract", "solver.sponge_width", "solver.sponge_strength",
+        "solver.stencil_order", "perturbation.kind"])
 def test_unknown_config_key_is_runtime_error(tmp_path, capsys, section, key):
     config = {
         "kinks": {"x1": -6.0, "x2": 6.0},
         "grid": {"x0": -51.0, "dx": 0.05, "n": 2041},
         "solver": {"dt": 0.02},
-        "perturbation": {"kind": "gaussian", "amplitude": 1e-3, "width": 1.0},
+        "perturbation": {"amplitude": 1e-3, "width": 1.0},
         "t_end": 1.0,
     }
     (config if section is None else config[section])[key] = 5.0
@@ -260,21 +273,18 @@ def test_mistyped_config_value_is_runtime_error(tmp_path, capsys, key, value, me
 
 @pytest.mark.parametrize("kind", ["gausian", "None"])
 def test_unknown_perturbation_kind_is_runtime_error(tmp_path, capsys, kind):
-    config = {
-        "kinks": {"x1": -6.0, "x2": 6.0},
-        "perturbation": {"kind": kind, "amplitude": 1e-3},
-        "t_end": 1.0,
-    }
+    # a perturbation is its section's fields; a kind named in its place is an error
+    config = {"kinks": {"x1": -6.0, "x2": 6.0}, "perturbation": kind, "t_end": 1.0}
     path = tmp_path / "kind.json"
     path.write_text(json.dumps(config))
     code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
     assert code == 2
-    assert repr(kind) in capsys.readouterr().err
+    assert f"perturbation must be a JSON object, got {json.dumps(kind)}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
 def test_gaussian_without_amplitude_is_runtime_error(tmp_path, capsys):
-    config = {"kinks": {"x1": -6, "x2": 6}, "t_end": 1, "perturbation": {"kind": "gaussian"}}
+    config = {"kinks": {"x1": -6, "x2": 6}, "t_end": 1, "perturbation": {"width": 2.0}}
     path = tmp_path / "no_amplitude.json"
     path.write_text(json.dumps(config))
     code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])

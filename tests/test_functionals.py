@@ -98,7 +98,7 @@ class TestEnergies:
 
     def test_bogomolny_oracle_agrees(self):
         assert bogomolny_rest_energy() == pytest.approx(E_REF_EXACT, abs=1e-10)
-        assert reference_kink_energy(0.01, 4) == pytest.approx(
+        assert reference_kink_energy(0.01) == pytest.approx(
             bogomolny_rest_energy(), abs=1e-8
         )
 
@@ -107,7 +107,7 @@ class TestEnergies:
         x = np.arange(-40.0, 40.0 + 1e-12, 0.01)
         slope_sq = integrate(kink_derivative(1, x) ** 2, 0.01)
         assert slope_sq == pytest.approx(E_REF_EXACT, abs=1e-8)
-        assert slope_sq == pytest.approx(reference_kink_energy(0.01, 4), abs=1e-8)
+        assert slope_sq == pytest.approx(reference_kink_energy(0.01), abs=1e-8)
 
     def test_vacuum(self):
         n = 1001
@@ -117,7 +117,7 @@ class TestEnergies:
         eb = energy_breakdown(st)
         assert eb.e_kin == 0.0
         assert eb.e_pot == pytest.approx(0.0, abs=1e-14)
-        assert eb.epsilon == pytest.approx(-2 * reference_kink_energy(0.05, 4), abs=1e-14)
+        assert eb.epsilon == pytest.approx(-2 * reference_kink_energy(0.05), abs=1e-14)
 
     def test_grid_too_small(self):
         with pytest.raises(ValueError):
@@ -126,7 +126,7 @@ class TestEnergies:
     def test_two_kink_interaction_tail(self):
         st = pair_state(10.0, dx=0.01)
         e = potential_energy_samples(st.phi, st.dx)
-        expected = 2 * reference_kink_energy(0.01, 4) + 2 * SQRT2 * math.exp(-10 * SQRT2)
+        expected = 2 * reference_kink_energy(0.01) + 2 * SQRT2 * math.exp(-10 * SQRT2)
         assert abs(e - expected) <= 13 * 10 * math.exp(-20 * SQRT2) + 1e-9
 
     def test_static_pair_breakdown(self):
@@ -160,10 +160,10 @@ class TestEnergies:
 class TestInteractionEnergy:
     def test_large_separation_limit(self):
         a = interaction_energy_A(30.0)
-        assert a == pytest.approx(2 * reference_kink_energy(0.01, 4), abs=1e-12)
+        assert a == pytest.approx(2 * reference_kink_energy(0.01), abs=1e-12)
 
     def test_tail_asymptotics(self):
-        e_ref = reference_kink_energy(0.01, 4)
+        e_ref = reference_kink_energy(0.01)
         for z in (8.0, 10.0):
             resid = interaction_energy_A(z) - 2 * e_ref - 2 * SQRT2 * math.exp(-SQRT2 * z)
             assert abs(resid) <= 13 * z * math.exp(-2 * SQRT2 * z) + 1e-10
@@ -223,7 +223,7 @@ class TestInteractionEnergy:
             int_h4 = mp.quad(lambda s: h(s) ** 4 * mp.exp(-k * s), [-mp.inf, 0, mp.inf])
             assert abs(int_h4 - 1 / k) < mp.mpf("1e-25")
 
-            e_ref = reference_kink_energy(0.01, 4)
+            e_ref = reference_kink_energy(0.01)
             for z in (6, 8):
                 z = mp.mpf(z)
                 cuts = [-mp.inf, -z / 2, 0, z / 2, mp.inf]

@@ -107,7 +107,7 @@ class TestStep:
     def test_cfl_violation(self):
         st = single_kink_state()
         with pytest.raises(ValueError):
-            step(st, SolverConfig(dt=0.05, stencil_order=4))  # dt/dx = 1
+            step(st, SolverConfig(dt=0.05))  # dt/dx = 1
 
     def test_nan_detection(self):
         st = single_kink_state()
@@ -119,7 +119,7 @@ class TestStep:
     def test_run_raises_cfl_violation(self):
         st = single_kink_state()
         with pytest.raises(ValueError, match="CFL violation"):
-            run(st, SolverConfig(dt=0.05, stencil_order=4), 1.0)
+            run(st, SolverConfig(dt=0.05), 1.0)
 
     def test_run_names_last_finite_time_of_mid_run_blowup(self):
         # an interior phi of 10 stays finite for three steps, then overflows
@@ -180,13 +180,10 @@ def _kdk_oracle(state, cfg, n_steps):
 
     def acc(phi):
         a = np.zeros_like(phi)
-        if cfg.stencil_order == 4:
-            a[2:-2] = ((((16.0 * phi[1:-3] - phi[:-4]) - 30.0 * phi[2:-2]) + 16.0 * phi[3:-1])
-                       - phi[4:]) * (inv / 12.0)
-            a[1] = (phi[0] - 2.0 * phi[1] + phi[2]) * inv
-            a[-2] = (phi[-3] - 2.0 * phi[-2] + phi[-1]) * inv
-        else:
-            a[1:-1] = ((phi[:-2] - 2.0 * phi[1:-1]) + phi[2:]) * inv
+        a[2:-2] = ((((16.0 * phi[1:-3] - phi[:-4]) - 30.0 * phi[2:-2]) + 16.0 * phi[3:-1])
+                   - phi[4:]) * (inv / 12.0)
+        a[1] = (phi[0] - 2.0 * phi[1] + phi[2]) * inv
+        a[-2] = (phi[-3] - 2.0 * phi[-2] + phi[-1]) * inv
         p = phi[1:-1]
         a[1:-1] -= (((6.0 * p) * p - 8.0) * p * p + 2.0) * p
         return a
@@ -214,11 +211,11 @@ def _pair_window(v, half):
     return FieldState(x0=st.x[lo], dx=dx, n=hi - lo, phi=st.phi[lo:hi], pi=st.pi[lo:hi])
 
 
-ORDERS = [SolverConfig(dt=0.02, stencil_order=4), SolverConfig(dt=0.02, stencil_order=2)]
+ORDERS = [SolverConfig(dt=0.02)]  # the 4th-order stencil, the one the solver has
 
 
 class TestLeapfrog:
-    @pytest.mark.parametrize("cfg", ORDERS, ids=["order4", "order2"])
+    @pytest.mark.parametrize("cfg", ORDERS, ids=["order4"])
     def test_snapshots_do_not_depend_on_the_cadence(self, cfg):
         n = int(round(96 / 0.05)) + 1
         st = init_two_kink_state((-48.0, 0.05, n), -8.0, 8.0, 0.3, -0.3)
@@ -233,7 +230,7 @@ class TestLeapfrog:
             assert got.phi.tobytes() == want.phi.tobytes()
             assert got.pi.tobytes() == want.pi.tobytes()
 
-    @pytest.mark.parametrize("cfg", ORDERS, ids=["order4", "order2"])
+    @pytest.mark.parametrize("cfg", ORDERS, ids=["order4"])
     def test_step_is_a_one_step_run(self, cfg):
         st = dataclasses.replace(_pair_window(0.3, 20.0), t=0.7)
         got = step(st, cfg)
@@ -243,7 +240,7 @@ class TestLeapfrog:
         assert got.pi.tobytes() == want.pi.tobytes()
 
     @pytest.mark.parametrize("v", [0.0, 0.3], ids=["resting", "moving"])
-    @pytest.mark.parametrize("cfg", ORDERS, ids=["order4", "order2"])
+    @pytest.mark.parametrize("cfg", ORDERS, ids=["order4"])
     def test_matches_kick_drift_kick_to_round_off(self, cfg, v):
         # the same trajectory in exact arithmetic; after 10,000 steps the four
         # runs differ by at most 2.1e-12 in phi and 7.4e-13 in pi
@@ -255,7 +252,7 @@ class TestLeapfrog:
         assert np.max(np.abs(got.pi - pi)) < 2e-12
 
     @pytest.mark.parametrize("vacuum", [1.0, -1.0])
-    @pytest.mark.parametrize("cfg", ORDERS, ids=["order4", "order2"])
+    @pytest.mark.parametrize("cfg", ORDERS, ids=["order4"])
     def test_vacuum_is_a_fixed_point_of_run(self, cfg, vacuum):
         n = 201
         st = FieldState(x0=0, dx=0.05, n=n, phi=np.full(n, vacuum), pi=np.zeros(n), t=0.0)
@@ -351,15 +348,16 @@ class TestEvolution:
 
 class TestConvergence:
     def test_second_order_in_space_time(self):
+        # a resting kink's error is the 4th-order stencil's: halving (dx, dt)
+        # divides it by 16 (15.87 measured, 15.99 one level finer)
         def sup_err(dx, dt):
             n = int(round(80 / dx)) + 1
             x = -40 + dx * np.arange(n)
             s = FieldState(x0=-40, dx=dx, n=n, phi=kink_value(x),
                            pi=np.zeros(n), t=0.0)
-            snaps = run(s, SolverConfig(dt=dt, stencil_order=2), 10.0,
-                        frame_cadence=10**9)
+            snaps = run(s, SolverConfig(dt=dt), 10.0, frame_cadence=10**9)
             return np.max(np.abs(snaps[-1].phi - kink_value(x)))
 
         coarse = sup_err(0.05, 0.02)
         fine = sup_err(0.025, 0.01)
-        assert 3.5 <= coarse / fine <= 4.5
+        assert 14.0 <= coarse / fine <= 18.0

@@ -75,12 +75,18 @@ def test_report_digest_names_the_column_that_moved(tmp_path, capsys):
     csv = tmp_path / "new" / "tiny" / "rest" / "trajectory.csv"
     header, *rows = csv.read_text().splitlines()
     column = header.split(",").index("F_t")
+    largest = max(abs(float(row.split(",")[column])) for row in rows)
     fields = rows[1].split(",")
-    fields[column] = repr(math.nextafter(float(fields[column]), math.inf))
+    value = float(fields[column])
+    fields[column] = repr(math.nextafter(value, math.inf))
     rows[1] = ",".join(fields)
     csv.write_text("\n".join([header, *rows]) + "\n")
+    # the per-report line, then the entry's total over the reports
+    relative = (math.nextafter(value, math.inf) - value) / largest
     assert digest.compare(tmp_path / "old", tmp_path / "new") == [
-        f"tiny/rest/trajectory.csv:F_t: 1 of {len(rows)} values, max 1 ULP"
+        f"tiny/rest/trajectory.csv:F_t: 1 of {len(rows)} values, max 1 ULP",
+        f"trajectory.csv:F_t: 1 of 1 reports moved, max 1 ULP, "
+        f"max |change| {relative:.2g} of the column's largest |value|",
     ]
 
 
@@ -101,5 +107,6 @@ def test_report_digest_names_a_moved_snapshot(tmp_path, monkeypatch):
     monkeypatch.setattr(digest, "run_scenario", planted)
     digest.write_reports(tmp_path / "new", configs)
     assert digest.compare(tmp_path / "old", tmp_path / "new") == [
-        "tiny/rest/extras:snapshots_sha256: hash moved"
+        "tiny/rest/extras:snapshots_sha256: hash moved",
+        "extras:snapshots_sha256: 1 of 1 reports moved",
     ]
