@@ -8,7 +8,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 from .functionals import odd_sample_count
@@ -39,8 +39,9 @@ _JSON_TYPES = {
 
 
 def _check_section(section: str, data, cls) -> None:
-    """Raise unless data is a JSON object whose keys are fields of cls and
-    whose values have their field's declared type.
+    """Raise unless data is a JSON object whose keys are fields of cls, that
+    gives every field without a default and whose values have their field's
+    declared type.
 
     A bool is never a number.  A field declared as another dataclass is a
     section of its own and is checked as one.
@@ -51,6 +52,10 @@ def _check_section(section: str, data, cls) -> None:
     unknown = sorted(set(data) - set(declared))
     if unknown:
         raise ValueError(f"unknown {section} key(s): {', '.join(map(repr, unknown))}")
+    missing = [f"{section}.{f.name}" for f in fields(cls) if f.name not in data
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ValueError(f"missing required key(s): {', '.join(missing)}")
     for key, types in declared.items():
         if key not in data or not set(types) <= _JSON_TYPES.keys():
             continue
@@ -60,27 +65,23 @@ def _check_section(section: str, data, cls) -> None:
             raise ValueError(f"{section}.{key} must be {expected}, got {json.dumps(value)}")
 
 
+_SECTIONS = {"kinks": KinkArrangement, "grid": GridSpec, "solver": SolverConfig,
+             "perturbation": GaussianPerturbation}
+
+
 def config_from_dict(data: dict) -> ScenarioConfig:
     """Scenario from a parsed JSON config whose sections pass _check_section;
-    a null grid, solver or perturbation section means it is absent, and a
-    non-empty perturbation section is a GaussianPerturbation."""
+    an empty or null section means it is absent, and a perturbation section
+    is a GaussianPerturbation."""
+    if isinstance(data, dict):
+        data = {k: v for k, v in data.items() if not (k in _SECTIONS and v in (None, {}))}
     _check_section("config", data, ScenarioConfig)
-    top = dict(data)
-    sections = [top.pop(s, None) for s in ("kinks", "grid", "solver", "perturbation")]
-    kinks, grid, solver, pert = ({} if value is None else value for value in sections)
-    for section, values, cls in (("kinks", kinks, KinkArrangement), ("grid", grid, GridSpec),
-                                 ("solver", solver, SolverConfig),
-                                 ("perturbation", pert, GaussianPerturbation)):
-        _check_section(section, values, cls)
-    if pert and "amplitude" not in pert:
-        raise ValueError("perturbation.amplitude is required")
-    return ScenarioConfig(
-        kinks=KinkArrangement(**kinks),
-        grid=GridSpec(**grid) if grid else None,
-        perturbation=GaussianPerturbation(**pert) if pert else None,
-        solver=SolverConfig(**solver),
-        **top,  # t_end, frame_cadence, outputs, seed_label: only those given
-    )
+    built = dict(data)  # t_end, frame_cadence, outputs, seed_label: only those given
+    for section, cls in _SECTIONS.items():
+        if section in built:
+            _check_section(section, built[section], cls)
+            built[section] = cls(**built[section])
+    return ScenarioConfig(**built)
 
 
 def _cmd_run(args) -> int:

@@ -8,12 +8,12 @@ The center velocities follow from projecting d_t phi on the same modes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .functionals import simpson_weights
-from .model import antikink_derivative, eval_potential_derivative, kink_mode, kink_value
+from .model import SQRT2, antikink_derivative, kink_value
 from .pde import FieldState
 
 MAX_NEWTON_ITERS = 50
@@ -32,15 +32,17 @@ class ModulationError(RuntimeError):
 class PairFields:
     """The superposed pair at a pair of centers, its translation modes and
     the remainder it leaves: what one residual evaluation of the center
-    solve forms."""
+    solve forms.  ``block`` holds g, K1', K2', K1'' and K2'' as its rows."""
 
-    h1: np.ndarray   # H(x1 - x) = -K1
-    h2: np.ndarray   # H(x - x2) = K2
-    g: np.ndarray    # phi - K1 - K2
-    m1: np.ndarray   # K1' = kink_mode(h1)
-    m2: np.ndarray   # K2' = kink_mode(h2)
-    dm1: np.ndarray  # K1'' = -U'(h1)
-    dm2: np.ndarray  # K2'' = U'(h2)
+    h1: np.ndarray     # H(x1 - x) = -K1
+    h2: np.ndarray     # H(x - x2) = K2
+    block: np.ndarray  # (5, n)
+
+    g = property(lambda self: self.block[0])    # phi - K1 - K2
+    m1 = property(lambda self: self.block[1])   # K1' = kink_mode(h1)
+    m2 = property(lambda self: self.block[2])   # K2' = kink_mode(h2)
+    dm1 = property(lambda self: self.block[3])  # K1'' = U'(K1)
+    dm2 = property(lambda self: self.block[4])  # K2'' = U'(K2)
 
 
 def _pair_fields(state, x1, x2) -> PairFields:
@@ -48,26 +50,37 @@ def _pair_fields(state, x1, x2) -> PairFields:
 
     One profile evaluation per kink: the antikink is the reflection
     K1(x) = -H(x1 - x) = -h1, and K2 = H(x - x2) = h2.  Each mode and its
-    derivative follow from the profile value: K1' = kink_mode(h1) and
-    K1'' = -U'(h1), likewise K2' = kink_mode(h2) and K2'' = U'(h2).
+    derivative follow from the profile value h and its square s = 1 - h^2:
+    the mode is kink_mode(h) = sqrt2 h s, bit for bit, and with
+    U'(H) = sqrt2 H' (1 - 3 H^2) the curvature is K2'' = ((3 s - 2) K2') sqrt2,
+    and K1'' = ((3 s - 2) K1') (-sqrt2).
     """
     x = state.x
     h1 = kink_value(x1 - x)
     h2 = kink_value(x - x2)
-    return PairFields(h1, h2, state.phi + h1 - h2, kink_mode(h1), kink_mode(h2),
-                      -eval_potential_derivative(1, h1), eval_potential_derivative(1, h2))
+    block = np.empty((5, state.n))
+    g, m1, m2, dm1, dm2 = block
+    np.add(state.phi, h1, out=g)
+    g -= h2
+    for h, m, dm, sign in ((h1, m1, dm1, -SQRT2), (h2, m2, dm2, SQRT2)):
+        s = h * h
+        np.subtract(1.0, s, out=s)
+        np.multiply(h, SQRT2, out=m)
+        m *= s
+        np.multiply(s, 3.0, out=dm)
+        dm -= 2.0
+        dm *= m
+        dm *= sign
+    return PairFields(h1, h2, block)
 
 
 @dataclass(frozen=True)
 class ModulationFrame:
     """Extracted centers and solve diagnostics of one snapshot.
 
-    A stored frame holds no full-grid array of its own: ``state`` is the
-    snapshot it was solved on, and ``fields()`` rebuilds the pair and the
-    remainder from it.  ``decompose`` also hands back, in ``pair``, the
-    arrays of its last residual evaluation; ``track`` gives them to its
-    per-frame hook and drops them.  A frame whose solve failed reads
-    g = g_t = 0.
+    A frame holds no full-grid array of its own: ``state`` is the snapshot
+    it was solved on, and ``fields()`` rebuilds the pair and the remainder
+    from it.  A frame whose solve failed reads g = g_t = 0.
     """
 
     t: float
@@ -81,7 +94,6 @@ class ModulationFrame:
     xdot2: float
     state: FieldState
     valid: bool = True
-    pair: PairFields | None = field(default=None, repr=False, compare=False)
 
     @property
     def dx(self) -> float:
@@ -115,13 +127,17 @@ class ModulationFrame:
 
 def _residual_and_matrix(state, w, x1, x2):
     """Orthogonality residuals (r1, r2), their symmetric Jacobian's entries
-    (a11, a12, a22), int K1'^2 (Python floats) and the pair they came from."""
+    (a11, a12, a22), (int K1'^2, int g^2) (Python floats) and the pair they
+    came from.
+
+    The eight integrals are entries of one product: the rows g, K1', K2',
+    weighted, against the five rows of the pair's block.
+    """
     pair = _pair_fields(state, x1, x2)
-    g, m1, m2 = pair.g, pair.m1, pair.m2
-    m11 = float(w @ (m1 * m1))
-    jac = (m11 - float(w @ (g * pair.dm1)), float(w @ (m1 * m2)),
-           float(w @ (m2 * m2)) - float(w @ (g * pair.dm2)))
-    return (float(w @ (g * m1)), float(w @ (g * m2))), jac, m11, pair
+    block = pair.block
+    (gg, g1, g2, gd1, gd2), (_, m11, m12, _, _), (_, _, m22, _, _) = (
+        (block[:3] * w) @ block.T).tolist()
+    return (g1, g2), (m11 - gd1, m12, m22 - gd2), (m11, gg), pair
 
 
 def _solve(jac, b1, b2):
@@ -138,7 +154,7 @@ def _max_abs(r) -> float:
     return max(abs(r[0]), abs(r[1])) if r[1] == r[1] else math.nan
 
 
-def decompose(state, guess: tuple[float, float]) -> ModulationFrame:
+def decompose(state, guess: tuple[float, float], pairs: list | None = None) -> ModulationFrame:
     """Solve the orthogonality conditions for the kink centers.
 
     ``guess`` is an ordered pair (x1, x2) with separation >= 2.  Newton
@@ -147,16 +163,17 @@ def decompose(state, guess: tuple[float, float]) -> ModulationFrame:
     solve stops at the first step that does not lower the residual or that
     would bring the separation below MIN_SEPARATION.  A solve of k accepted
     steps evaluates the residual at most k + 2 times.  Steps, determinant
-    and center velocities are closed 2x2 formulas in Python floats.
+    and center velocities are closed 2x2 formulas in Python floats.  The
+    pair of the last residual evaluation is appended to ``pairs``, if given.
     """
     x1, x2 = float(guess[0]), float(guess[1])
     if x2 - x1 < TRACK_VALID_SEPARATION:
         raise ModulationError(f"initial guess separation {x2 - x1:.3f} < 2")
     w = simpson_weights(state.n, state.dx)
-    res, jac, m11, pair = _residual_and_matrix(state, w, x1, x2)
+    res, jac, (m11, gg), pair = _residual_and_matrix(state, w, x1, x2)
     res_norm = _max_abs(res)
     iters = 0
-    g_l2 = math.sqrt(max(float(w @ (pair.g * pair.g)), 0.0))
+    g_l2 = math.sqrt(max(gg, 0.0))
     while iters < MAX_NEWTON_ITERS and res_norm > max(1e-16, 1e-13 * g_l2):
         det, d1, d2 = _solve(jac, -res[0], -res[1])
         if abs(det) < _DET_FLOOR:
@@ -164,13 +181,13 @@ def decompose(state, guess: tuple[float, float]) -> ModulationFrame:
         nx1, nx2 = x1 + d1, x2 + d2
         if nx2 - nx1 < MIN_SEPARATION:
             break
-        new_res, new_jac, _, new_pair = _residual_and_matrix(state, w, nx1, nx2)
+        new_res, new_jac, (_, gg), new_pair = _residual_and_matrix(state, w, nx1, nx2)
         new_norm = _max_abs(new_res)
         if not new_norm < res_norm:
             break  # residual at numerical floor (or not finite)
         x1, x2, res, jac, pair = nx1, nx2, new_res, new_jac, new_pair
         res_norm = new_norm
-        g_l2 = math.sqrt(max(float(w @ (pair.g * pair.g)), 0.0))
+        g_l2 = math.sqrt(max(gg, 0.0))
         iters += 1
     if not math.isfinite(res_norm) or res_norm > _ORTHO_RTOL * math.sqrt(m11) * g_l2 + _ORTHO_ATOL:
         raise ModulationError(
@@ -184,6 +201,8 @@ def decompose(state, guess: tuple[float, float]) -> ModulationFrame:
         raise ModulationError(f"modulation matrix not positive: det={det:.2e}")
     if not (math.isfinite(xdot1) and math.isfinite(xdot2)):
         raise ModulationError(f"center velocities not finite: ({xdot1}, {xdot2})")
+    if pairs is not None:
+        pairs.append(pair)
     return ModulationFrame(
         t=state.t,
         x1=x1,
@@ -195,7 +214,6 @@ def decompose(state, guess: tuple[float, float]) -> ModulationFrame:
         xdot1=xdot1,
         xdot2=xdot2,
         state=state,
-        pair=pair,
     )
 
 
@@ -245,16 +263,16 @@ def track(snapshots, on_valid=None) -> list[ModulationFrame]:
     if not snapshots:
         raise ValueError("no snapshots to track")
     frames: list[ModulationFrame] = []
+    pairs: list[PairFields] = []  # decompose appends the pair of each solve
 
     def keep(frame):
-        pair = frame.pair
-        frame = replace(frame, pair=None)
+        pair = pairs.pop()
         if on_valid is not None:
             on_valid(frame, pair)
         frames.append(frame)
         return frame
 
-    prev = keep(decompose(snapshots[0], initial_center_guess(snapshots[0])))
+    prev = keep(decompose(snapshots[0], initial_center_guess(snapshots[0]), pairs))
     for snap in snapshots[1:]:
         dt = snap.t - prev.t
         seed = (prev.x1 + prev.xdot1 * dt, prev.x2 + prev.xdot2 * dt)
@@ -262,7 +280,7 @@ def track(snapshots, on_valid=None) -> list[ModulationFrame]:
         for attempt in (seed, None):
             try:
                 g = attempt if attempt is not None else initial_center_guess(snap)
-                frame = decompose(snap, g)
+                frame = decompose(snap, g, pairs)
                 break
             except ModulationError:
                 continue
@@ -270,7 +288,8 @@ def track(snapshots, on_valid=None) -> list[ModulationFrame]:
             frames.append(_invalid_frame(snap, (prev.x1, prev.x2)))
             continue
         if frame.z < TRACK_VALID_SEPARATION:
-            frames.append(replace(frame, valid=False, pair=None))
+            pairs.pop()
+            frames.append(replace(frame, valid=False))
             continue
         prev = keep(frame)
     return frames

@@ -205,13 +205,15 @@ def test_probe_without_excess_is_runtime_error(capsys):
 def test_null_sections_mean_absent(tmp_path, capsys):
     config = {"kinks": {"x1": -6.0, "x2": 6.0}, "t_end": 1.0}
     nulls = dict(config, grid=None, solver=None, perturbation=None)
-    for name, data in (("absent", config), ("null", nulls)):
+    empties = dict(config, grid={}, solver={}, perturbation={})
+    for name, data in (("absent", config), ("null", nulls), ("empty", empties)):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(data))
         assert main(["run", "--config", str(path), "--out", str(tmp_path / name)]) == 0
     for report in ("trajectory.csv", "summary.json"):
         null = (tmp_path / "null" / report).read_bytes()
         assert null == (tmp_path / "absent" / report).read_bytes()
+        assert (tmp_path / "empty" / report).read_bytes() == null
 
 
 def test_missing_config_is_runtime_error(tmp_path, capsys):
@@ -290,6 +292,23 @@ def test_gaussian_without_amplitude_is_runtime_error(tmp_path, capsys):
     code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
     assert code == 2
     assert "perturbation.amplitude" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("sections, named", [
+    ({"kinks": {"x1": -6.0}}, "kinks.x2"),
+    ({"kinks": {"x1": -6.0, "x2": 6.0}, "grid": {"dx": 0.05}}, "grid.x0, grid.n"),
+    ({"kinks": {"x1": -6.0, "x2": 6.0}, "perturbation": {"center": 1.0}},
+     "perturbation.amplitude"),
+    ({"kinks": None}, "config.kinks"),
+], ids=["kinks.x2", "grid.x0-grid.n", "perturbation.amplitude", "config.kinks"])
+def test_missing_required_key_is_named(tmp_path, capsys, sections, named):
+    # a key without a default is named as section.key, not by the constructor
+    path = tmp_path / "missing.json"
+    path.write_text(json.dumps(dict(sections, t_end=1.0)))
+    code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert f"error: missing required key(s): {named}\n" == capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -22,6 +22,7 @@ from phi6kinks.functionals import (
     reference_kink_energy,
     simpson_weights,
     smooth_step,
+    spatial_derivative,
 )
 from phi6kinks.model import (
     SQRT2,
@@ -86,6 +87,19 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             w[0] = 1.0
         assert w.sum() == pytest.approx(0.1 * (n - 1), abs=1e-14)
+
+
+class TestDerivativeBits:
+    @pytest.mark.parametrize("name", ["random", "kink"])
+    def test_interior_is_the_sliced_formula(self, name):
+        # the one-call 4th-order interior keeps the bits of
+        # (f[:-4] - 8 f[1:-3] + 8 f[3:-1] - f[4:]) / (12 dx)
+        dx = 0.05
+        x = -40.0 + dx * np.arange(1601)
+        f = (np.random.default_rng(1818).uniform(-2.0, 2.0, x.size) if name == "random"
+             else kink_value(x))
+        want = (f[:-4] - 8.0 * f[1:-3] + 8.0 * f[3:-1] - f[4:]) / (12.0 * dx)
+        assert spatial_derivative(f, dx)[2:-2].tobytes() == want.tobytes()
 
 
 class TestEnergies:
@@ -364,8 +378,6 @@ class TestLyapunovFunctional:
         assert lyapunov_F(frame, terms) == pytest.approx(0.0, abs=1e-18)
 
     def test_matches_quadratic_form_for_small_remainder(self):
-        from phi6kinks.functionals import spatial_derivative
-
         frame = self._frame(1e-2)
         f_val = lyapunov_F(frame, pair_terms(frame, frame.fields()))
         x = frame.x

@@ -123,33 +123,69 @@ class TestDecompose:
     @pytest.mark.parametrize("x1, x2", [(-5.0, 5.0), (-5.1, 5.3), (-1.4, 1.6)])
     def test_derived_modes_match_profile_derivatives(self, x1, x2):
         # the residual evaluation derives each mode and its derivative from
-        # one profile value per kink; that must not move a single bit
+        # one profile value per kink: g and the modes must not move a single
+        # bit, and each curvature is the mode times its own square's factor
         bump = lambda x: 0.01 * np.exp(-((x - 1.0) ** 2))
         st = pair_state(x1, x2, extra=bump)
         w = simpson_weights(st.n, st.dx)
-        (r1, r2), (a11, a12, a22), m11, pair = _residual_and_matrix(st, w, x1, x2)
+        (r1, r2), (a11, a12, a22), (m11, gg), pair = _residual_and_matrix(st, w, x1, x2)
         g, m1, m2 = pair.g, pair.m1, pair.m2
 
         x = st.x
         g_ref = st.phi - antikink_value(x - x1) - kink_value(x - x2)
         m1_ref = antikink_derivative(1, x - x1)
         m2_ref = kink_derivative(1, x - x2)
-        dm1_ref = antikink_derivative(2, x - x1)
-        dm2_ref = kink_derivative(2, x - x2)
         assert np.array_equal(g, g_ref)
         assert np.array_equal(m1, m1_ref)
         assert np.array_equal(m2, m2_ref)
-        assert np.array_equal(pair.dm1, dm1_ref)
-        assert np.array_equal(pair.dm2, dm2_ref)
-        # each Jacobian entry and residual is a Python float, equal bit for bit
-        values = (a11, a12, a22, r1, r2, m11)
+        # K'' = +-sqrt2 K' (3 (1 - H^2) - 2), with H^2 the square the mode used
+        h1, h2 = kink_value(x1 - x), kink_value(x - x2)
+        dm1_ref = ((3.0 * (1.0 - h1 * h1) - 2.0) * m1_ref) * -SQRT2
+        dm2_ref = ((3.0 * (1.0 - h2 * h2) - 2.0) * m2_ref) * SQRT2
+        assert pair.dm1.tobytes() == dm1_ref.tobytes()
+        assert pair.dm2.tobytes() == dm2_ref.tobytes()
+        # ... which is U'(K) to round-off.  At the rounded profile value it is
+        # within 4 ULP of max |U'| of a 30-digit U'(h); Horner's 2 - 8 h^2 + 6 h^4
+        # cancels as h -> 1 and is off by up to 10.5 ULP there.  At the node,
+        # the profile's own rounding puts both forms 10-18 ULP off H''
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            def du(h):  # U'(h) = 2 h (1 - h^2)(1 - 3 h^2)
+                h = mp.mpf(float(h))
+                return float(2 * h * (1 - h * h) * (1 - 3 * h * h))
+
+            def h_second(u):  # H''(u) = U'(H(u)), H = (1 + e^{-2 sqrt2 u})^{-1/2}
+                return du(1 / mp.sqrt(1 + mp.exp(-2 * mp.sqrt(2) * mp.mpf(float(u)))))
+
+            cases = [(pair.dm1, antikink_derivative(2, x - x1), [-du(v) for v in h1],
+                      [-h_second(u) for u in x1 - x]),
+                     (pair.dm2, kink_derivative(2, x - x2), [du(v) for v in h2],
+                      [h_second(u) for u in x - x2])]
+        for dm, horner, at_h, at_node in cases:
+            ulp = math.ulp(float(np.max(np.abs(horner))))
+            assert float(np.max(np.abs(dm - horner))) <= 16 * ulp
+            assert float(np.max(np.abs(dm - np.array(at_h)))) <= 4 * ulp
+            assert float(np.max(np.abs(dm - np.array(at_node)))) <= 24 * ulp
+        # each integral is a Python float within a few ULP of its own sum, on
+        # the scale of the integral of the product's magnitude
+        values = (a11, a12, a22, r1, r2, m11, gg)
         assert all(type(v) is float for v in values)
-        assert m11 == float(w @ (m1_ref * m1_ref))
-        assert a11 == m11 - float(w @ (g_ref * dm1_ref))
-        assert a12 == float(w @ (m1_ref * m2_ref))
-        assert a22 == float(w @ (m2_ref * m2_ref)) - float(w @ (g_ref * dm2_ref))
-        assert r1 == float(w @ (g_ref * m1_ref))
-        assert r2 == float(w @ (g_ref * m2_ref))
+
+        def integral(a, b):  # w @ (a * b) and its scale, the integral of |a * b|
+            return float(w @ (a * b)), float(w @ np.abs(a * b))
+
+        def near(value, plus, minus=None, ulps=4):  # value ~ int(plus) - int(minus)
+            ref, scale = integral(*plus)
+            if minus is not None:
+                term, term_scale = integral(*minus)
+                ref, scale = ref - term, scale + term_scale
+            return ulps_apart(value, ref, scale) <= ulps
+
+        assert near(m11, (m1_ref, m1_ref)) and near(gg, (g_ref, g_ref))
+        assert near(a11, (m1_ref, m1_ref), (g_ref, dm1_ref))
+        assert near(a12, (m1_ref, m2_ref))
+        assert near(a22, (m2_ref, m2_ref), (g_ref, dm2_ref))
+        assert near(r1, (g_ref, m1_ref)) and near(r2, (g_ref, m2_ref))
 
 
 def ulps_apart(a, b, scale):

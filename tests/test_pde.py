@@ -263,6 +263,59 @@ class TestLeapfrog:
             assert s.pi.tobytes() == st.pi.tobytes()
 
 
+def _increment_oracle(phi, dx, dt):
+    """dt^2 (d_xx phi - U'(phi)) with the stepper's stencil sum written out,
+    ((-phi[i-2] + 16 phi[i-1]) - 30 phi[i] + 16 phi[i+1]) - phi[i+2], and its
+    factorised U'; 0 on the edge nodes."""
+    dt2 = dt * dt
+    scale = dt2 / (dx * dx)
+    inc = np.zeros_like(phi)
+    inc[2:-2] = ((((-phi[:-4] + 16.0 * phi[1:-3]) - 30.0 * phi[2:-2]) + 16.0 * phi[3:-1])
+                 - phi[4:]) * (scale / 12.0)
+    inc[1] = (phi[0] - 2.0 * phi[1] + phi[2]) * scale
+    inc[-2] = (phi[-3] - 2.0 * phi[-2] + phi[-1]) * scale
+    core = phi[1:-1]
+    sq = core * core - 1.0
+    inc[1:-1] -= ((sq * (6.0 * dt2) + 4.0 * dt2) * sq) * core
+    return inc
+
+
+class TestStencilBits:
+    """The stepper's one-call stencil sums the same operands in the same order
+    as the stencil written out: a numpy or BLAS build that reorders it fails
+    here instead of moving every report."""
+
+    @staticmethod
+    def _fields():
+        rng = np.random.default_rng(1818)
+        n = int(round(112 / 0.05)) + 1
+        pair = init_two_kink_state((-56.0, 0.05, n), -8.0, 8.0)
+        noise = FieldState(x0=-5.0, dx=0.05, n=201, phi=rng.uniform(-1.5, 1.5, 201),
+                           pi=rng.uniform(-1.0, 1.0, 201))
+        return {"random": noise, "resting-pair": pair}
+
+    @pytest.mark.parametrize("name", ["random", "resting-pair"])
+    def test_increment_is_the_ordered_stencil_sum(self, name):
+        state = self._fields()[name]
+        cfg = SolverConfig(dt=0.02)
+        kernel = pde._Leapfrog(state, cfg)
+        assert kernel.inc.tobytes() == _increment_oracle(state.phi, state.dx, cfg.dt).tobytes()
+        for _ in range(3):
+            kernel.advance()
+            want = _increment_oracle(kernel.phi, state.dx, cfg.dt)
+            assert kernel.inc.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("vacuum", [1.0, -1.0])
+    def test_vacuum_increment_is_exactly_zero(self, vacuum):
+        n = 201
+        state = FieldState(x0=0, dx=0.05, n=n, phi=np.full(n, vacuum), pi=np.zeros(n))
+        kernel = pde._Leapfrog(state, SolverConfig(dt=0.02))
+        for _ in range(3):
+            assert not kernel.inc.any() and not kernel.p.any()
+            assert kernel.phi.tobytes() == state.phi.tobytes()
+            kernel.advance()
+
+
 class TestEvolution:
     def test_static_kink_short_run(self):
         st = single_kink_state()

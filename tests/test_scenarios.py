@@ -17,7 +17,14 @@ from phi6kinks.functionals import (
     pair_terms,
     spatial_derivative,
 )
-from phi6kinks.model import SQRT2, antikink_value, eval_potential_derivative, kink_value
+from phi6kinks.model import (
+    SQRT2,
+    antikink_derivative,
+    antikink_value,
+    eval_potential_derivative,
+    kink_derivative,
+    kink_value,
+)
 from phi6kinks.pde import SolverConfig
 from phi6kinks.reporting import (
     CSV_HEADER,
@@ -576,8 +583,10 @@ class TestSharedPairTerms:
         x, anti, kink, total, dg = self._pair(frame)
         g, g_t, dx = frame.g, frame.g_t, frame.dx
         xdot1, xdot2 = frame.xdot1, frame.xdot2
-        dd_anti = eval_potential_derivative(1, anti)
-        dd_kink = eval_potential_derivative(1, kink)
+        # U'(K) = +-sqrt2 K' (3 (1 - K^2) - 2), the center solve's arithmetic
+        mode1, mode2 = antikink_derivative(1, x - frame.x1), kink_derivative(1, x - frame.x2)
+        dd_anti = ((3.0 * (1.0 - anti * anti) - 2.0) * mode1) * -SQRT2
+        dd_kink = ((3.0 * (1.0 - kink * kink) - 2.0) * mode2) * SQRT2
         f1 = integrate(g_t * g_t + dg * dg + eval_potential_derivative(2, total) * g * g, dx)
         interaction = dd_anti + dd_kink - eval_potential_derivative(1, total)
         f2 = -2.0 * integrate(g * interaction, dx)
