@@ -235,7 +235,7 @@ def interaction_energy_A_prime(z: float, dx: float = _A_DEFAULT_DX) -> float:
     x = _pair_grid(z, dx)
     anti = antikink_value(x + 0.5 * z)
     kink = kink_value(x - 0.5 * z)
-    dkink = kink_derivative(1, x - 0.5 * z)
+    dkink = kink_derivative(x - 0.5 * z)
     integrand = dkink * (
         eval_potential_derivative(1, anti) - eval_potential_derivative(1, anti + kink)
     )
@@ -280,10 +280,9 @@ def pair_terms(frame, pair) -> PairTerms:
     ``pair`` is the modulation.PairFields at those centers: the arrays of
     the center solve's last residual evaluation, or frame.fields().  With
     K1 = antikink_value(x - x1) = -h1 and K2 = kink_value(x - x2) = h2, the
-    profile curvatures U'(K1) and U'(K2) are the solve's mode derivatives
-    K'' = +-sqrt2 K' (3 (1 - h^2) - 2): U'(K) to a few ULP, not Horner U' bit
-    for bit, and exactly 0 at the vacua.  The squares that the norms, F and
-    the coercivity ratio each sum are formed here once.
+    profile curvatures are the solve's mode derivatives K1'' and K2'', which
+    are U'(K1) and U'(K2) bit for bit.  The squares that the norms, F and the
+    coercivity ratio each sum are formed here once.
     """
     if frame.z <= 0:
         raise ValueError("frame separation must be positive")

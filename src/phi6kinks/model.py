@@ -1,9 +1,9 @@
 """Closed-form phi^6 potential and kink/antikink profiles.
 
-The model is fixed: U(phi) = phi^2 (1 - phi^2)^2, with vacua at -1, 0, +1.
-The kink profile joins the vacua 0 and 1; the antikink is its reflection
-joining -1 and 0.  All functions are pure, accept scalars or numpy arrays
-and return numpy values.
+The model is fixed: U(phi) = phi^2 (1 - phi^2)^2, with vacua at -1, 0, +1,
+and U', U'' and U''' in one closed form each.  The kink profile joins the
+vacua 0 and 1; the antikink is its reflection joining -1 and 0.  All
+functions are pure, accept scalars or numpy arrays and return numpy values.
 """
 from __future__ import annotations
 
@@ -15,22 +15,6 @@ SQRT2 = float(np.sqrt(2.0))
 # profile tails are below e^{-40 sqrt2} ~ 3e-25.
 MARGIN = 40.0
 
-# k-th derivative of U(phi) = phi^2 - 2 phi^4 + phi^6, as coefficient arrays
-# for powers [phi^0, phi^1, ..., phi^5].
-_U_DERIV_COEFFS = {
-    1: (0.0, 2.0, 0.0, -8.0, 0.0, 6.0),
-    2: (2.0, 0.0, -24.0, 0.0, 30.0, 0.0),
-    3: (0.0, -48.0, 0.0, 120.0, 0.0, 0.0),
-    4: (-48.0, 0.0, 360.0, 0.0, 0.0, 0.0),
-    5: (0.0, 720.0, 0.0, 0.0, 0.0, 0.0),
-    6: (720.0, 0.0, 0.0, 0.0, 0.0, 0.0),
-}
-# the power each Horner evaluation starts from: the highest non-zero one, or 1
-_U_DERIV_TOP = {
-    k: max((p for p in range(2, 6) if coeffs[p]), default=1)
-    for k, coeffs in _U_DERIV_COEFFS.items()
-}
-
 
 def eval_potential(phi):
     """U(phi) = phi^2 (1 - phi^2)^2."""
@@ -39,26 +23,24 @@ def eval_potential(phi):
 
 
 def eval_potential_derivative(k, phi):
-    """k-th derivative of U for 1 <= k <= 6 (U is a sextic, so U^(k>=7) = 0).
+    """U', U'' or U''' (k = 1, 2, 3), each in one closed form.
 
-    Horner from the highest non-zero power (at least phi^1), skipping the
-    additions of interior zeros: adding 0.0 only turns -0.0 into +0.0, which
-    a later addition, the final + c_0 at the latest, erases.  So the bytes
-    are those of the six-term loop on finite and NaN input; +-inf, which
-    profile values in [-1, 1] never reach, may differ.
+    U' = 2 phi s (3 s - 2) with s = 1 - phi^2 is ((3 s - 2) kink_mode(phi)) sqrt2,
+    formed in the operations of the center solve's K'' = U'(K), so the two
+    agree bit for bit; it is exactly 0 at the vacua and, unlike the expanded
+    2 phi - 8 phi^3 + 6 phi^5, does not cancel near them.
+    U'' = (30 phi^2 - 24) phi^2 + 2 and U''' = (120 phi^2 - 48) phi.
     """
-    if k not in _U_DERIV_COEFFS:
-        raise ValueError(f"derivative order must be in 1..6, got {k}")
     phi = np.asarray(phi, dtype=float)
-    coeffs = _U_DERIV_COEFFS[k]
-    top = _U_DERIV_TOP[k]
-    out = coeffs[top] * phi
-    for power in range(top - 1, 0, -1):  # Horner, in place
-        if coeffs[power]:
-            out += coeffs[power]
-        out *= phi
-    out += coeffs[0]
-    return out
+    if k == 1:
+        s = 1.0 - phi * phi  # shared with the mode sqrt2 phi s, as in kink_mode
+        return ((3.0 * s - 2.0) * (SQRT2 * phi * s)) * SQRT2
+    if k == 2:
+        sq = phi * phi
+        return (30.0 * sq - 24.0) * sq + 2.0
+    if k == 3:
+        return (120.0 * (phi * phi) - 48.0) * phi
+    raise ValueError(f"derivative order must be 1, 2 or 3, got {k}")
 
 
 def kink_value(x):
@@ -82,12 +64,9 @@ def kink_mode(h):
     return SQRT2 * h * (1.0 - h * h)
 
 
-def kink_derivative(order, x):
-    """Spatial derivative of the kink profile: H' = kink_mode(H), H'' = U'(H)."""
-    if order not in (1, 2):
-        raise ValueError(f"derivative order must be 1 or 2, got {order}")
-    h = kink_value(x)
-    return kink_mode(h) if order == 1 else eval_potential_derivative(1, h)
+def kink_derivative(x):
+    """Kink slope H'(x) = kink_mode(H(x)); H'' is U'(H(x))."""
+    return kink_mode(kink_value(x))
 
 
 def antikink_value(x):
@@ -95,9 +74,6 @@ def antikink_value(x):
     return -kink_value(-np.asarray(x, dtype=float))
 
 
-def antikink_derivative(order, x):
-    """Spatial derivative of the antikink; order 1 is a positive bump."""
-    if order not in (1, 2):
-        raise ValueError(f"derivative order must be 1 or 2, got {order}")
-    x = np.asarray(x, dtype=float)
-    return kink_derivative(1, -x) if order == 1 else -kink_derivative(2, -x)
+def antikink_derivative(x):
+    """Antikink slope, a positive bump: H'(-x)."""
+    return kink_derivative(-np.asarray(x, dtype=float))

@@ -51,9 +51,9 @@ def _pair_fields(state, x1, x2) -> PairFields:
     One profile evaluation per kink: the antikink is the reflection
     K1(x) = -H(x1 - x) = -h1, and K2 = H(x - x2) = h2.  Each mode and its
     derivative follow from the profile value h and its square s = 1 - h^2:
-    the mode is kink_mode(h) = sqrt2 h s, bit for bit, and with
-    U'(H) = sqrt2 H' (1 - 3 H^2) the curvature is K2'' = ((3 s - 2) K2') sqrt2,
-    and K1'' = ((3 s - 2) K1') (-sqrt2).
+    the mode is kink_mode(h) = sqrt2 h s and the curvature
+    K2'' = ((3 s - 2) K2') sqrt2 and K1'' = ((3 s - 2) K1') (-sqrt2), in the
+    operations of model.eval_potential_derivative, so K'' is U'(K) bit for bit.
     """
     x = state.x
     h1 = kink_value(x1 - x)
@@ -221,7 +221,7 @@ def orthogonality_ok(frame: ModulationFrame) -> bool:
     """Scaled orthogonality test with a small absolute floor for g ~ 0."""
     g = frame.g
     w = simpson_weights(len(g), frame.dx)
-    mode_l2 = math.sqrt(float(w @ (antikink_derivative(1, frame.x - frame.x1) ** 2)))
+    mode_l2 = math.sqrt(float(w @ (antikink_derivative(frame.x - frame.x1) ** 2)))
     g_l2 = math.sqrt(max(float(w @ (g ** 2)), 0.0))
     tol = _ORTHO_RTOL * mode_l2 * g_l2 + _ORTHO_ATOL
     return all(abs(r) <= tol for r in frame.ortho_residuals)

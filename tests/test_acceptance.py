@@ -39,7 +39,7 @@ def test_criterion_1_closed_form_identities():
     start = time.time()
     dx = 0.01
     x = np.arange(-40.0, 40.0 + 1e-12, dx)
-    slope_sq = integrate(kink_derivative(1, x) ** 2, dx)
+    slope_sq = integrate(kink_derivative(x) ** 2, dx)
     h = kink_value(x)
     moment = integrate((8 * h**3 - 6 * h**5) * np.exp(-SQRT2 * x), dx)
     elapsed = time.time() - start

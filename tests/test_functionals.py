@@ -33,7 +33,7 @@ from phi6kinks.model import (
     kink_value,
 )
 from phi6kinks.modulation import ModulationFrame, decompose
-from phi6kinks.pde import FieldState
+from phi6kinks.pde import FieldState, init_two_kink_state
 
 E_REF_EXACT = 1.0 / (2.0 * SQRT2)
 
@@ -45,7 +45,7 @@ def pair_state(z, dx=0.05, v=0.0, margin=40.0):
         n += 1
     x = -half + dx * np.arange(n)
     phi = antikink_value(x + z / 2) + kink_value(x - z / 2)
-    pi = -v * antikink_derivative(1, x + z / 2) + v * kink_derivative(1, x - z / 2)
+    pi = -v * antikink_derivative(x + z / 2) + v * kink_derivative(x - z / 2)
     return FieldState(x0=-half, dx=dx, n=n, phi=phi, pi=pi, t=0.0)
 
 
@@ -119,7 +119,7 @@ class TestEnergies:
     def test_slope_norm_equals_rest_energy(self):
         # equipartition of the static kink: ||d_x H||_L2^2 = E_pot(H) = 1/(2 sqrt2)
         x = np.arange(-40.0, 40.0 + 1e-12, 0.01)
-        slope_sq = integrate(kink_derivative(1, x) ** 2, 0.01)
+        slope_sq = integrate(kink_derivative(x) ** 2, 0.01)
         assert slope_sq == pytest.approx(E_REF_EXACT, abs=1e-8)
         assert slope_sq == pytest.approx(reference_kink_energy(0.01), abs=1e-8)
 
@@ -395,6 +395,25 @@ class TestLyapunovFunctional:
         vals = {lam: lyapunov_F(f, pair_terms(f, f.fields())) for lam, f in frames.items()}
         assert vals[0.5] / vals[1.0] == pytest.approx(0.25, rel=1e-3)
         assert vals[0.25] / vals[1.0] == pytest.approx(0.0625, rel=1e-3)
+
+    def test_interaction_term_cancels_at_profile_values(self):
+        # F's K1'' + K2'' - U'(K1 + K2) on a resting z = 16 pair, against its
+        # 40-digit value at the rounded profile values K1 = -h1 and K2 = h2:
+        # with one U' arithmetic it is off by 6.6e-16, and by 4.4e-16 for
+        # |x| > 12; K'' beside the expanded U' was off by 1.3e-15 there
+        mp = pytest.importorskip("mpmath")
+        st = init_two_kink_state((-60.0, 0.05, 2401), -8.0, 8.0)
+        pairs = []
+        terms = pair_terms(decompose(st, (-8.0, 8.0), pairs), pairs[0])
+        got = terms.dd_anti + terms.dd_kink - eval_potential_derivative(1, terms.total)
+        du = lambda p: 2 * p * (1 - p * p) * (1 - 3 * p * p)
+        with mp.workdps(40):
+            want = [float(du(k1) + du(k2) - du(k1 + k2))
+                    for k1, k2 in zip(map(mp.mpf, (-pairs[0].h1).tolist()),
+                                      map(mp.mpf, pairs[0].h2.tolist()))]
+        err = np.abs(got - np.array(want))
+        assert float(np.max(err)) <= 1e-15
+        assert float(np.max(err[np.abs(terms.x) > 12.0])) <= 6e-16
 
     def test_rejects_collapsed_frame(self):
         import dataclasses

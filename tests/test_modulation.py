@@ -11,6 +11,7 @@ from phi6kinks.model import (
     SQRT2,
     antikink_derivative,
     antikink_value,
+    eval_potential_derivative,
     kink_derivative,
     kink_value,
 )
@@ -84,8 +85,8 @@ class TestDecompose:
 
         def res_norm(c1, c2):
             g = st.phi - antikink_value(x - c1) - kink_value(x - c2)
-            r1 = w @ (g * antikink_derivative(1, x - c1))
-            r2 = w @ (g * kink_derivative(1, x - c2))
+            r1 = w @ (g * antikink_derivative(x - c1))
+            r2 = w @ (g * kink_derivative(x - c2))
             return math.hypot(r1, r2)
 
         grid = np.arange(-0.3, 0.3001, 0.05)
@@ -133,8 +134,8 @@ class TestDecompose:
 
         x = st.x
         g_ref = st.phi - antikink_value(x - x1) - kink_value(x - x2)
-        m1_ref = antikink_derivative(1, x - x1)
-        m2_ref = kink_derivative(1, x - x2)
+        m1_ref = antikink_derivative(x - x1)
+        m2_ref = kink_derivative(x - x2)
         assert np.array_equal(g, g_ref)
         assert np.array_equal(m1, m1_ref)
         assert np.array_equal(m2, m2_ref)
@@ -144,10 +145,13 @@ class TestDecompose:
         dm2_ref = ((3.0 * (1.0 - h2 * h2) - 2.0) * m2_ref) * SQRT2
         assert pair.dm1.tobytes() == dm1_ref.tobytes()
         assert pair.dm2.tobytes() == dm2_ref.tobytes()
-        # ... which is U'(K) to round-off.  At the rounded profile value it is
-        # within 4 ULP of max |U'| of a 30-digit U'(h); Horner's 2 - 8 h^2 + 6 h^4
-        # cancels as h -> 1 and is off by up to 10.5 ULP there.  At the node,
-        # the profile's own rounding puts both forms 10-18 ULP off H''
+        # ... which is the model's U'(K1) = U'(-h1) and U'(K2) = U'(h2), byte
+        # for byte, so F's interaction term has one U' arithmetic
+        assert pair.dm1.tobytes() == eval_potential_derivative(1, -h1).tobytes()
+        assert pair.dm2.tobytes() == eval_potential_derivative(1, h2).tobytes()
+        # At the rounded profile value K'' is within 4 ULP of max |U'| of a
+        # 30-digit U'(h).  At the node, the profile's own rounding puts it
+        # 10-18 ULP off H''
         mp = pytest.importorskip("mpmath")
         with mp.workdps(30):
             def du(h):  # U'(h) = 2 h (1 - h^2)(1 - 3 h^2)
@@ -157,13 +161,13 @@ class TestDecompose:
             def h_second(u):  # H''(u) = U'(H(u)), H = (1 + e^{-2 sqrt2 u})^{-1/2}
                 return du(1 / mp.sqrt(1 + mp.exp(-2 * mp.sqrt(2) * mp.mpf(float(u)))))
 
-            cases = [(pair.dm1, antikink_derivative(2, x - x1), [-du(v) for v in h1],
-                      [-h_second(u) for u in x1 - x]),
-                     (pair.dm2, kink_derivative(2, x - x2), [du(v) for v in h2],
-                      [h_second(u) for u in x - x2])]
-        for dm, horner, at_h, at_node in cases:
-            ulp = math.ulp(float(np.max(np.abs(horner))))
-            assert float(np.max(np.abs(dm - horner))) <= 16 * ulp
+            cases = [(pair.dm1, eval_potential_derivative(1, antikink_value(x - x1)),
+                      [-du(v) for v in h1], [-h_second(u) for u in x1 - x]),
+                     (pair.dm2, eval_potential_derivative(1, kink_value(x - x2)),
+                      [du(v) for v in h2], [h_second(u) for u in x - x2])]
+        for dm, model_du, at_h, at_node in cases:
+            ulp = math.ulp(float(np.max(np.abs(model_du))))
+            assert float(np.max(np.abs(dm - model_du))) <= 16 * ulp
             assert float(np.max(np.abs(dm - np.array(at_h)))) <= 4 * ulp
             assert float(np.max(np.abs(dm - np.array(at_node)))) <= 24 * ulp
         # each integral is a Python float within a few ULP of its own sum, on
@@ -225,14 +229,14 @@ class TestClosedForm2x2:
         monkeypatch.setattr(np.linalg, "det", refuse)
         monkeypatch.setattr(np.linalg, "solve", refuse)
         v = 0.1
-        pi = lambda x: -v * kink_derivative(1, x - 5.3) + 1e-3 * np.exp(-(x**2))
+        pi = lambda x: -v * kink_derivative(x - 5.3) + 1e-3 * np.exp(-(x**2))
         st = pair_state(-5.1, 5.3, pi=pi, extra=lambda x: 0.01 * np.exp(-(x**2)))
         frame = decompose(st, (-5.0, 5.0))
         assert frame.newton_iters >= 1 and orthogonality_ok(frame)
 
     def test_velocities_and_det_match_linalg_on_a_frame(self):
         v = 0.1
-        pi = lambda x: -v * kink_derivative(1, x - 5.3) + 1e-3 * np.exp(-(x**2))
+        pi = lambda x: -v * kink_derivative(x - 5.3) + 1e-3 * np.exp(-(x**2))
         st = pair_state(-5.1, 5.3, pi=pi, extra=lambda x: 0.01 * np.exp(-(x**2)))
         frame = decompose(st, (-5.0, 5.0))
         w = simpson_weights(st.n, st.dx)
@@ -362,14 +366,14 @@ class TestFrameStorage:
 
     def test_rebuilt_remainder_matches_its_definition(self):
         v = 0.1
-        pi = lambda x: -v * kink_derivative(1, x - 5.3) + 1e-3 * np.exp(-(x**2))
+        pi = lambda x: -v * kink_derivative(x - 5.3) + 1e-3 * np.exp(-(x**2))
         st = pair_state(-5.1, 5.3, pi=pi, extra=lambda x: 0.01 * np.exp(-(x**2)))
         frame = decompose(st, (-5.0, 5.0))
         assert frame.state is st
         x = st.x
         g_ref = st.phi - antikink_value(x - frame.x1) - kink_value(x - frame.x2)
-        g_t_ref = (st.pi + frame.xdot1 * antikink_derivative(1, x - frame.x1)
-                   + frame.xdot2 * kink_derivative(1, x - frame.x2))
+        g_t_ref = (st.pi + frame.xdot1 * antikink_derivative(x - frame.x1)
+                   + frame.xdot2 * kink_derivative(x - frame.x2))
         assert np.array_equal(frame.g, g_ref)
         assert np.array_equal(frame.g_t, g_t_ref)
         assert np.array_equal(frame.x, x) and frame.dx == st.dx
@@ -385,7 +389,7 @@ class TestFrameStorage:
 class TestVelocities:
     def test_translation_field(self):
         v = 0.1
-        pi = lambda x: -v * (antikink_derivative(1, x + 5.1) + kink_derivative(1, x - 5.3))
+        pi = lambda x: -v * (antikink_derivative(x + 5.1) + kink_derivative(x - 5.3))
         st = pair_state(-5.1, 5.3, pi=pi)
         frame = decompose(st, (-5.1, 5.3))
         assert frame.xdot1 == pytest.approx(v, abs=1e-6)

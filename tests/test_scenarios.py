@@ -584,7 +584,7 @@ class TestSharedPairTerms:
         g, g_t, dx = frame.g, frame.g_t, frame.dx
         xdot1, xdot2 = frame.xdot1, frame.xdot2
         # U'(K) = +-sqrt2 K' (3 (1 - K^2) - 2), the center solve's arithmetic
-        mode1, mode2 = antikink_derivative(1, x - frame.x1), kink_derivative(1, x - frame.x2)
+        mode1, mode2 = antikink_derivative(x - frame.x1), kink_derivative(x - frame.x2)
         dd_anti = ((3.0 * (1.0 - anti * anti) - 2.0) * mode1) * -SQRT2
         dd_kink = ((3.0 * (1.0 - kink * kink) - 2.0) * mode2) * SQRT2
         f1 = integrate(g_t * g_t + dg * dg + eval_potential_derivative(2, total) * g * g, dx)
