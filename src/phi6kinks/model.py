@@ -31,16 +31,30 @@ def eval_potential_derivative(k, phi):
     2 phi - 8 phi^3 + 6 phi^5, does not cancel near them.
     U'' = (30 phi^2 - 24) phi^2 + 2 and U''' = (120 phi^2 - 48) phi.
     """
+    if k not in (1, 2, 3):
+        raise ValueError(f"derivative order must be 1, 2 or 3, got {k}")
     phi = np.asarray(phi, dtype=float)
+    # each form in place, in the operations and order written above, on the
+    # buffer of phi^2: an array even for scalar phi
+    out = np.multiply(phi, phi, out=np.empty_like(phi))
     if k == 1:
-        s = 1.0 - phi * phi  # shared with the mode sqrt2 phi s, as in kink_mode
-        return ((3.0 * s - 2.0) * (SQRT2 * phi * s)) * SQRT2
-    if k == 2:
-        sq = phi * phi
-        return (30.0 * sq - 24.0) * sq + 2.0
-    if k == 3:
-        return (120.0 * (phi * phi) - 48.0) * phi
-    raise ValueError(f"derivative order must be 1, 2 or 3, got {k}")
+        np.subtract(1.0, out, out=out)  # s, shared with the mode sqrt2 phi s, as in kink_mode
+        mode = phi * SQRT2
+        mode *= out
+        out *= 3.0
+        out -= 2.0
+        out *= mode
+        out *= SQRT2
+    elif k == 2:
+        sq, out = out, out * 30.0
+        out -= 24.0
+        out *= sq
+        out += 2.0
+    else:
+        out *= 120.0
+        out -= 48.0
+        out *= phi
+    return out[()]  # a numpy scalar for scalar phi, as out-of-place operations give
 
 
 def kink_value(x):

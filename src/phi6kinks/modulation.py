@@ -250,8 +250,8 @@ def _first_crossing(x, phi, level):
 
 
 def track(snapshots, on_valid=None) -> list[ModulationFrame]:
-    """Decompose a chronological snapshot sequence, seeding each solve
-    with the previous centers.
+    """Decompose a chronological iterable of snapshots, one at a time as it
+    yields them, seeding each solve with the previous centers.
 
     A first-frame failure raises; later frames entering the collision
     regime (z < 2) or failing to converge are marked invalid and the last
@@ -260,7 +260,9 @@ def track(snapshots, on_valid=None) -> list[ModulationFrame]:
     snapshot is solved, with the arrays of the solve's last residual
     evaluation; the returned frames do not keep them.
     """
-    if not snapshots:
+    snapshots = iter(snapshots)
+    first = next(snapshots, None)
+    if first is None:
         raise ValueError("no snapshots to track")
     frames: list[ModulationFrame] = []
     pairs: list[PairFields] = []  # decompose appends the pair of each solve
@@ -272,8 +274,8 @@ def track(snapshots, on_valid=None) -> list[ModulationFrame]:
         frames.append(frame)
         return frame
 
-    prev = keep(decompose(snapshots[0], initial_center_guess(snapshots[0]), pairs))
-    for snap in snapshots[1:]:
+    prev = keep(decompose(first, initial_center_guess(first), pairs))
+    for snap in snapshots:
         dt = snap.t - prev.t
         seed = (prev.x1 + prev.xdot1 * dt, prev.x2 + prev.xdot2 * dt)
         frame = None

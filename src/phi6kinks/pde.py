@@ -9,6 +9,13 @@ from __future__ import annotations
 
 import functools
 import math
+import mmap
+import os
+import signal
+import struct
+import traceback
+import weakref
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -130,13 +137,12 @@ class _Leapfrog:
         self._update_increment()
         self.p += self.inc
 
-    def pi(self) -> np.ndarray:
-        """pi at the current phi, (p - inc/2)/dt, in one new array; a readout
-        that never feeds back."""
-        pi = np.multiply(self.inc, -0.5)
-        pi += self.p
-        pi /= self.dt
-        return pi
+    def pi(self, out: np.ndarray) -> None:
+        """pi at the current phi, (p - inc/2)/dt, into ``out``; a readout that
+        never feeds back."""
+        np.multiply(self.inc, -0.5, out=out)
+        out += self.p
+        out /= self.dt
 
     def restart(self, phi: np.ndarray, p: np.ndarray) -> None:
         np.copyto(self.phi, phi)
@@ -158,18 +164,135 @@ def _all_finite(a: np.ndarray) -> bool:
 
 
 def step(state: FieldState, cfg: SolverConfig) -> FieldState:
-    """One leapfrog step with clamped boundary nodes: a one-step ``run``."""
-    return run(state, cfg, state.t + cfg.dt, 1)[-1]
+    """One leapfrog step with clamped boundary nodes: the stepping loop of a
+    one-step ``run``, in this process, since forking costs more than a step."""
+    rows, times = np.empty((1, 2, state.n)), []
+    _evolve(_Leapfrog(state, cfg), state.t, 1, 1, rows, times.append)
+    return FieldState(state.x0, state.dx, state.n, *rows[0], times[0])
 
 
-def run(state: FieldState, cfg: SolverConfig, t_end: float, frame_cadence: int = 50):
-    """Evolve to t_end, returning snapshots every frame_cadence steps.
+def _evolve(kernel: _Leapfrog, t0: float, n_steps: int, frame_cadence: int,
+            rows: np.ndarray, emit) -> None:
+    """The stepping loop: snapshot i after the start goes into rows[i] as
+    (phi, pi), and then emit(t) announces it.
 
-    The returned list always includes the initial and final states; each
-    snapshot owns its arrays, and its pi is read out from the half-step
-    momentum.  The fields phi and p are checked once per snapshot; a
-    non-finite field raises FloatingPointError naming the last time at
-    which both were finite, as a check after every step would.
+    The fields phi and p are checked once per snapshot; a non-finite field
+    raises FloatingPointError naming the last time at which both were
+    finite, as a check after every step would.
+    """
+    last_phi, last_p = kernel.phi.copy(), kernel.p.copy()
+    dt = kernel.dt
+    for k in range(1, n_steps + 1):
+        kernel.advance()
+        if k % frame_cadence == 0 or k == n_steps:
+            if not kernel.finite():
+                # x += y keeps a value non-finite, so the first bad step follows the
+                # previous snapshot: replay from its phi and p, checking each step
+                kernel.restart(last_phi, last_p)
+                for j in range((k - 1) // frame_cadence * frame_cadence, k):
+                    kernel.advance()
+                    kernel.check(t0 + j * dt)
+            last_phi, pi = rows[(k - 1) // frame_cadence]
+            np.copyto(last_phi, kernel.phi)
+            kernel.pi(out=pi)
+            np.copyto(last_p, kernel.p)
+            emit(t0 + k * dt)
+
+
+_T = struct.Struct("d")  # a snapshot's t, as the stepper process announces it
+
+
+def _stop(pid: int, pipe) -> int | None:
+    """Kill the stepper process unless it has exited, reap it and close its
+    pipe; its wait status, or None if it was reaped elsewhere."""
+    try:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if not done:
+            os.kill(pid, signal.SIGKILL)
+            status = os.waitpid(pid, 0)[1]
+    except ChildProcessError:
+        status = None
+    pipe.close()
+    return status
+
+
+class Snapshots(Sequence):
+    """The snapshots of one ``run``, FieldStates that a stepper process fills.
+
+    Iterating yields each snapshot as soon as it arrives; ``len`` and
+    indexing wait for all of them.  The stepper's FloatingPointError is
+    raised where the stream reaches it.  The stepper is reaped when the
+    stream ends, on ``close()``, or when the sequence is collected.
+    """
+
+    def __init__(self, first: FieldState, rows: np.ndarray, pid: int, fd: int):
+        self._states = [first]
+        self._rows = rows
+        self._failure: Exception | None = None
+        self._pipe = os.fdopen(fd, "rb")
+        self._reap = weakref.finalize(self, _stop, pid, self._pipe)
+
+    def _receive(self) -> bool:
+        """Wait for the next snapshot and keep it; False once all have arrived."""
+        k = len(self._states) - 1  # snapshots after the start received so far
+        if k == len(self._rows):
+            return False
+        if self._failure is not None:
+            raise self._failure
+        data = self._pipe.read(_T.size)
+        t = _T.unpack(data)[0] if len(data) == _T.size else math.nan
+        if not math.isnan(t):
+            first = self._states[0]
+            self._states.append(FieldState(first.x0, first.dx, first.n, *self._rows[k], t))
+            if k + 1 == len(self._rows):
+                self._pipe.read()  # to the end of the stream: the stepper has exited
+                self._reap()
+            return True
+        # a NaN t precedes the stepper's error message; a short read means it died
+        message = self._pipe.read().decode() if len(data) == _T.size else None
+        status = self._reap()
+        self._failure = FloatingPointError(message) if message is not None else ChildProcessError(
+            f"the stepper process ended after {k} of {len(self._rows)} snapshots "
+            f"with wait status {status}")
+        raise self._failure
+
+    def __iter__(self):
+        i = 0
+        while i < len(self._states) or self._receive():
+            yield self._states[i]
+            i += 1
+
+    def _all(self) -> list[FieldState]:
+        while self._receive():
+            pass
+        return self._states
+
+    def __len__(self) -> int:
+        return len(self._all())
+
+    def __getitem__(self, index):
+        return self._all()[index]
+
+    def close(self) -> None:
+        """Stop and reap the stepper; reading a snapshot that had not arrived
+        then raises ValueError."""
+        self._reap()
+
+
+def run(state: FieldState, cfg: SolverConfig, t_end: float, frame_cadence: int = 50) -> Snapshots:
+    """Evolve to t_end, with snapshots every frame_cadence steps.
+
+    The snapshots always include the initial and final states.  The
+    arguments and the CFL condition are checked here; the steps then run in
+    a forked process (POSIX only), which writes each snapshot's phi and pi
+    into one shared anonymous mapping, a row per snapshot, and announces its
+    t down a pipe.  The returned Snapshots yield each snapshot as it lands,
+    so the caller works on one core while the stepper runs on another.  The
+    first snapshot owns its arrays; the others are views of their rows, and
+    each pi is read out from the half-step momentum.  The fields are checked
+    once per snapshot, and a non-finite field raises FloatingPointError, at
+    the snapshot where the stream stops, naming the last time at which they
+    were finite.
     """
     if t_end <= state.t:
         raise ValueError(f"t_end={t_end} must exceed state.t={state.t}")
@@ -179,23 +302,31 @@ def run(state: FieldState, cfg: SolverConfig, t_end: float, frame_cadence: int =
     if n_steps < 1:
         raise ValueError("t_end too close to state.t for one step")
     kernel = _Leapfrog(state, cfg)
-    snapshots = [state.copy()]
-    snapshot_p = kernel.p.copy()
-    t0 = state.t
-    for k in range(1, n_steps + 1):
-        kernel.advance()
-        if k % frame_cadence == 0 or k == n_steps:
-            if not kernel.finite():
-                # x += y keeps a value non-finite, so the first bad step follows the
-                # previous snapshot: replay from its phi and p, checking each step
-                kernel.restart(snapshots[-1].phi, snapshot_p)
-                for j in range((k - 1) // frame_cadence * frame_cadence, k):
-                    kernel.advance()
-                    kernel.check(t0 + j * cfg.dt)
-            np.copyto(snapshot_p, kernel.p)
-            snapshots.append(FieldState(state.x0, state.dx, state.n, kernel.phi.copy(),
-                                        kernel.pi(), t0 + k * cfg.dt))
-    return snapshots
+    shape = (-(-n_steps // frame_cadence), 2, state.n)
+    rows = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=float).reshape(shape)
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:  # the stepper process: it never returns
+        status = 1
+        try:
+            os.close(r)
+            try:
+                _evolve(kernel, state.t, n_steps, frame_cadence, rows,
+                        lambda t: os.write(w, _T.pack(t)))
+            except FloatingPointError as exc:
+                os.write(w, _T.pack(math.nan) + str(exc).encode())
+            status = 0
+        except Exception:
+            traceback.print_exc()  # the caller sees only the exit status
+        finally:
+            os._exit(status)
+    os.close(w)
+    return Snapshots(state.copy(), rows, pid, r)
 
 
 def check_margins(x0: float, x_max: float, x1: float, x2: float) -> None:

@@ -124,7 +124,10 @@ def build_initial_state(config: ScenarioConfig) -> FieldState:
 
 def run_scenario(config: ScenarioConfig) -> ComparisonReport:
     """init -> evolve -> track, with each valid frame's diagnostics taken from
-    the arrays of its center solve -> anchor reduced dynamics -> report."""
+    the arrays of its center solve -> anchor reduced dynamics -> report.
+
+    The stepper runs in its own process while track solves each snapshot as
+    it lands."""
     state = build_initial_state(config)
     snapshots = run(state, config.solver, config.t_end, config.frame_cadence)
 
@@ -168,7 +171,10 @@ def run_scenario(config: ScenarioConfig) -> ComparisonReport:
         if norm_g_h1 > 1e-9:
             coer_min = min(coer_min, coercivity_ratio(frame, terms))
 
-    frames = track(snapshots, diagnose)
+    try:
+        frames = track(snapshots, diagnose)
+    finally:
+        snapshots.close()  # stops the stepper if track raised before the stream ended
     failed_at = next((idx for idx, frame in enumerate(frames) if not frame.valid), None)
 
     report = ComparisonReport(

@@ -1,4 +1,5 @@
 import dataclasses
+import os
 import sys
 from pathlib import Path
 
@@ -15,6 +16,19 @@ settings.load_profile("default")
 
 from phi6kinks.pde import FieldState  # noqa: E402  (needs SRC on the path)
 from phi6kinks.scenarios import default_suite, run_scenario  # noqa: E402
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process unreaped, such as a stepper
+    process whose snapshots were neither read to the end nor closed."""
+    yield
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    state = "still running" if pid == 0 else f"pid {pid}, wait status {status}"
+    pytest.fail(f"the test left a child process unreaped ({state})")
 
 
 @pytest.fixture(scope="session")

@@ -194,6 +194,24 @@ class TestKernelBitExactness:
         odd, negated = eval_potential_derivative(1, -h), -eval_potential_derivative(1, h)
         assert odd.tobytes() == negated.tobytes()
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_in_place_forms_equal_the_written_expressions(self, k):
+        # the in-place operations are the closed forms' own, so the bytes and,
+        # for scalar input, the numpy scalar type are those of the expressions
+        written = {1: lambda p: ((3.0 * (1.0 - p * p) - 2.0) * (SQRT2 * p * (1.0 - p * p))) * SQRT2,
+                   2: lambda p: (30.0 * (p * p) - 24.0) * (p * p) + 2.0,
+                   3: lambda p: (120.0 * (p * p) - 48.0) * p}[k]
+        x = np.linspace(-40.0, 40.0, 3201)
+        for phi in (np.linspace(-1.5, 1.5, 4801), kink_value(x) - kink_value(-x),
+                    np.array([[1.0, -1.0], [0.0, np.nan]])):
+            got = eval_potential_derivative(k, phi)
+            assert got.shape == phi.shape
+            assert got.tobytes() == written(phi).tobytes()
+        for scalar in (0.3, 1.0, -0.7):
+            got = eval_potential_derivative(k, scalar)
+            assert type(got) is np.float64
+            assert got == written(np.float64(scalar))
+
 
 class TestBoost:
     """The Lorentz-boosted profiles that init_two_kink_state builds at t=0."""

@@ -1,14 +1,27 @@
 """Solver correctness: fixed points, convergence, conservation, reversibility."""
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
 
-from phi6kinks import pde
+from phi6kinks import modulation, pde
 from phi6kinks.functionals import energy_breakdown
 from phi6kinks.model import SQRT2, kink_value
+from phi6kinks.modulation import ModulationError
 from phi6kinks.pde import FieldState, SolverConfig, init_two_kink_state, run, step
+from phi6kinks.scenarios import KinkArrangement, ScenarioConfig, run_scenario
+
+
+def evolve_in_process(state, cfg, t_end, frame_cadence):
+    """The snapshots of run's stepping loop, run in this process."""
+    n_steps = int(round((t_end - state.t) / cfg.dt))
+    rows = np.empty((-(-n_steps // frame_cadence), 2, state.n))
+    times = []
+    pde._evolve(pde._Leapfrog(state, cfg), state.t, n_steps, frame_cadence, rows, times.append)
+    return [state.copy()] + [FieldState(state.x0, state.dx, state.n, phi, pi, t)
+                             for (phi, pi), t in zip(rows, times)]
 
 
 def single_kink_state(dx=0.05, half=40.0):
@@ -132,7 +145,7 @@ class TestStep:
             assert len(finite) == 4
             assert all(np.isfinite(s.phi).all() and np.isfinite(s.pi).all() for s in finite)
             with pytest.raises(FloatingPointError, match=r"last valid time t=0\.060000"):
-                run(bad, cfg, 1.0, frame_cadence=1)
+                list(run(bad, cfg, 1.0, frame_cadence=1))
 
     @pytest.mark.parametrize("cadence", [2, 4, 50])
     def test_snapshot_check_names_the_same_last_finite_time(self, cadence):
@@ -143,16 +156,17 @@ class TestStep:
         bad.phi[800] = 10.0
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(FloatingPointError, match=r"last valid time t=0\.060000"):
-                run(bad, SolverConfig(dt=0.02), 1.0, frame_cadence=cadence)
+                list(run(bad, SolverConfig(dt=0.02), 1.0, frame_cadence=cadence))
 
     def test_non_finite_initial_field_names_the_start_time(self):
         st = dataclasses.replace(single_kink_state(), t=0.7)
         bad = dataclasses.replace(st, phi=st.phi.copy())
         bad.phi[100] = np.nan
         with pytest.raises(FloatingPointError, match=r"last valid time t=0\.700000"):
-            run(bad, SolverConfig(dt=0.02), 2.0)
+            list(run(bad, SolverConfig(dt=0.02), 2.0))
 
     def test_run_checks_the_fields_once_per_snapshot(self, monkeypatch):
+        # in this process: a counter patched in here is not the stepper process's
         calls = []
 
         def counting(a):
@@ -161,7 +175,7 @@ class TestStep:
 
         monkeypatch.setattr(pde, "_all_finite", counting)
         st = single_kink_state()
-        snaps = run(st, SolverConfig(dt=0.02), 150 * 0.02, frame_cadence=50)
+        snaps = evolve_in_process(st, SolverConfig(dt=0.02), 150 * 0.02, frame_cadence=50)
         assert len(snaps) == 4
         assert len(calls) == 2 * 3  # phi and pi at each of the 3 snapshots after the start
 
@@ -171,6 +185,104 @@ class TestStep:
         assert out.phi[0] == st.phi[0]
         assert out.phi[-1] == st.phi[-1]
         assert out.pi[0] == 0.0 and out.pi[-1] == 0.0
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestStream:
+    """run steps in a forked process and streams its snapshots."""
+
+    @pytest.mark.parametrize("cadence", [1, 40])
+    def test_forked_snapshots_are_the_in_process_loops(self, cadence):
+        n = int(round(96 / 0.05)) + 1
+        st = init_two_kink_state((-48.0, 0.05, n), -8.0, 8.0, 0.3, -0.3)
+        st = dataclasses.replace(st, t=0.7)
+        cfg = SolverConfig(dt=0.02)
+        t_end = st.t + 150 * cfg.dt
+        forked = list(run(st, cfg, t_end, frame_cadence=cadence))
+        local = evolve_in_process(st, cfg, t_end, cadence)
+        assert len(forked) == len(local) == -(-150 // cadence) + 1
+        for got, want in zip(forked, local):
+            assert got.t == want.t
+            assert got.phi.tobytes() == want.phi.tobytes()
+            assert got.pi.tobytes() == want.pi.tobytes()
+
+    def test_snapshots_before_a_blowup_arrive_in_order(self):
+        st = single_kink_state()
+        bad = dataclasses.replace(st, phi=st.phi.copy())
+        bad.phi[800] = 10.0  # finite for three steps, then overflows
+        with np.errstate(over="ignore", invalid="ignore"):
+            snaps = run(bad, SolverConfig(dt=0.02), 1.0, frame_cadence=1)
+        seen = []
+        with pytest.raises(FloatingPointError, match=r"last valid time t=0\.060000"):
+            for s in snaps:
+                assert np.isfinite(s.phi).all() and np.isfinite(s.pi).all()
+                seen.append(s.t)
+        assert seen == pytest.approx([0.0, 0.02, 0.04, 0.06], abs=1e-12)
+        assert seen == sorted(seen)
+        with pytest.raises(FloatingPointError, match=r"last valid time t=0\.060000"):
+            len(snaps)
+        assert_no_child()
+
+    def test_a_stepper_that_dies_is_named(self, monkeypatch):
+        evolve = pde._evolve
+
+        def die_after_one(kernel, t0, n_steps, frame_cadence, rows, emit):
+            evolve(kernel, t0, frame_cadence, frame_cadence, rows, emit)
+            os._exit(3)  # runs in the stepper process
+
+        monkeypatch.setattr(pde, "_evolve", die_after_one)
+        snaps = run(single_kink_state(), SolverConfig(dt=0.02), 2.0, frame_cadence=10)
+        seen = []
+        with pytest.raises(ChildProcessError, match=r"ended after 1 of 10 snapshots"):
+            for s in snaps:
+                seen.append(s.t)
+        assert seen == pytest.approx([0.0, 0.2])
+        assert_no_child()
+
+    def test_reading_past_close_raises(self):
+        snaps = run(single_kink_state(), SolverConfig(dt=0.02), 400.0, frame_cadence=100)
+        first = next(iter(snaps))
+        snaps.close()
+        assert_no_child()
+        assert first.t == 0.0
+        with pytest.raises(ValueError, match="closed"):
+            snaps[-1]
+
+    def test_no_child_after_a_completed_scenario(self):
+        report = run_scenario(ScenarioConfig(kinks=KinkArrangement(x1=-6.0, x2=6.0),
+                                             t_end=2.0, frame_cadence=25))
+        assert len(report.rows) == 5
+        assert_no_child()
+
+    def test_no_child_after_track_fails_on_frame_0(self, monkeypatch):
+        def fail(state):
+            raise ModulationError("planted failure on frame 0")
+
+        monkeypatch.setattr(modulation, "initial_center_guess", fail)
+        with pytest.raises(ModulationError, match="planted") as raised:
+            run_scenario(ScenarioConfig(kinks=KinkArrangement(x1=-6.0, x2=6.0),
+                                        t_end=400.0, frame_cadence=100))
+        # the traceback keeps run_scenario's snapshots alive: only its close reaps
+        assert raised.traceback
+        assert_no_child()
+
+    def test_no_child_after_a_mid_run_blowup(self):
+        st = single_kink_state()
+        bad = dataclasses.replace(st, phi=st.phi.copy())
+        bad.phi[800] = 10.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError):
+                list(run(bad, SolverConfig(dt=0.02), 1.0, frame_cadence=4))
+        assert_no_child()
+
+    def test_no_child_after_an_unread_result_is_dropped(self):
+        snaps = run(single_kink_state(), SolverConfig(dt=0.02), 400.0, frame_cadence=100)
+        del snaps
+        assert_no_child()
 
 
 def _kdk_oracle(state, cfg, n_steps):
