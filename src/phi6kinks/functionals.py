@@ -134,9 +134,6 @@ class EnergyBreakdown:
 def potential_energy_samples(phi, dx: float) -> float:
     """E_pot of a sampled field: Simpson of (1/2)(d_x phi)^2 + U(phi), with the
     4th-order d_x phi."""
-    phi = np.asarray(phi, dtype=float)
-    if phi.size < 5:
-        raise ValueError("grid too small (need >= 5 points)")
     dphi = spatial_derivative(phi, dx)
     return integrate(0.5 * dphi * dphi + eval_potential(phi), dx)
 

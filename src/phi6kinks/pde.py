@@ -11,9 +11,8 @@ import functools
 import math
 import mmap
 import os
+import pickle
 import signal
-import struct
-import traceback
 import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
@@ -199,9 +198,6 @@ def _evolve(kernel: _Leapfrog, t0: float, n_steps: int, frame_cadence: int,
             emit(t0 + k * dt)
 
 
-_T = struct.Struct("d")  # a snapshot's t, as the stepper process announces it
-
-
 def _stop(pid: int, pipe) -> int | None:
     """Kill the stepper process unless it has exited, reap it and close its
     pipe; its wait status, or None if it was reaped elsewhere."""
@@ -220,9 +216,10 @@ class Snapshots(Sequence):
     """The snapshots of one ``run``, FieldStates that a stepper process fills.
 
     Iterating yields each snapshot as soon as it arrives; ``len`` and
-    indexing wait for all of them.  The stepper's FloatingPointError is
-    raised where the stream reaches it.  The stepper is reaped when the
-    stream ends, on ``close()``, or when the sequence is collected.
+    indexing wait for all of them.  Any exception that stops the stepper is
+    raised as itself where the stream reaches it; a stream that ends early
+    raises ChildProcessError.  The stepper is reaped when the stream ends,
+    on ``close()``, or when the sequence is collected.
     """
 
     def __init__(self, first: FieldState, rows: np.ndarray, pid: int, fd: int):
@@ -239,19 +236,19 @@ class Snapshots(Sequence):
             return False
         if self._failure is not None:
             raise self._failure
-        data = self._pipe.read(_T.size)
-        t = _T.unpack(data)[0] if len(data) == _T.size else math.nan
-        if not math.isnan(t):
+        try:
+            item = pickle.load(self._pipe)  # a snapshot's t, or the stepper's exception
+        except (EOFError, pickle.UnpicklingError):
+            item = None  # the stream ended early or mid-object: the stepper died
+        if isinstance(item, float):
             first = self._states[0]
-            self._states.append(FieldState(first.x0, first.dx, first.n, *self._rows[k], t))
+            self._states.append(FieldState(first.x0, first.dx, first.n, *self._rows[k], item))
             if k + 1 == len(self._rows):
                 self._pipe.read()  # to the end of the stream: the stepper has exited
                 self._reap()
             return True
-        # a NaN t precedes the stepper's error message; a short read means it died
-        message = self._pipe.read().decode() if len(data) == _T.size else None
         status = self._reap()
-        self._failure = FloatingPointError(message) if message is not None else ChildProcessError(
+        self._failure = item if item is not None else ChildProcessError(
             f"the stepper process ended after {k} of {len(self._rows)} snapshots "
             f"with wait status {status}")
         raise self._failure
@@ -285,14 +282,15 @@ def run(state: FieldState, cfg: SolverConfig, t_end: float, frame_cadence: int =
     The snapshots always include the initial and final states.  The
     arguments and the CFL condition are checked here; the steps then run in
     a forked process (POSIX only), which writes each snapshot's phi and pi
-    into one shared anonymous mapping, a row per snapshot, and announces its
-    t down a pipe.  The returned Snapshots yield each snapshot as it lands,
-    so the caller works on one core while the stepper runs on another.  The
-    first snapshot owns its arrays; the others are views of their rows, and
-    each pi is read out from the half-step momentum.  The fields are checked
-    once per snapshot, and a non-finite field raises FloatingPointError, at
-    the snapshot where the stream stops, naming the last time at which they
-    were finite.
+    into one shared anonymous mapping, a row per snapshot, and sends its t
+    down a pipe, pickled.  The returned Snapshots yield each snapshot as it
+    lands, so the caller works on one core while the stepper runs on
+    another.  The first snapshot owns its arrays; the others are views of
+    their rows, and each pi is read out from the half-step momentum.  The
+    fields are checked once per snapshot, and a non-finite field raises
+    FloatingPointError naming the last time at which they were finite.  Any
+    exception that stops the stepper goes down the pipe pickled and reaches
+    the caller as itself, at the snapshot where the stream stops.
     """
     if t_end <= state.t:
         raise ValueError(f"t_end={t_end} must exceed state.t={state.t}")
@@ -312,19 +310,15 @@ def run(state: FieldState, cfg: SolverConfig, t_end: float, frame_cadence: int =
         os.close(w)
         raise
     if pid == 0:  # the stepper process: it never returns
-        status = 1
         try:
             os.close(r)
             try:
                 _evolve(kernel, state.t, n_steps, frame_cadence, rows,
-                        lambda t: os.write(w, _T.pack(t)))
-            except FloatingPointError as exc:
-                os.write(w, _T.pack(math.nan) + str(exc).encode())
-            status = 0
-        except Exception:
-            traceback.print_exc()  # the caller sees only the exit status
+                        lambda t: os.write(w, pickle.dumps(t)))
+            except Exception as exc:
+                os.write(w, pickle.dumps(exc))
         finally:
-            os._exit(status)
+            os._exit(0)
     os.close(w)
     return Snapshots(state.copy(), rows, pid, r)
 

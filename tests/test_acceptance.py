@@ -1,6 +1,6 @@
 """Acceptance suite: one test per shipped criterion, each printing a verdict line.
 
-Criteria 4, 6 and 7 share one run of the default scenario suite (the
+Criteria 4, 6, 7 and 9 share one run of the default scenario suite (the
 session-scope ``suite_reports`` fixture of conftest.py).  Stated runtime
 budgets are asserted; they carry large margins on commodity hardware.
 """
@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 
+from phi6kinks import effective, scenarios
 from phi6kinks.cli import verdicts
 from phi6kinks.effective import (
     conserved_quantity,
@@ -24,10 +25,12 @@ from phi6kinks.modulation import decompose, orthogonality_ok
 from phi6kinks.pde import FieldState, SolverConfig, init_two_kink_state, run, step
 from phi6kinks.scenarios import (
     auto_grid,
+    default_suite,
     optimality_probe,
     run_scenario,
     tracking_window,
     verify_orbital_stability,
+    verify_tracking,
 )
 
 
@@ -269,3 +272,49 @@ def test_criterion_8_remainder_growth_probe(suite_reports):
                     f"(x{stability:.3f} across resolutions), {elapsed:.0f}s")
     assert hit_ok
     assert stability <= 2.0
+
+
+HEADON_K = 1.5  # criterion 9's limit on max|z - d| in units of eps ln(1/eps)
+
+
+def _headon_ratios(reports):
+    """max|z - d|/(eps ln(1/eps)) over the whole run of each symmetric
+    head-on (v1 = -v2 != 0, so the midpoint rests), by label."""
+    ratios = {}
+    for label, (cfg, report) in reports.items():
+        if cfg.kinks.v1 and cfg.kinks.v1 == -cfg.kinks.v2:
+            eps = report.epsilon
+            ratios[label] = verify_tracking(report).max_abs_z_minus_d / (eps * math.log(1.0 / eps))
+    return ratios
+
+
+def test_criterion_9_headon_tracks_the_force_law(suite_reports):
+    ratios = _headon_ratios(suite_reports)
+    ok = all(r <= HEADON_K for r in ratios.values())
+    detail = ", ".join(f"{k}: {v:.3f}" for k, v in ratios.items())
+    _verdict(9, ok, f"max|z-d|/(eps ln 1/eps) <= {HEADON_K} over the whole run; {detail}")
+    assert len(ratios) == 3
+    assert ok
+
+
+def test_criterion_9_fails_a_force_law_one_percent_strong(monkeypatch):
+    # 8 -> 8.08 in effective's v^2 = zdot0^2/4 + 8 e^{-sqrt2 z0} and ln(8/v^2)
+    # (a force 1 % stronger) is the unplanted law started from a separation
+    # shorter by s = ln(1.01)/sqrt2, whose d(t) is then read s longer
+    s = math.log(1.01) / SQRT2
+
+    def params(x1, x2, xdot1, xdot2):
+        return effective.params_from_initial(x1 + 0.5 * s, x2 - 0.5 * s, xdot1, xdot2)
+
+    def centers(t, p):
+        d1, d2 = effective.centers_d1_d2(t, p)
+        return d1 - 0.5 * s, d2 + 0.5 * s
+
+    monkeypatch.setattr(scenarios, "params_from_initial", params)
+    monkeypatch.setattr(scenarios, "separation_d", lambda t, p: effective.separation_d(t, p) + s)
+    monkeypatch.setattr(scenarios, "centers_d1_d2", centers)
+    reports = {cfg.seed_label: (cfg, run_scenario(cfg)) for cfg in default_suite()
+               if cfg.kinks.v1}
+    ratios = _headon_ratios(reports)
+    assert len(ratios) == 3
+    assert all(r > HEADON_K for r in ratios.values()), ratios

@@ -227,15 +227,50 @@ class TestStream:
             len(snaps)
         assert_no_child()
 
-    def test_a_stepper_that_dies_is_named(self, monkeypatch):
+    @staticmethod
+    def stream_ending_after_one(monkeypatch, end):
+        """The snapshots of a stepper that emits one of its 10 snapshots after
+        the start and then calls end(), in the stepper process."""
         evolve = pde._evolve
 
-        def die_after_one(kernel, t0, n_steps, frame_cadence, rows, emit):
+        def planted(kernel, t0, n_steps, frame_cadence, rows, emit):
             evolve(kernel, t0, frame_cadence, frame_cadence, rows, emit)
-            os._exit(3)  # runs in the stepper process
+            end()
 
-        monkeypatch.setattr(pde, "_evolve", die_after_one)
-        snaps = run(single_kink_state(), SolverConfig(dt=0.02), 2.0, frame_cadence=10)
+        monkeypatch.setattr(pde, "_evolve", planted)
+        return run(single_kink_state(), SolverConfig(dt=0.02), 2.0, frame_cadence=10)
+
+    def test_a_stepper_that_dies_is_named(self, monkeypatch):
+        snaps = self.stream_ending_after_one(monkeypatch, lambda: os._exit(3))
+        seen = []
+        with pytest.raises(ChildProcessError, match=r"ended after 1 of 10 snapshots"):
+            for s in snaps:
+                seen.append(s.t)
+        assert seen == pytest.approx([0.0, 0.2])
+        assert_no_child()
+
+    def test_any_stepper_exception_arrives_as_itself(self, monkeypatch):
+        def fail():
+            raise ValueError("planted")
+
+        snaps = self.stream_ending_after_one(monkeypatch, fail)
+        seen = []
+        with pytest.raises(ValueError, match="^planted$"):
+            for s in snaps:
+                seen.append(s.t)
+        assert seen == pytest.approx([0.0, 0.2])
+        with pytest.raises(ValueError, match="^planted$"):
+            len(snaps)
+        assert_no_child()
+
+    def test_an_unpicklable_stepper_exception_ends_the_stream(self, monkeypatch):
+        class Local(Exception):
+            """Defined in a function, so pickle cannot name its class."""
+
+        def fail():
+            raise Local("cannot be pickled")
+
+        snaps = self.stream_ending_after_one(monkeypatch, fail)
         seen = []
         with pytest.raises(ChildProcessError, match=r"ended after 1 of 10 snapshots"):
             for s in snaps:
