@@ -13,7 +13,6 @@ import numpy as np
 
 from .model import SQRT2
 
-_FORCE_COEFF = 16.0 * SQRT2  # separation acceleration prefactor
 _ARCTANH_GUARD = 1e-15
 
 
@@ -25,13 +24,6 @@ class EffectiveParams:
     c: float
     a: float
     b: float
-
-
-@dataclass(frozen=True)
-class ReducedTrajectory:
-    t: np.ndarray
-    z: np.ndarray
-    zdot: np.ndarray
 
 
 def params_from_initial(
@@ -87,36 +79,3 @@ def centers_d1_d2(t, p: EffectiveParams):
 def centers_velocities(t, p: EffectiveParams):
     half = 0.5 * separation_d_dot(t, p)
     return p.b - half, p.b + half
-
-
-def conserved_quantity(z, zdot):
-    """First integral zdot^2/4 + 8 exp(-sqrt2 z); equals v^2 on exact orbits."""
-    return np.asarray(zdot, dtype=float) ** 2 / 4.0 + 8.0 * np.exp(
-        -SQRT2 * np.asarray(z, dtype=float)
-    )
-
-
-def _rhs(y):
-    return np.array([y[1], _FORCE_COEFF * math.exp(-SQRT2 * y[0])])
-
-
-def integrate_reduced(z0: float, zdot0: float, t_end: float, dt: float) -> ReducedTrajectory:
-    """Classic fixed-step RK4 for the separation equation, sampled every step."""
-    if z0 <= 0:
-        raise ValueError(f"initial separation must be positive, got {z0}")
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    n_steps = int(round(t_end / dt))
-    t = dt * np.arange(n_steps + 1)
-    z = np.empty(n_steps + 1)
-    zdot = np.empty(n_steps + 1)
-    y = np.array([z0, zdot0], dtype=float)
-    z[0], zdot[0] = y
-    for k in range(1, n_steps + 1):
-        k1 = _rhs(y)
-        k2 = _rhs(y + 0.5 * dt * k1)
-        k3 = _rhs(y + 0.5 * dt * k2)
-        k4 = _rhs(y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        z[k], zdot[k] = y
-    return ReducedTrajectory(t=t, z=z, zdot=zdot)

@@ -1,4 +1,4 @@
-"""Discrete quadrature, energy functionals, interaction energy and diagnostics.
+"""Discrete quadrature, energy functionals and per-frame diagnostics.
 
 Everything here is a pure function of sampled data.  Quadrature is composite
 Simpson on the solver grid; domains carry MARGIN (40 units) beyond the
@@ -11,14 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    MARGIN,
-    antikink_value,
-    eval_potential,
-    eval_potential_derivative,
-    kink_derivative,
-    kink_value,
-)
+from .model import MARGIN, eval_potential, eval_potential_derivative, kink_value
 
 # ---------------------------------------------------------------------------
 # quadrature and discrete derivatives
@@ -143,17 +136,6 @@ def kinetic_energy_samples(pi, dx: float) -> float:
     return integrate(0.5 * pi * pi, dx)
 
 
-def bogomolny_rest_energy() -> float:
-    """Independent 1-D oracle for the single-kink potential energy.
-
-    Integrates sqrt(2 U(phi)) over the vacuum interval [0, 1]; the exact
-    value is 1/(2 sqrt(2)).
-    """
-    n = 20001
-    phi = np.linspace(0.0, 1.0, n)
-    return integrate(np.sqrt(2.0 * eval_potential(phi)), 1.0 / (n - 1))
-
-
 @functools.lru_cache(maxsize=64)
 def reference_kink_energy(dx: float) -> float:
     """Single-kink E_pot measured with the same grid operators as states.
@@ -173,70 +155,6 @@ def energy_breakdown(state) -> EnergyBreakdown:
     e_total = e_kin + e_pot
     eps = e_total - 2.0 * reference_kink_energy(state.dx)
     return EnergyBreakdown(e_kin=e_kin, e_pot=e_pot, e_total=e_total, epsilon=eps)
-
-
-# ---------------------------------------------------------------------------
-# interaction energy of the superposed pair
-# ---------------------------------------------------------------------------
-
-_A_DEFAULT_DX = 0.01
-
-
-def _pair_grid(z: float, dx: float):
-    half = 0.5 * z + MARGIN
-    return -half + dx * np.arange(odd_sample_count(2.0 * half, dx))
-
-
-def interaction_energy_A(z: float, dx: float = _A_DEFAULT_DX) -> float:
-    """E_pot of antikink at -z/2 plus kink at +z/2.
-
-    With E = 1/(2 sqrt2) the rest energy of one kink, the continuum value is
-
-        A(z) = 2E + 2 sqrt2 e^{-sqrt2 z} - (12 z - 15/sqrt2) e^{-2 sqrt2 z}
-               + O(z e^{-3 sqrt2 z}).
-
-    Derivation: let a(x) = antikink_value(x + z/2) and b(x) = kink_value(x - z/2).
-    Since a'' = U'(a), integrating the cross term a'b' by parts gives
-
-        A - 2E = int [U(a+b) - U(a) - U(b) - U'(a) b] dx
-               = int (-8ab^3 + 6ab^5) + int (-12a^2b^2 + 15a^4b^2 + 15a^2b^4)
-                 + 20 int a^3b^3.
-
-    - The first integral is 2 sqrt2 e^{-sqrt2 z} + O(z e^{-3 sqrt2 z}): near the
-      kink a = -e^{-sqrt2 (x + z/2)} to leading order, and
-      int (8H^3 - 6H^5) e^{-sqrt2 u} du = 2 sqrt2 for the kink profile H.
-    - Exactly, with s = x + z/2,
-      a^2 b^2 = e^{-2 sqrt2 z} / ((1 + e^{-2 sqrt2 s})(1 + e^{2 sqrt2 (s - z)})),
-      whose integral is z e^{-2 sqrt2 z} / (1 - e^{-2 sqrt2 z}).
-    - int a^4 b^2 = int a^2 b^4 = e^{-2 sqrt2 z} int H^4 e^{-2 sqrt2 u} du
-      = e^{-2 sqrt2 z} / (2 sqrt2), up to O(z e^{-4 sqrt2 z}).
-    - int a^3 b^3 = O(z e^{-3 sqrt2 z}).
-
-    On the grid the gradient is the 4th-order stencil, so A(z, dx) alone
-    carries its bias, about -9.5e-10 at dx = 0.01: do not compare it with
-    the exact 2E = 1/sqrt2.  Only A(z, dx) - 2 reference_kink_energy(dx) at
-    the same dx is accurate (about 3e-12), since the same stencil's bias
-    cancels there.
-    """
-    if z <= 0:
-        raise ValueError(f"separation must be positive, got {z}")
-    x = _pair_grid(z, dx)
-    phi = antikink_value(x + 0.5 * z) + kink_value(x - 0.5 * z)
-    return potential_energy_samples(phi, dx)
-
-
-def interaction_energy_A_prime(z: float, dx: float = _A_DEFAULT_DX) -> float:
-    """dA/dz from its integral form (analytic profile derivatives, no FD)."""
-    if z <= 0:
-        raise ValueError(f"separation must be positive, got {z}")
-    x = _pair_grid(z, dx)
-    anti = antikink_value(x + 0.5 * z)
-    kink = kink_value(x - 0.5 * z)
-    dkink = kink_derivative(x - 0.5 * z)
-    integrand = dkink * (
-        eval_potential_derivative(1, anti) - eval_potential_derivative(1, anti + kink)
-    )
-    return integrate(integrand, dx)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +194,7 @@ def pair_terms(frame, pair) -> PairTerms:
 
     ``pair`` is the modulation.PairFields at those centers: the arrays of
     the center solve's last residual evaluation, or frame.fields().  With
-    K1 = antikink_value(x - x1) = -h1 and K2 = kink_value(x - x2) = h2, the
+    K1 = -kink_value(x1 - x) = -h1 and K2 = kink_value(x - x2) = h2, the
     profile curvatures are the solve's mode derivatives K1'' and K2'', which
     are U'(K1) and U'(K2) bit for bit.  The squares that the norms, F and the
     coercivity ratio each sum are formed here once.

@@ -76,18 +76,3 @@ def kink_mode(h):
     its derivative both follow from one profile evaluation.
     """
     return SQRT2 * h * (1.0 - h * h)
-
-
-def kink_derivative(x):
-    """Kink slope H'(x) = kink_mode(H(x)); H'' is U'(H(x))."""
-    return kink_mode(kink_value(x))
-
-
-def antikink_value(x):
-    """Antikink profile rising monotonically from -1 at -inf to 0 at +inf."""
-    return -kink_value(-np.asarray(x, dtype=float))
-
-
-def antikink_derivative(x):
-    """Antikink slope, a positive bump: H'(-x)."""
-    return kink_derivative(-np.asarray(x, dtype=float))

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .functionals import simpson_weights
-from .model import SQRT2, antikink_derivative, kink_value
+from .model import SQRT2, kink_value
 from .pde import FieldState
 
 MAX_NEWTON_ITERS = 50
@@ -215,16 +215,6 @@ def decompose(state, guess: tuple[float, float], pairs: list | None = None) -> M
         xdot2=xdot2,
         state=state,
     )
-
-
-def orthogonality_ok(frame: ModulationFrame) -> bool:
-    """Scaled orthogonality test with a small absolute floor for g ~ 0."""
-    g = frame.g
-    w = simpson_weights(len(g), frame.dx)
-    mode_l2 = math.sqrt(float(w @ (antikink_derivative(frame.x - frame.x1) ** 2)))
-    g_l2 = math.sqrt(max(float(w @ (g ** 2)), 0.0))
-    tol = _ORTHO_RTOL * mode_l2 * g_l2 + _ORTHO_ATOL
-    return all(abs(r) <= tol for r in frame.ortho_residuals)
 
 
 def initial_center_guess(state) -> tuple[float, float]:

@@ -162,14 +162,6 @@ def _all_finite(a: np.ndarray) -> bool:
     return math.isfinite(a @ a) or bool(np.isfinite(a).all())
 
 
-def step(state: FieldState, cfg: SolverConfig) -> FieldState:
-    """One leapfrog step with clamped boundary nodes: the stepping loop of a
-    one-step ``run``, in this process, since forking costs more than a step."""
-    rows, times = np.empty((1, 2, state.n)), []
-    _evolve(_Leapfrog(state, cfg), state.t, 1, 1, rows, times.append)
-    return FieldState(state.x0, state.dx, state.n, *rows[0], times[0])
-
-
 def _evolve(kernel: _Leapfrog, t0: float, n_steps: int, frame_cadence: int,
             rows: np.ndarray, emit) -> None:
     """The stepping loop: snapshot i after the start goes into rows[i] as
@@ -290,7 +282,8 @@ def run(state: FieldState, cfg: SolverConfig, t_end: float, frame_cadence: int =
     fields are checked once per snapshot, and a non-finite field raises
     FloatingPointError naming the last time at which they were finite.  Any
     exception that stops the stepper goes down the pipe pickled and reaches
-    the caller as itself, at the snapshot where the stream stops.
+    the caller as itself, at the snapshot where the stream stops; one that
+    cannot be pickled and rebuilt ends the stream early.
     """
     if t_end <= state.t:
         raise ValueError(f"t_end={t_end} must exceed state.t={state.t}")
@@ -316,7 +309,9 @@ def run(state: FieldState, cfg: SolverConfig, t_end: float, frame_cadence: int =
                 _evolve(kernel, state.t, n_steps, frame_cadence, rows,
                         lambda t: os.write(w, pickle.dumps(t)))
             except Exception as exc:
-                os.write(w, pickle.dumps(exc))
+                item = pickle.dumps(exc)
+                pickle.loads(item)  # one that cannot be rebuilt ends the stream instead
+                os.write(w, item)
         finally:
             os._exit(0)
     os.close(w)

@@ -12,17 +12,11 @@ import numpy as np
 
 from phi6kinks import effective, scenarios
 from phi6kinks.cli import verdicts
-from phi6kinks.effective import (
-    conserved_quantity,
-    integrate_reduced,
-    params_from_initial,
-    separation_d,
-    separation_d_dot,
-)
+from phi6kinks.effective import params_from_initial, separation_d, separation_d_dot
 from phi6kinks.functionals import integrate, reference_kink_energy
-from phi6kinks.model import SQRT2, antikink_value, kink_derivative, kink_value
-from phi6kinks.modulation import decompose, orthogonality_ok
-from phi6kinks.pde import FieldState, SolverConfig, init_two_kink_state, run, step
+from phi6kinks.model import SQRT2, kink_value
+from phi6kinks.modulation import decompose
+from phi6kinks.pde import FieldState, SolverConfig, init_two_kink_state, run
 from phi6kinks.scenarios import (
     auto_grid,
     default_suite,
@@ -31,6 +25,14 @@ from phi6kinks.scenarios import (
     tracking_window,
     verify_orbital_stability,
     verify_tracking,
+)
+from oracles import (
+    antikink_value,
+    conserved_quantity,
+    integrate_reduced,
+    interaction_energy_A,
+    kink_derivative,
+    orthogonality_ok,
 )
 
 
@@ -57,8 +59,6 @@ def test_criterion_1_closed_form_identities():
 
 
 def test_criterion_2_interaction_energy_asymptotics():
-    from phi6kinks.functionals import interaction_energy_A
-
     start = time.time()
     e_ref = reference_kink_energy(0.01)
     residuals = {}
@@ -109,12 +109,9 @@ def test_criterion_3_solver_integrity():
     e0 = energy_breakdown(msnaps[0]).e_total
     drift = max(abs(energy_breakdown(s).e_total - e0) for s in msnaps) / e0
 
-    cur = moving
-    for _ in range(1000):
-        cur = step(cur, cfg)
+    cur = run(moving, cfg, moving.t + 1000 * cfg.dt, frame_cadence=1000)[-1]
     cur = dataclasses.replace(cur, pi=-cur.pi)
-    for _ in range(1000):
-        cur = step(cur, cfg)
+    cur = run(cur, cfg, cur.t + 1000 * cfg.dt, frame_cadence=1000)[-1]
     cur = dataclasses.replace(cur, pi=-cur.pi)
     rev_err = max(
         float(np.max(np.abs(cur.phi - moving.phi))),
@@ -172,6 +169,17 @@ def test_criterion_4_modulation_correctness(suite_reports):
     assert center_err <= 1e-10
     assert ortho_all
     assert shift <= 0.1
+
+
+def test_criterion_4_fails_frames_with_a_shifted_center(suite_reports):
+    # orthogonality_ok re-measures the projections, so centers off the solve
+    # fail it although the frames still carry the solve's own residuals
+    frames = [f for _, report in suite_reports.values() for f in report.frames if f.valid]
+    shifted = [dataclasses.replace(f, x2=f.x2 + 1e-3, z=f.z + 1e-3) for f in frames]
+    passing = sum(orthogonality_ok(f) for f in shifted)
+    _verdict(4, passing == 0, f"x2 shifted by 1e-3: orthogonality holds on {passing} "
+                              f"of {len(shifted)} suite frames")
+    assert shifted and passing == 0
 
 
 def test_criterion_5_reduced_dynamics():

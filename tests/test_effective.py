@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 from phi6kinks.effective import (
     centers_d1_d2,
     centers_velocities,
-    conserved_quantity,
-    integrate_reduced,
     params_from_initial,
     separation_d,
     separation_d_dot,
@@ -18,6 +16,7 @@ from phi6kinks.effective import (
 from phi6kinks.model import SQRT2
 from phi6kinks.modulation import track
 from phi6kinks.scenarios import build_initial_state, default_suite
+from oracles import conserved_quantity, integrate_reduced
 
 
 class TestParams:

@@ -10,12 +10,9 @@ from hypothesis import strategies as st
 from phi6kinks import functionals
 from phi6kinks.functionals import (
     PairTerms,
-    bogomolny_rest_energy,
     cut_function,
     energy_breakdown,
     integrate,
-    interaction_energy_A,
-    interaction_energy_A_prime,
     lyapunov_F,
     pair_terms,
     potential_energy_samples,
@@ -24,16 +21,17 @@ from phi6kinks.functionals import (
     smooth_step,
     spatial_derivative,
 )
-from phi6kinks.model import (
-    SQRT2,
-    antikink_derivative,
-    antikink_value,
-    eval_potential_derivative,
-    kink_derivative,
-    kink_value,
-)
+from phi6kinks.model import SQRT2, eval_potential_derivative, kink_value
 from phi6kinks.modulation import ModulationFrame, decompose
 from phi6kinks.pde import FieldState, init_two_kink_state
+from oracles import (
+    antikink_derivative,
+    antikink_value,
+    bogomolny_rest_energy,
+    interaction_energy_A,
+    interaction_energy_A_prime,
+    kink_derivative,
+)
 
 E_REF_EXACT = 1.0 / (2.0 * SQRT2)
 

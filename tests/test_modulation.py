@@ -7,14 +7,7 @@ import pytest
 
 from phi6kinks import modulation
 from phi6kinks.functionals import pair_terms, simpson_weights
-from phi6kinks.model import (
-    SQRT2,
-    antikink_derivative,
-    antikink_value,
-    eval_potential_derivative,
-    kink_derivative,
-    kink_value,
-)
+from phi6kinks.model import SQRT2, eval_potential_derivative, kink_value
 from phi6kinks.modulation import (
     _DET_FLOOR,
     ModulationError,
@@ -22,10 +15,10 @@ from phi6kinks.modulation import (
     _solve,
     decompose,
     initial_center_guess,
-    orthogonality_ok,
     track,
 )
 from phi6kinks.pde import FieldState, SolverConfig, init_two_kink_state, run
+from oracles import antikink_derivative, antikink_value, kink_derivative, orthogonality_ok
 
 
 def pair_state(x1, x2, dx=0.05, pi=None, extra=None, half=None):

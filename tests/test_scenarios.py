@@ -17,14 +17,7 @@ from phi6kinks.functionals import (
     pair_terms,
     spatial_derivative,
 )
-from phi6kinks.model import (
-    SQRT2,
-    antikink_derivative,
-    antikink_value,
-    eval_potential_derivative,
-    kink_derivative,
-    kink_value,
-)
+from phi6kinks.model import SQRT2, eval_potential_derivative, kink_value
 from phi6kinks.pde import SolverConfig
 from phi6kinks.reporting import (
     CSV_HEADER,
@@ -52,6 +45,7 @@ from phi6kinks.scenarios import (
     verify_remainder_growth,
     verify_tracking,
 )
+from oracles import antikink_derivative, antikink_value, kink_derivative
 
 
 def quick_config(**overrides) -> ScenarioConfig:

@@ -1,13 +1,18 @@
 """Lint without a linter: no module of the package, the tests or the scripts
-imports a name it never uses."""
+imports a name it never uses, and the package defines no function or class
+that only the tests call."""
 import ast
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted((ROOT / "src" / "phi6kinks").glob("*.py"))
-MODULES += sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "phi6kinks").glob("*.py"))
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+MODULES = PACKAGE + sorted((ROOT / "tests").glob("*.py")) + SCRIPTS
+# what the commands, the scripts and the benchmark run; tests are not callers
+CALLERS = PACKAGE + SCRIPTS + [
+    p for p in sorted((ROOT / "perfbench").glob("*.py")) if p.name != "test_smoke.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -25,11 +30,46 @@ def unused_imports(source: str) -> list[str]:
     return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
 
 
+def uncalled_definitions(package: dict[str, str], callers: list[str]) -> list[str]:
+    """Top-level functions and classes of the ``package`` sources ({module:
+    source}) that no name or attribute in the ``callers`` sources reads."""
+    read = set()
+    for source in callers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(
+        f"{module}.{node.name}"
+        for module, source in package.items()
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name not in read
+    )
+
+
 def test_detector_flags_unused_names():
     source = "import os\nimport numpy as np\nfrom a.b import c, d\nnp.sum(d)\n"
     assert unused_imports(source) == ["c (line 3)", "os (line 1)"]
 
 
+def test_detector_flags_uncalled_definitions():
+    module = (
+        "def f():\n    g()\n"
+        "def g():\n    pass\n"
+        "class C:\n    def h(self):\n        pass\n"
+        "def only_tested():\n    pass\n"
+    )
+    callers = [module, "from m import C, only_tested\nC().h\nm.f()\n"]
+    assert uncalled_definitions({"m": module}, callers) == ["m.only_tested"]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_package_defines_only_what_is_called():
+    package = {p.stem: p.read_text() for p in PACKAGE}
+    assert uncalled_definitions(package, [p.read_text() for p in CALLERS]) == []
