@@ -87,7 +87,6 @@ class ModulationFrame:
     x1: float
     x2: float
     z: float
-    ortho_residuals: tuple[float, float]
     newton_iters: int
     matrix_det: float
     xdot1: float
@@ -208,7 +207,6 @@ def decompose(state, guess: tuple[float, float], pairs: list | None = None) -> M
         x1=x1,
         x2=x2,
         z=x2 - x1,
-        ortho_residuals=res,
         newton_iters=iters,
         matrix_det=det,
         xdot1=xdot1,
@@ -294,7 +292,6 @@ def _invalid_frame(state, seed) -> ModulationFrame:
         x1=seed[0],
         x2=seed[1],
         z=seed[1] - seed[0],
-        ortho_residuals=(nan, nan),
         newton_iters=0,
         matrix_det=nan,
         xdot1=nan,

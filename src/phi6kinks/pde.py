@@ -19,8 +19,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import MARGIN, kink_mode, kink_value
-
 _CFL_LIMIT = 0.7
 # 12 dx^2 times the 4th-order Laplacian's weights; symmetric, so np.convolve
 # and np.correlate read it alike
@@ -70,7 +68,7 @@ class SolverConfig:
     dt: float = 0.02
 
     def __post_init__(self):
-        if self.dt <= 0:
+        if not self.dt > 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
 
     def validate_cfl(self, dx: float) -> None:
@@ -317,55 +315,3 @@ def run(state: FieldState, cfg: SolverConfig, t_end: float, frame_cadence: int =
     os.close(w)
     return Snapshots(state.copy(), rows, pid, r)
 
-
-def check_margins(x0: float, x_max: float, x1: float, x2: float) -> None:
-    """Raise unless the grid [x0, x_max] reaches MARGIN beyond both kink centers."""
-    if x1 - x0 < MARGIN or x_max - x2 < MARGIN:
-        raise ValueError(
-            f"grid [{x0}, {x_max}] must cover kinks ({x1}, {x2}) with {MARGIN:g}-unit margins"
-        )
-
-
-def _boosted_kink(x: np.ndarray, center: float, v: float, reflect: bool):
-    """Value and time derivative at t=0 of the Lorentz-boosted kink at center.
-
-    The moving kink is H((x - center - v t)/sqrt(1 - v^2)), whose time
-    derivative is -(v/sqrt(1 - v^2)) H'; the antikink (``reflect``) is
-    -H(-xi), whose slope is H'(-xi).
-    """
-    gamma_inv = np.sqrt(1.0 - v * v)
-    xi = (x - center) / gamma_inv
-    h = kink_value(-xi if reflect else xi)
-    return (-h if reflect else h), -(v / gamma_inv) * kink_mode(h)
-
-
-def init_two_kink_state(
-    grid: tuple[float, float, int],
-    x1: float,
-    x2: float,
-    v1: float = 0.0,
-    v2: float = 0.0,
-    perturbation: tuple[np.ndarray, np.ndarray] | None = None,
-) -> FieldState:
-    """Antikink at x1 plus kink at x2 with boost speeds v1, v2 at t=0.
-
-    Each profile is the exact Lorentz-contracted traveling wave with its
-    exact time derivative.  An optional perturbation (g0, g1) is added
-    pointwise to (phi, pi).
-    """
-    x0, dx, n = grid
-    if x1 >= x2:
-        raise ValueError(f"kinks out of order: x1={x1} must be < x2={x2}")
-    if not (abs(v1) < 1.0 and abs(v2) < 1.0):
-        raise ValueError("kink speeds must satisfy |v| < 1")
-    check_margins(x0, x0 + dx * (n - 1), x1, x2)
-    x = grid_nodes(float(x0), float(dx), n)
-    a_val, a_dot = _boosted_kink(x, x1, v1, reflect=True)
-    k_val, k_dot = _boosted_kink(x, x2, v2, reflect=False)
-    phi = a_val + k_val
-    pi = a_dot + k_dot
-    if perturbation is not None:
-        g0, g1 = perturbation
-        phi = phi + np.asarray(g0, dtype=float)
-        pi = pi + np.asarray(g1, dtype=float)
-    return FieldState(x0=x0, dx=dx, n=n, phi=phi, pi=pi, t=0.0)

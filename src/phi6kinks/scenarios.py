@@ -25,9 +25,9 @@ from .functionals import (
     odd_sample_count,
     pair_terms,
 )
-from .model import MARGIN, SQRT2
+from .model import MARGIN, SQRT2, kink_mode, kink_value
 from .modulation import track
-from .pde import FieldState, SolverConfig, check_margins, grid_nodes, init_two_kink_state, run
+from .pde import FieldState, SolverConfig, grid_nodes, run
 from .reporting import ComparisonReport, FrameRow, write_report
 
 STABILITY_C_LIMIT = 10.0  # max ||g||_H1 / sqrt(eps) allowed by verify_orbital_stability
@@ -56,6 +56,10 @@ class KinkArrangement:
     v1: float = 0.0
     v2: float = 0.0
 
+    def __post_init__(self):
+        if not (abs(self.v1) < 1.0 and abs(self.v2) < 1.0):
+            raise ValueError("kink speeds must satisfy |v| < 1")
+
 
 @dataclass(frozen=True)
 class GaussianPerturbation:
@@ -67,8 +71,8 @@ class GaussianPerturbation:
     def __post_init__(self):
         if self.channel not in ("g0", "g1"):
             raise ValueError(f"channel must be 'g0' or 'g1', got {self.channel}")
-        if self.width <= 0:
-            raise ValueError("width must be positive")
+        if not self.width > 0:
+            raise ValueError(f"width must be positive, got {self.width}")
 
     def sample(self, x: np.ndarray) -> np.ndarray:
         return self.amplitude * np.exp(-(((x - self.center) / self.width) ** 2))
@@ -88,12 +92,15 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.kinks.x1 >= self.kinks.x2:
             raise ValueError("config must place the antikink left of the kink")
-        if self.t_end <= 0:
-            raise ValueError("t_end must be positive")
+        if not 0 < self.t_end < math.inf:
+            raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
         if self.frame_cadence < 1:
             raise ValueError("frame_cadence must be >= 1")
-        grid = self.resolved_grid()
-        check_margins(grid.x0, grid.x0 + grid.dx * (grid.n - 1), self.kinks.x1, self.kinks.x2)
+        grid, (x1, x2) = self.resolved_grid(), (self.kinks.x1, self.kinks.x2)
+        x_max = grid.x0 + grid.dx * (grid.n - 1)
+        if x1 - grid.x0 < MARGIN or x_max - x2 < MARGIN:
+            raise ValueError(f"grid [{grid.x0}, {x_max}] must cover kinks ({x1}, {x2}) "
+                             f"with {MARGIN:g}-unit margins")
 
     def resolved_grid(self) -> GridSpec:
         return self.grid if self.grid is not None else auto_grid(self.kinks)
@@ -105,21 +112,38 @@ def auto_grid(kinks: KinkArrangement, dx: float = DEFAULT_DX) -> GridSpec:
     return GridSpec(x0=-half, dx=dx, n=odd_sample_count(2.0 * half, dx))
 
 
+def _boosted_kink(x: np.ndarray, center: float, v: float, reflect: bool):
+    """Value and time derivative at t=0 of the Lorentz-boosted kink at center.
+
+    The moving kink is H((x - center - v t)/sqrt(1 - v^2)), whose time
+    derivative is -(v/sqrt(1 - v^2)) H'; the antikink (``reflect``) is
+    -H(-xi), whose slope is H'(-xi).
+    """
+    gamma_inv = np.sqrt(1.0 - v * v)
+    xi = (x - center) / gamma_inv
+    h = kink_value(-xi if reflect else xi)
+    return (-h if reflect else h), -(v / gamma_inv) * kink_mode(h)
+
+
 def build_initial_state(config: ScenarioConfig) -> FieldState:
-    grid = config.resolved_grid()
-    perturbation = None
+    """Antikink at x1 plus kink at x2 with boost speeds v1, v2 at t=0 on the
+    config's grid, plus its perturbation in phi (g0) or pi (g1).
+
+    Each profile is the exact Lorentz-contracted traveling wave with its
+    exact time derivative.
+    """
+    grid, kinks = config.resolved_grid(), config.kinks
+    x = grid_nodes(float(grid.x0), float(grid.dx), grid.n)
+    a_val, a_dot = _boosted_kink(x, kinks.x1, kinks.v1, reflect=True)
+    k_val, k_dot = _boosted_kink(x, kinks.x2, kinks.v2, reflect=False)
+    phi, pi = a_val + k_val, a_dot + k_dot
     if config.perturbation is not None:
-        bump = config.perturbation.sample(grid_nodes(float(grid.x0), float(grid.dx), grid.n))
-        zero = np.zeros_like(bump)
-        perturbation = (bump, zero) if config.perturbation.channel == "g0" else (zero, bump)
-    return init_two_kink_state(
-        (grid.x0, grid.dx, grid.n),
-        config.kinks.x1,
-        config.kinks.x2,
-        config.kinks.v1,
-        config.kinks.v2,
-        perturbation=perturbation,
-    )
+        bump = config.perturbation.sample(x)
+        # adding 0.0 to the field left alone is not a no-op: it turns -0.0
+        # into +0.0, and the snapshots keep those bits
+        g0, g1 = (bump, 0.0) if config.perturbation.channel == "g0" else (0.0, bump)
+        phi, pi = phi + g0, pi + g1
+    return FieldState(x0=grid.x0, dx=grid.dx, n=grid.n, phi=phi, pi=pi)
 
 
 def run_scenario(config: ScenarioConfig) -> ComparisonReport:

@@ -15,7 +15,22 @@ settings.register_profile("default", deadline=None, max_examples=50)
 settings.load_profile("default")
 
 from phi6kinks.pde import FieldState  # noqa: E402  (needs SRC on the path)
-from phi6kinks.scenarios import default_suite, run_scenario  # noqa: E402
+from phi6kinks.scenarios import (  # noqa: E402
+    GridSpec,
+    KinkArrangement,
+    ScenarioConfig,
+    build_initial_state,
+    default_suite,
+    run_scenario,
+)
+
+
+def two_kink_state(grid, x1, x2, v1=0.0, v2=0.0, perturbation=None):
+    """The t = 0 state of a scenario with an antikink at x1 and a kink at x2,
+    boosted to v1 and v2, on the (x0, dx, n) grid."""
+    config = ScenarioConfig(KinkArrangement(x1, x2, v1, v2), grid=GridSpec(*grid),
+                            perturbation=perturbation)
+    return build_initial_state(config)
 
 
 @pytest.fixture(autouse=True)

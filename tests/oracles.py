@@ -183,8 +183,8 @@ def orthogonality_ok(frame: ModulationFrame) -> bool:
     """Scaled orthogonality test with a small absolute floor for g ~ 0.
 
     Re-measures <g, K1'> and <g, K2'> with Simpson weights, from the frame's
-    rebuilt g and this module's own slopes, instead of reading the solve's
-    ortho_residuals: a frame whose centers are off fails it.
+    rebuilt g and this module's own slopes, not with the solve's arithmetic:
+    a frame whose centers are off fails it.
     """
     g = frame.g
     w = simpson_weights(len(g), frame.dx)

@@ -16,7 +16,7 @@ from phi6kinks.effective import params_from_initial, separation_d, separation_d_
 from phi6kinks.functionals import integrate, reference_kink_energy
 from phi6kinks.model import SQRT2, kink_value
 from phi6kinks.modulation import decompose
-from phi6kinks.pde import FieldState, SolverConfig, init_two_kink_state, run
+from phi6kinks.pde import FieldState, SolverConfig, run
 from phi6kinks.scenarios import (
     auto_grid,
     default_suite,
@@ -26,6 +26,7 @@ from phi6kinks.scenarios import (
     verify_orbital_stability,
     verify_tracking,
 )
+from conftest import two_kink_state
 from oracles import (
     antikink_value,
     conserved_quantity,
@@ -104,7 +105,7 @@ def test_criterion_3_solver_integrity():
     from phi6kinks.functionals import energy_breakdown
 
     n2 = int(round(96 / dx)) + 1
-    moving = init_two_kink_state((-48.0, dx, n2), -8.0, 8.0, 0.05, -0.05)
+    moving = two_kink_state((-48.0, dx, n2), -8.0, 8.0, 0.05, -0.05)
     msnaps = run(moving, cfg, 200.0, frame_cadence=1000)
     e0 = energy_breakdown(msnaps[0]).e_total
     drift = max(abs(energy_breakdown(s).e_total - e0) for s in msnaps) / e0

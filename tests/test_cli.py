@@ -109,6 +109,19 @@ def test_zero_override_is_runtime_error(tmp_path, config_path, capsys, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--t-end", "nan"), ("--t-end", "inf"), ("--dt", "nan"), ("--dx", "nan"),
+])
+def test_non_finite_override_is_named(tmp_path, config_path, capsys, flag, value):
+    out = tmp_path / "out"
+    code = main(["run", "--config", str(config_path), "--out", str(out), flag, value])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{flag.lstrip('-').replace('-', '_')} must be positive" in err
+    assert err.rstrip().endswith(f"got {value}")
+    assert not out.exists()
+
+
 def test_verify_passes_on_good_report(tmp_path, config_path, capsys):
     out = tmp_path / "out"
     main(["run", "--config", str(config_path), "--out", str(out)])

@@ -23,7 +23,8 @@ from phi6kinks.functionals import (
 )
 from phi6kinks.model import SQRT2, eval_potential_derivative, kink_value
 from phi6kinks.modulation import ModulationFrame, decompose
-from phi6kinks.pde import FieldState, init_two_kink_state
+from phi6kinks.pde import FieldState
+from conftest import two_kink_state
 from oracles import (
     antikink_derivative,
     antikink_value,
@@ -283,9 +284,8 @@ class TestRemainderNorms:
         # centers 1000 units off the grid: both profiles underflow to exactly 0
         # there, so the snapshot's remainder is the planted (g, g_t) itself
         state = FieldState(x0=x0, dx=dx, n=len(g), phi=g, pi=g_t)
-        frame = ModulationFrame(t=0.0, x1=-1000.0, x2=1000.0, z=2000.0,
-                                ortho_residuals=(0.0, 0.0), newton_iters=0, matrix_det=1.0,
-                                xdot1=0.0, xdot2=0.0, state=state)
+        frame = ModulationFrame(t=0.0, x1=-1000.0, x2=1000.0, z=2000.0, newton_iters=0,
+                                matrix_det=1.0, xdot1=0.0, xdot2=0.0, state=state)
         assert np.array_equal(frame.g, g) and np.array_equal(frame.g_t, g_t)
         terms = pair_terms(frame, frame.fields())
         return math.sqrt(terms.g_h1_sq), terms.gt_l2
@@ -400,7 +400,7 @@ class TestLyapunovFunctional:
         # with one U' arithmetic it is off by 6.6e-16, and by 4.4e-16 for
         # |x| > 12; K'' beside the expanded U' was off by 1.3e-15 there
         mp = pytest.importorskip("mpmath")
-        st = init_two_kink_state((-60.0, 0.05, 2401), -8.0, 8.0)
+        st = two_kink_state((-60.0, 0.05, 2401), -8.0, 8.0)
         pairs = []
         terms = pair_terms(decompose(st, (-8.0, 8.0), pairs), pairs[0])
         got = terms.dd_anti + terms.dd_kink - eval_potential_derivative(1, terms.total)

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from phi6kinks.model import SQRT2, eval_potential, eval_potential_derivative, kink_value
-from phi6kinks.pde import init_two_kink_state
+from conftest import two_kink_state
 from oracles import antikink_derivative, antikink_value, kink_derivative
 
 FINITE = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
@@ -207,12 +207,12 @@ class TestKernelBitExactness:
 
 
 class TestBoost:
-    """The Lorentz-boosted profiles that init_two_kink_state builds at t=0."""
+    """The Lorentz-boosted profiles that build_initial_state builds at t=0."""
 
     GRID = (-46.0, 0.05, int(round(104 / 0.05)) + 1)  # [-46, 58]
 
     def test_zero_velocity_is_static(self):
-        st = init_two_kink_state(self.GRID, -6.0, 1.0)
+        st = two_kink_state(self.GRID, -6.0, 1.0)
         np.testing.assert_allclose(st.phi, antikink_value(st.x + 6.0) + kink_value(st.x - 1.0))
         np.testing.assert_allclose(st.pi, 0.0)
 
@@ -223,7 +223,7 @@ class TestBoost:
         def antikink(x, t):
             return antikink_value((x + 1.0 - v * t) / math.sqrt(1 - v * v))
 
-        st = init_two_kink_state(self.GRID, -1.0, 12.0, v, 0.0)
+        st = two_kink_state(self.GRID, -1.0, 12.0, v, 0.0)
         h = 1e-5
         for x_target in (-3.0, -1.0, 0.5):
             i = int(round((x_target - st.x0) / st.dx))

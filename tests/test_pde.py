@@ -1,5 +1,6 @@
 """Solver correctness: fixed points, convergence, conservation, reversibility."""
 import dataclasses
+import json
 import math
 import os
 
@@ -7,11 +8,19 @@ import numpy as np
 import pytest
 
 from phi6kinks import modulation, pde
+from phi6kinks.cli import main
 from phi6kinks.functionals import energy_breakdown
 from phi6kinks.model import SQRT2, kink_value
 from phi6kinks.modulation import ModulationError
-from phi6kinks.pde import FieldState, SolverConfig, init_two_kink_state, run
-from phi6kinks.scenarios import KinkArrangement, ScenarioConfig, run_scenario
+from phi6kinks.pde import FieldState, SolverConfig, run
+from phi6kinks.scenarios import (
+    GaussianPerturbation,
+    GridSpec,
+    KinkArrangement,
+    ScenarioConfig,
+    run_scenario,
+)
+from conftest import two_kink_state
 
 
 def evolve_in_process(state, cfg, t_end, frame_cadence):
@@ -33,7 +42,7 @@ def single_kink_state(dx=0.05, half=40.0):
 class TestInit:
     def test_resting_pair(self):
         n = int(round(92 / 0.05)) + 1
-        st = init_two_kink_state((-46.0, 0.05, n), -6.0, 6.0)
+        st = two_kink_state((-46.0, 0.05, n), -6.0, 6.0)
         assert np.all(st.pi == 0.0)
         x = st.x
         i1 = int(round((-6.0 - st.x0) / st.dx))
@@ -53,7 +62,7 @@ class TestInit:
 
         n = int(round(92 / 0.05)) + 1
         v1, v2 = 0.3, -0.1
-        st = init_two_kink_state((-46.0, 0.05, n), -6.0, 6.0, v1, v2)
+        st = two_kink_state((-46.0, 0.05, n), -6.0, 6.0, v1, v2)
         x = st.x
         h = 1e-5
         np.testing.assert_allclose(st.phi, traveling_pair(x, 0.0), rtol=0, atol=1e-15)
@@ -62,26 +71,32 @@ class TestInit:
 
     def test_zero_perturbation_is_identity(self):
         n = int(round(92 / 0.05)) + 1
-        zero = np.zeros(n)
-        a = init_two_kink_state((-46.0, 0.05, n), -6.0, 6.0)
-        b = init_two_kink_state((-46.0, 0.05, n), -6.0, 6.0, perturbation=(zero, zero))
-        np.testing.assert_array_equal(a.phi, b.phi)
-        np.testing.assert_array_equal(a.pi, b.pi)
+        a = two_kink_state((-46.0, 0.05, n), -6.0, 6.0)
+        for channel in ("g0", "g1"):
+            zero = GaussianPerturbation(0.0, channel=channel)
+            b = two_kink_state((-46.0, 0.05, n), -6.0, 6.0, perturbation=zero)
+            np.testing.assert_array_equal(a.phi, b.phi)
+            np.testing.assert_array_equal(a.pi, b.pi)
 
     def test_rejects_bad_input(self):
-        n = int(round(92 / 0.05)) + 1
+        grid = GridSpec(-46.0, 0.05, int(round(92 / 0.05)) + 1)
         with pytest.raises(ValueError):
-            init_two_kink_state((-46.0, 0.05, n), 6.0, -6.0)
+            ScenarioConfig(KinkArrangement(6.0, -6.0), grid=grid)
         with pytest.raises(ValueError):
-            init_two_kink_state((-46.0, 0.05, n), -6.0, 6.0, 1.0, 0.0)
+            KinkArrangement(-6.0, 6.0, 1.0, 0.0)
         with pytest.raises(ValueError):
-            init_two_kink_state((-10.0, 0.05, 401), -6.0, 6.0)
+            ScenarioConfig(KinkArrangement(-6.0, 6.0), grid=GridSpec(-10.0, 0.05, 401))
 
-    def test_rejects_superluminal(self):
-        n = int(round(92 / 0.05)) + 1
-        for v1, v2 in ((1.0, 0.0), (0.0, -1.0), (1.5, 0.0)):
+    def test_rejects_superluminal(self, tmp_path, capsys):
+        for v1, v2 in ((1.0, 0.0), (0.0, -1.0), (1.5, 0.0), (math.nan, 0.0)):
             with pytest.raises(ValueError, match=r"\|v\| < 1"):
-                init_two_kink_state((-46.0, 0.05, n), -6.0, 6.0, v1, v2)
+                KinkArrangement(-6.0, 6.0, v1, v2)
+        # a JSON config with |v| >= 1 exits 2 as it is loaded, naming the speed check
+        path = tmp_path / "superluminal.json"
+        path.write_text(json.dumps({"kinks": {"x1": -6.0, "x2": 6.0, "v1": 1.0}, "t_end": 1.0}))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "error: kink speeds must satisfy |v| < 1\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestGridNodes:
@@ -205,7 +220,7 @@ class TestStream:
     @pytest.mark.parametrize("cadence", [1, 40])
     def test_forked_snapshots_are_the_in_process_loops(self, cadence):
         n = int(round(96 / 0.05)) + 1
-        st = init_two_kink_state((-48.0, 0.05, n), -8.0, 8.0, 0.3, -0.3)
+        st = two_kink_state((-48.0, 0.05, n), -8.0, 8.0, 0.3, -0.3)
         st = dataclasses.replace(st, t=0.7)
         cfg = SolverConfig(dt=0.02)
         t_end = st.t + 150 * cfg.dt
@@ -371,7 +386,7 @@ def _pair_window(v, half):
     state cut down to a short grid, to keep long runs cheap."""
     dx = 0.05
     n = int(round(96 / dx)) + 1
-    st = init_two_kink_state((-48.0, dx, n), -6.0, 6.0, v, -v)
+    st = two_kink_state((-48.0, dx, n), -6.0, 6.0, v, -v)
     lo = int(round((48.0 - half) / dx))
     hi = n - lo
     return FieldState(x0=st.x[lo], dx=dx, n=hi - lo, phi=st.phi[lo:hi], pi=st.pi[lo:hi])
@@ -384,7 +399,7 @@ class TestLeapfrog:
     @pytest.mark.parametrize("cfg", ORDERS, ids=["order4"])
     def test_snapshots_do_not_depend_on_the_cadence(self, cfg):
         n = int(round(96 / 0.05)) + 1
-        st = init_two_kink_state((-48.0, 0.05, n), -8.0, 8.0, 0.3, -0.3)
+        st = two_kink_state((-48.0, 0.05, n), -8.0, 8.0, 0.3, -0.3)
         st = dataclasses.replace(st, t=0.7)
         steps, cadence = 150, 40
         sparse = run(st, cfg, st.t + steps * cfg.dt, frame_cadence=cadence)
@@ -446,7 +461,7 @@ class TestStencilBits:
     def _fields():
         rng = np.random.default_rng(1818)
         n = int(round(112 / 0.05)) + 1
-        pair = init_two_kink_state((-56.0, 0.05, n), -8.0, 8.0)
+        pair = two_kink_state((-56.0, 0.05, n), -8.0, 8.0)
         noise = FieldState(x0=-5.0, dx=0.05, n=201, phi=rng.uniform(-1.5, 1.5, 201),
                            pi=rng.uniform(-1.0, 1.0, 201))
         return {"random": noise, "resting-pair": pair}
@@ -507,7 +522,7 @@ class TestEvolution:
 
     def test_energy_conservation_moving_pair(self):
         n = int(round(96 / 0.05)) + 1
-        st = init_two_kink_state((-48.0, 0.05, n), -8.0, 8.0, 0.05, -0.05)
+        st = two_kink_state((-48.0, 0.05, n), -8.0, 8.0, 0.05, -0.05)
         snaps = run(st, SolverConfig(dt=0.02), 40.0, frame_cadence=500)
         e0 = energy_breakdown(snaps[0]).e_total
         drift = max(abs(energy_breakdown(s).e_total - e0) for s in snaps)
@@ -515,7 +530,7 @@ class TestEvolution:
 
     def test_time_reversibility(self):
         n = int(round(96 / 0.05)) + 1
-        st = init_two_kink_state((-48.0, 0.05, n), -8.0, 8.0, 0.05, -0.05)
+        st = two_kink_state((-48.0, 0.05, n), -8.0, 8.0, 0.05, -0.05)
         cfg = SolverConfig(dt=0.02)
         cur = run(st, cfg, st.t + 1000 * cfg.dt, frame_cadence=1000)[-1]
         cur = dataclasses.replace(cur, pi=-cur.pi)

@@ -78,6 +78,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             quick_config(t_end=-1.0)
 
+    def test_rejects_non_finite_inputs(self):
+        for t_end in (math.nan, math.inf):
+            message = f"t_end must be positive and finite, got {t_end}"
+            with pytest.raises(ValueError, match=message):
+                quick_config(t_end=t_end)
+        with pytest.raises(ValueError, match="dt must be positive, got nan"):
+            SolverConfig(dt=math.nan)
+        with pytest.raises(ValueError, match="width must be positive, got nan"):
+            GaussianPerturbation(amplitude=1e-3, width=math.nan)
+
     def test_auto_grid_covers_margins(self):
         grid = auto_grid(KinkArrangement(x1=-7.0, x2=9.0))
         assert grid.x0 <= -7.0 - 40.0

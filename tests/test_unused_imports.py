@@ -1,6 +1,7 @@
 """Lint without a linter: no module of the package, the tests or the scripts
-imports a name it never uses, and the package defines no function or class
-that only the tests call."""
+imports a name it never uses, the package defines no function or class that
+only the tests call, and each package module imports only the modules below
+it in LAYERS."""
 import ast
 from pathlib import Path
 
@@ -13,6 +14,12 @@ MODULES = PACKAGE + sorted((ROOT / "tests").glob("*.py")) + SCRIPTS
 # what the commands, the scripts and the benchmark run; tests are not callers
 CALLERS = PACKAGE + SCRIPTS + [
     p for p in sorted((ROOT / "perfbench").glob("*.py")) if p.name != "test_smoke.py"]
+
+# the package's modules from the bottom up: each imports only modules listed
+# before it, so time evolution knows nothing of the kink model and only the
+# command line sees every layer
+LAYERS = ["pde", "model", "reporting", "functionals", "effective", "modulation", "scenarios",
+          "cli"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -49,6 +56,33 @@ def uncalled_definitions(package: dict[str, str], callers: list[str]) -> list[st
     )
 
 
+def package_imports(source: str) -> set[str]:
+    """The phi6kinks modules that a module's source imports, relatively or by
+    the package's name."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            dotted = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["phi6kinks" if node.level else "", node.module]))
+            dotted = [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found.update(name.split(".")[1] for name in dotted if name.startswith("phi6kinks."))
+    return found
+
+
+def layering_violations(package: dict[str, str]) -> list[str]:
+    """Each import in the ``package`` sources ({module: source}) of a module
+    that LAYERS does not list before the importer."""
+    return sorted(
+        f"{module} imports {other}"
+        for module, source in package.items()
+        for other in package_imports(source)
+        if LAYERS.index(other) >= LAYERS.index(module)
+    )
+
+
 def test_detector_flags_unused_names():
     source = "import os\nimport numpy as np\nfrom a.b import c, d\nnp.sum(d)\n"
     assert unused_imports(source) == ["c (line 3)", "os (line 1)"]
@@ -73,3 +107,21 @@ def test_no_unused_imports(path):
 def test_package_defines_only_what_is_called():
     package = {p.stem: p.read_text() for p in PACKAGE}
     assert uncalled_definitions(package, [p.read_text() for p in CALLERS]) == []
+
+
+def test_detector_flags_layering_violations():
+    package = {
+        "pde": "from .model import MARGIN\nimport numpy as np\n",
+        "model": "import math\n",
+        "modulation": "from . import pde\nimport phi6kinks.model\n"
+                      "from phi6kinks.scenarios import f\n",
+        "scenarios": "from phi6kinks import cli, modulation\n",
+    }
+    assert layering_violations(package) == [
+        "modulation imports scenarios", "pde imports model", "scenarios imports cli"]
+
+
+def test_package_imports_follow_the_layers():
+    package = {p.stem: p.read_text() for p in PACKAGE if p.stem != "__init__"}
+    assert sorted(package) == sorted(LAYERS)
+    assert layering_violations(package) == []
