@@ -15,7 +15,6 @@ from phi6kinks.scenarios import (  # noqa: E402
     TRACKING_C_LIMIT,
     default_suite,
     run_scenario,
-    tracking_window,
 )
 
 
@@ -27,7 +26,7 @@ def main():
     for config in default_suite(outputs=out_dir):
         start = time.perf_counter()
         report = run_scenario(config)
-        records = verdicts(report, window=tracking_window(config))
+        records = verdicts(report)
         iters = [f.newton_iters for f in report.frames if f.valid]
         print(f"{config.seed_label}: eps={report.epsilon:.3e} "
               f"coercivity>={report.coercivity_ratio_min:.3f} "

@@ -45,8 +45,10 @@ class GridSpec:
     n: int
 
     def __post_init__(self):
-        if not self.dx > 0:
-            raise ValueError(f"grid dx must be positive, got {self.dx}")
+        if not 0 < self.dx < math.inf:
+            raise ValueError(f"grid dx must be positive and finite, got {self.dx}")
+        if self.n < 5:
+            raise ValueError(f"grid n must be >= 5, got {self.n}")
 
 
 @dataclass(frozen=True)
@@ -94,9 +96,12 @@ class ScenarioConfig:
             raise ValueError("config must place the antikink left of the kink")
         if not 0 < self.t_end < math.inf:
             raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
+        if round(self.t_end / self.solver.dt) < 1:
+            raise ValueError(f"t_end={self.t_end} rounds to no step of dt={self.solver.dt}")
         if self.frame_cadence < 1:
             raise ValueError("frame_cadence must be >= 1")
         grid, (x1, x2) = self.resolved_grid(), (self.kinks.x1, self.kinks.x2)
+        self.solver.validate_cfl(grid.dx)
         x_max = grid.x0 + grid.dx * (grid.n - 1)
         if x1 - grid.x0 < MARGIN or x_max - x2 < MARGIN:
             raise ValueError(f"grid [{grid.x0}, {x_max}] must cover kinks ({x1}, {x2}) "
@@ -324,12 +329,6 @@ def verify_remainder_growth(report: ComparisonReport) -> GrowthVerdict:
         raise ValueError(f"need >= {MIN_GROWTH_FRAMES} frames, got {len(report.rows)}")
     c = fit_growth_constant(report)
     return GrowthVerdict(fitted_C=c, frames_used=len(report.rows), passed=math.isfinite(c))
-
-
-def tracking_window(config: ScenarioConfig) -> float | None:
-    """The tracking fit's window t <= 2/|v1| of a moving pair; a resting pair
-    (v1 = 0) is fitted over every frame."""
-    return 2.0 / abs(config.kinks.v1) if config.kinks.v1 else None
 
 
 @dataclass(frozen=True)

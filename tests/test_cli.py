@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from phi6kinks import scenarios
 from phi6kinks.cli import main
 from phi6kinks.functionals import odd_sample_count
 from phi6kinks.pde import SolverConfig
@@ -72,6 +73,12 @@ def test_run_overrides_apply(tmp_path, config_path, capsys):
     assert_same_reports(out, tmp_path / "oracle")
 
 
+def test_overrides_are_checked_together(tmp_path, config_path, capsys):
+    # --dx 0.02 alone breaks the CFL condition at the config's dt = 0.02
+    argv = ["run", "--config", str(config_path), "--t-end", "1.0", "--dx", "0.02", "--dt", "0.01"]
+    assert main(argv) == 0
+
+
 def assert_perturbation_section_runs_as(tmp_path, section, perturbation):
     """`run` on a config with this perturbation section writes the report of
     the oracle run with this GaussianPerturbation."""
@@ -100,6 +107,15 @@ def test_perturbation_section_sets_every_field(tmp_path, capsys):
         tmp_path, section, GaussianPerturbation(1e-3, width=2.0, center=0.5, channel="g1"))
 
 
+@pytest.fixture()
+def started(monkeypatch):
+    """The calls of the stepper, which stays unstarted: a config error must
+    come before any stepping."""
+    calls = []
+    monkeypatch.setattr(scenarios, "run", lambda *args: calls.append(args))
+    return calls
+
+
 @pytest.mark.parametrize("flag", ["--dx", "--dt", "--t-end"])
 def test_zero_override_is_runtime_error(tmp_path, config_path, capsys, flag):
     out = tmp_path / "out"
@@ -111,15 +127,29 @@ def test_zero_override_is_runtime_error(tmp_path, config_path, capsys, flag):
 
 @pytest.mark.parametrize("flag, value", [
     ("--t-end", "nan"), ("--t-end", "inf"), ("--dt", "nan"), ("--dx", "nan"),
+    ("--dt", "inf"), ("--dx", "inf"),
 ])
-def test_non_finite_override_is_named(tmp_path, config_path, capsys, flag, value):
+def test_non_finite_override_is_named(tmp_path, config_path, capsys, started, flag, value):
     out = tmp_path / "out"
     code = main(["run", "--config", str(config_path), "--out", str(out), flag, value])
     assert code == 2
     err = capsys.readouterr().err
     assert f"{flag.lstrip('-').replace('-', '_')} must be positive" in err
     assert err.rstrip().endswith(f"got {value}")
-    assert not out.exists()
+    assert not started and not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--dx", "0.01", "CFL violation: dt/dx = 2.000 exceeds 0.7"),
+    ("--t-end", "0.001", "t_end=0.001 rounds to no step of dt=0.02"),
+])
+def test_override_is_checked_with_the_config(tmp_path, config_path, capsys, started,
+                                             flag, value, message):
+    out = tmp_path / "out"
+    code = main(["run", "--config", str(config_path), "--out", str(out), flag, value])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not started and not out.exists()
 
 
 def test_verify_passes_on_good_report(tmp_path, config_path, capsys):

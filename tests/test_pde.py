@@ -132,22 +132,12 @@ class TestStep:
         np.testing.assert_array_equal(out.phi, st.phi)
         np.testing.assert_array_equal(out.pi, st.pi)
 
-    def test_cfl_violation(self):
-        st = single_kink_state()
-        with pytest.raises(ValueError):
-            evolve_in_process(st, SolverConfig(dt=0.05), 0.05, 1)  # dt/dx = 1
-
     def test_nan_detection(self):
         st = single_kink_state()
         bad = dataclasses.replace(st, phi=st.phi.copy())
         bad.phi[100] = np.nan
         with pytest.raises(FloatingPointError):
             evolve_in_process(bad, SolverConfig(dt=0.02), 0.02, 1)
-
-    def test_run_raises_cfl_violation(self):
-        st = single_kink_state()
-        with pytest.raises(ValueError, match="CFL violation"):
-            run(st, SolverConfig(dt=0.05), 1.0)
 
     def test_run_names_last_finite_time_of_mid_run_blowup(self):
         # an interior phi of 10 stays finite for three steps, then overflows
@@ -514,11 +504,6 @@ class TestEvolution:
         snaps = run(st, SolverConfig(dt=0.02), 0.2, frame_cadence=5)
         snaps[0].phi[:] = 0.0
         assert snaps[1].phi[10] != 0.0
-
-    def test_rejects_non_advancing(self):
-        st = single_kink_state()
-        with pytest.raises(ValueError):
-            run(st, SolverConfig(dt=0.02), 0.0)
 
     def test_energy_conservation_moving_pair(self):
         n = int(round(96 / 0.05)) + 1

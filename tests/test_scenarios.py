@@ -40,7 +40,6 @@ from phi6kinks.scenarios import (
     lyapunov_diagnostics,
     optimality_probe,
     run_scenario,
-    tracking_window,
     verify_orbital_stability,
     verify_remainder_growth,
     verify_tracking,
@@ -78,13 +77,33 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             quick_config(t_end=-1.0)
 
+    def test_rejects_non_advancing(self):
+        # a t_end that rounds to no step of dt
+        with pytest.raises(ValueError, match=r"t_end=0\.001 rounds to no step of dt=0\.02"):
+            quick_config(t_end=0.001)
+
+    def test_rejects_cfl_violation(self):
+        # dt/dx = 1 on the auto grid's dx = 0.05
+        with pytest.raises(ValueError, match="CFL violation"):
+            quick_config(solver=SolverConfig(dt=0.05))
+
+    def test_rejects_grid_too_fine_for_dt(self):
+        # dt/dx = 1 on a given grid at the solver's dt = 0.02
+        with pytest.raises(ValueError, match=r"CFL violation: dt/dx = 1\.000"):
+            quick_config(grid=GridSpec(x0=-50.0, dx=0.02, n=5001))
+
     def test_rejects_non_finite_inputs(self):
         for t_end in (math.nan, math.inf):
             message = f"t_end must be positive and finite, got {t_end}"
             with pytest.raises(ValueError, match=message):
                 quick_config(t_end=t_end)
-        with pytest.raises(ValueError, match="dt must be positive, got nan"):
-            SolverConfig(dt=math.nan)
+        for dt in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"dt must be positive and finite, got {dt}"):
+                SolverConfig(dt=dt)
+        with pytest.raises(ValueError, match="grid dx must be positive and finite, got inf"):
+            GridSpec(x0=-50.0, dx=math.inf, n=5)
+        with pytest.raises(ValueError, match="grid n must be >= 5, got 1"):
+            GridSpec(x0=-50.0, dx=0.05, n=1)
         with pytest.raises(ValueError, match="width must be positive, got nan"):
             GaussianPerturbation(amplitude=1e-3, width=math.nan)
 
@@ -511,11 +530,6 @@ class TestTrackingVerdict:
                                (replace(quick_report, rows=quick_report.rows[:1]), None)):
             verdict = verify_tracking(report, t_window=window)
             assert math.isnan(verdict.fitted_C) and not verdict.passed
-
-    def test_window_of_each_suite_config(self):
-        for c in default_suite():
-            expected = 2.0 / abs(c.kinks.v1) if c.kinks.v1 != 0.0 else None
-            assert tracking_window(c) == expected
 
 
 @pytest.fixture(scope="module")

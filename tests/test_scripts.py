@@ -47,17 +47,26 @@ def test_suite_exit_status_follows_growth_verdict(tmp_path, monkeypatch, capsys,
     assert (tmp_path / "rest" / "summary.json").exists()
 
 
+def headon_and_short_suite(outputs):
+    """A head-on pair that moves past t = 2/|v| = 4, then the resting pair."""
+    headon = ScenarioConfig(kinks=KinkArrangement(x1=-6.0, x2=6.0, v1=0.5, v2=-0.5),
+                            t_end=5.0, frame_cadence=25, outputs=f"{outputs}/headon",
+                            seed_label="headon")
+    return [headon, *short_suite(outputs)]
+
+
 def test_suite_skips_growth_like_verify(tmp_path, monkeypatch, capsys):
-    # the script and verify print the same verdict lines on one report
+    # the script and verify print the same verdict lines on each report,
+    # tracking of the moving pair included
     script = load_script(SCRIPT)
-    monkeypatch.setattr(script, "default_suite", short_suite)
+    monkeypatch.setattr(script, "default_suite", headon_and_short_suite)
     monkeypatch.setattr(sys, "argv", [str(SCRIPT), str(tmp_path)])
     assert script.main() == 0
     printed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[")]
     assert "[rest] growth envelope: skipped (need >= 20 frames, got 11)" in printed
-    assert [line.partition(" ")[2].partition(":")[0] for line in printed] == [
+    assert [line.partition(" ")[2].partition(":")[0] for line in printed] == 2 * [
         "stability", "tracking", "growth envelope", "lyapunov"]
-    assert cli.main(["verify", "--report", str(tmp_path / "rest")]) == 0
+    assert cli.main(["verify", "--report", str(tmp_path)]) == 0
     assert capsys.readouterr().out.splitlines() == printed
 
 

@@ -1,7 +1,7 @@
 """Lint without a linter: no module of the package, the tests or the scripts
 imports a name it never uses, the package defines no function or class that
-only the tests call, and each package module imports only the modules below
-it in LAYERS."""
+only the tests call and no parameter default that every caller keeps, and
+each package module imports only the modules below it in LAYERS."""
 import ast
 from pathlib import Path
 
@@ -56,6 +56,43 @@ def uncalled_definitions(package: dict[str, str], callers: list[str]) -> list[st
     )
 
 
+def unset_parameters(package: dict[str, str], callers: list[str]) -> list[str]:
+    """Parameters with a default, of the functions and methods in the
+    ``package`` sources ({module: source}), that no call in the ``callers``
+    sources passes by keyword or by position: options that only their
+    default reaches.  A call is matched to a definition by name alone, and
+    one that unpacks * or ** passes every parameter."""
+    passed: dict[str, set] = {}
+    for source in callers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                unpacks = (any(isinstance(arg, ast.Starred) for arg in node.args)
+                           or any(kw.arg is None for kw in node.keywords))
+                passed.setdefault(name, set()).update(
+                    ["*"] if unpacks else [kw.arg for kw in node.keywords], range(len(node.args)))
+    unset = []
+    for module, source in package.items():
+        tree = ast.parse(source)
+        methods = {id(f): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for f in cls.body if isinstance(f, ast.FunctionDef)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            got = passed.get(node.name, set())
+            cls = methods.get(id(node))
+            positional = node.args.posonlyargs + node.args.args
+            offset = 1 if cls else 0  # a method's call passes self implicitly
+            defaulted = [(i - offset, arg.arg) for i, arg in enumerate(positional)
+                         if i >= len(positional) - len(node.args.defaults)]
+            defaulted += [(None, arg.arg) for arg, default in
+                          zip(node.args.kwonlyargs, node.args.kw_defaults) if default is not None]
+            qualname = f"{module}.{cls}.{node.name}" if cls else f"{module}.{node.name}"
+            unset += [f"{qualname}({name})" for index, name in defaulted
+                      if "*" not in got and name not in got and index not in got]
+    return sorted(unset)
+
+
 def package_imports(source: str) -> set[str]:
     """The phi6kinks modules that a module's source imports, relatively or by
     the package's name."""
@@ -99,6 +136,18 @@ def test_detector_flags_uncalled_definitions():
     assert uncalled_definitions({"m": module}, callers) == ["m.only_tested"]
 
 
+def test_detector_flags_unset_parameters():
+    module = (
+        "def f(a, b=1, c=2, *, d=3, e=4):\n    g(a)\n"
+        "def g(w=0):\n    pass\n"
+        "class C:\n    def h(self, x=0, y=1):\n        pass\n"
+        "def only_defaults(v=0):\n    pass\n"
+    )
+    callers = [module, "f(0, 5, d=4)\nC().h(1)\ng(*args)\nonly_defaults()\n"]
+    assert unset_parameters({"m": module}, callers) == [
+        "m.C.h(y)", "m.f(c)", "m.f(e)", "m.only_defaults(v)"]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
@@ -107,6 +156,11 @@ def test_no_unused_imports(path):
 def test_package_defines_only_what_is_called():
     package = {p.stem: p.read_text() for p in PACKAGE}
     assert uncalled_definitions(package, [p.read_text() for p in CALLERS]) == []
+
+
+def test_package_parameters_are_each_set_by_a_caller():
+    package = {p.stem: p.read_text() for p in PACKAGE}
+    assert unset_parameters(package, [p.read_text() for p in CALLERS]) == []
 
 
 def test_detector_flags_layering_violations():
