@@ -13,7 +13,9 @@ phi6kinks of this checkout.  Each report goes to OUT_DIR/<group>/<label>/
 with an extras.json next to it: ``coercivity_ratio_min``, the
 ``lyapunov_diagnostics`` constants, the d1/d2 velocities and
 ``snapshots_sha256``, one sha256 of the phi, pi and t bytes of every
-snapshot the run took, which the report files do not hold.
+snapshot the run took, which the report files do not hold.  As the frames
+keep no snapshot, that hash is taken from a second ``pde.run`` of the
+config, each snapshot as it streams; the stepper is deterministic.
 OUT_DIR/digest.json records one sha256 per ``trajectory.csv`` column, per
 ``summary.json`` and per extras entry.
 
@@ -41,8 +43,10 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import bench_workloads  # noqa: E402
+from phi6kinks.pde import run  # noqa: E402
 from phi6kinks.reporting import write_report  # noqa: E402
 from phi6kinks.scenarios import (  # noqa: E402
+    build_initial_state,
     default_suite,
     lyapunov_diagnostics,
     probe_scenario_config,
@@ -79,7 +83,7 @@ def write_reports(out_dir: Path, configs: dict) -> dict:
             "fdot_ratio_max": diag.fdot_ratio_max,
             "d1_dots": report.d1_dots,
             "d2_dots": report.d2_dots,
-            SNAPSHOTS: snapshot_digest(report),
+            SNAPSHOTS: snapshot_digest(config),
         }
         (out_dir / key / EXTRAS).write_text(json.dumps(extras))
     digest = digest_dir(out_dir)
@@ -87,12 +91,12 @@ def write_reports(out_dir: Path, configs: dict) -> dict:
     return digest
 
 
-def snapshot_digest(report) -> str:
-    """sha256 of the phi, pi and t bytes of every snapshot behind a report;
-    every frame, valid or not, keeps its snapshot."""
+def snapshot_digest(config) -> str:
+    """sha256 of the phi, pi and t bytes of every snapshot of the config's
+    run, valid frame or not, hashed as each streams from ``pde.run``."""
     digest = hashlib.sha256()
-    for frame in report.frames:
-        state = frame.state
+    for state in run(build_initial_state(config), config.solver, config.t_end,
+                     config.frame_cadence):
         digest.update(state.phi.tobytes())
         digest.update(state.pi.tobytes())
         digest.update(struct.pack("<d", state.t))

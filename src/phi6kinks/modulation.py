@@ -8,7 +8,7 @@ The center velocities follow from projecting d_t phi on the same modes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,13 +74,15 @@ def _pair_fields(state, x1, x2) -> PairFields:
     return PairFields(h1, h2, block)
 
 
-@dataclass(frozen=True)
+@dataclass
 class ModulationFrame:
     """Extracted centers and solve diagnostics of one snapshot.
 
     A frame holds no full-grid array of its own: ``state`` is the snapshot
     it was solved on, and ``fields()`` rebuilds the pair and the remainder
-    from it.  A frame whose solve failed reads g = g_t = 0.
+    from it.  A frame whose solve failed reads g = g_t = 0.  The frames that
+    ``track`` returns hold no snapshot after the first (``state`` is None),
+    as a streamed snapshot's row is reused once the next one is requested.
     """
 
     t: float
@@ -91,7 +93,7 @@ class ModulationFrame:
     matrix_det: float
     xdot1: float
     xdot2: float
-    state: FieldState
+    state: FieldState | None
     valid: bool = True
 
     @property
@@ -245,24 +247,26 @@ def track(snapshots, on_valid=None) -> list[ModulationFrame]:
     regime (z < 2) or failing to converge are marked invalid and the last
     valid centers keep seeding subsequent attempts.  ``on_valid(frame,
     pair)`` is called for each valid frame, in order and before the next
-    snapshot is solved, with the arrays of the solve's last residual
-    evaluation; the returned frames do not keep them.
+    snapshot is requested, with the arrays of the solve's last residual
+    evaluation; the returned frames do not keep them.  Each frame points at
+    its snapshot only until then: the returned frames keep the first
+    snapshot, which a ``pde.run`` stream owns, and every later frame holds
+    ``state=None``, so none exposes a row that the stepper has reused.
     """
     snapshots = iter(snapshots)
     first = next(snapshots, None)
     if first is None:
         raise ValueError("no snapshots to track")
-    frames: list[ModulationFrame] = []
     pairs: list[PairFields] = []  # decompose appends the pair of each solve
 
     def keep(frame):
         pair = pairs.pop()
         if on_valid is not None:
             on_valid(frame, pair)
-        frames.append(frame)
         return frame
 
     prev = keep(decompose(first, initial_center_guess(first), pairs))
+    frames = [prev]
     for snap in snapshots:
         dt = snap.t - prev.t
         seed = (prev.x1 + prev.xdot1 * dt, prev.x2 + prev.xdot2 * dt)
@@ -275,13 +279,14 @@ def track(snapshots, on_valid=None) -> list[ModulationFrame]:
             except ModulationError:
                 continue
         if frame is None:
-            frames.append(_invalid_frame(snap, (prev.x1, prev.x2)))
-            continue
-        if frame.z < TRACK_VALID_SEPARATION:
+            frame = _invalid_frame(snap, (prev.x1, prev.x2))
+        elif frame.z < TRACK_VALID_SEPARATION:
             pairs.pop()
-            frames.append(replace(frame, valid=False))
-            continue
-        prev = keep(frame)
+            frame.valid = False
+        else:
+            prev = keep(frame)
+        frame.state = None
+        frames.append(frame)
     return frames
 
 

@@ -3,7 +3,8 @@
 Stormer leapfrog in time, which is velocity Verlet (kick-drift-kick) in exact
 arithmetic, carried as phi and p = dt * pi at half steps; centered
 4th-order Laplacian in space.  Boundary nodes are clamped to the vacuum values
-of the initial data.
+of the initial data.  A run's snapshots stream from a forked stepper through
+a ring of _RING shared rows, so its memory does not grow with its length.
 """
 from __future__ import annotations
 
@@ -15,11 +16,13 @@ import pickle
 import signal
 import weakref
 from collections.abc import Sequence
+from contextlib import suppress
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 _CFL_LIMIT = 0.7
+_RING = 8  # shared snapshot rows per run, reused once the parent releases them
 # 12 dx^2 times the 4th-order Laplacian's weights; symmetric, so np.convolve
 # and np.correlate read it alike
 _STENCIL = np.array([-1.0, 16.0, -30.0, 16.0, -1.0])
@@ -151,9 +154,11 @@ def _all_finite(a: np.ndarray) -> bool:
 
 
 def _evolve(kernel: _Leapfrog, t0: float, n_steps: int, frame_cadence: int,
-            rows: np.ndarray, emit) -> None:
-    """The stepping loop: snapshot i after the start goes into rows[i] as
-    (phi, pi), and then emit(t) announces it.
+            rows: np.ndarray, emit, wait) -> None:
+    """The stepping loop: snapshot i after the start goes into
+    rows[i % len(rows)] as (phi, pi), and then emit(t) announces it.  Before
+    it reuses a row, for i >= len(rows), wait() returns once snapshot
+    i - len(rows) is released.
 
     The fields phi and p are checked once per snapshot; a non-finite field
     raises FloatingPointError naming the last time at which both were
@@ -171,16 +176,19 @@ def _evolve(kernel: _Leapfrog, t0: float, n_steps: int, frame_cadence: int,
                 for j in range((k - 1) // frame_cadence * frame_cadence, k):
                     kernel.advance()
                     kernel.check(t0 + j * dt)
-            last_phi, pi = rows[(k - 1) // frame_cadence]
+            i = (k - 1) // frame_cadence
+            if i >= len(rows):
+                wait()
+            last_phi, pi = rows[i % len(rows)]
             np.copyto(last_phi, kernel.phi)
             kernel.pi(out=pi)
             np.copyto(last_p, kernel.p)
             emit(t0 + k * dt)
 
 
-def _stop(pid: int, pipe) -> int | None:
-    """Kill the stepper process unless it has exited, reap it and close its
-    pipe; its wait status, or None if it was reaped elsewhere."""
+def _stop(pid: int, pipe, release: int) -> int | None:
+    """Kill the stepper process unless it has exited, reap it and close both
+    of its pipes; its wait status, or None if it was reaped elsewhere."""
     try:
         done, status = os.waitpid(pid, os.WNOHANG)
         if not done:
@@ -189,60 +197,89 @@ def _stop(pid: int, pipe) -> int | None:
     except ChildProcessError:
         status = None
     pipe.close()
+    os.close(release)
     return status
 
 
 class Snapshots(Sequence):
     """The snapshots of one ``run``, FieldStates that a stepper process fills.
 
-    Iterating yields each snapshot as soon as it arrives; ``len`` and
-    indexing wait for all of them.  Any exception that stops the stepper is
-    raised as itself where the stream reaches it; a stream that ends early
-    raises ChildProcessError.  The stepper is reaped when the stream ends,
-    on ``close()``, or when the sequence is collected.
+    Iterating yields each snapshot as soon as it arrives.  The first owns
+    its arrays; each later one is a view of its row in the ring, valid only
+    until the next item is requested, from when the stepper may reuse the
+    row, and iteration keeps no view, so a second one raises ValueError.
+    ``len`` and indexing wait for all the snapshots, copying each row out as
+    it lands and releasing it at once; iteration after them yields those
+    copies.  Any exception that
+    stops the stepper is raised as itself where the stream reaches it; a
+    stream that ends early raises ChildProcessError.  The stepper is reaped
+    when the stream ends, on ``close()``, or when the sequence is collected.
     """
 
-    def __init__(self, first: FieldState, rows: np.ndarray, pid: int, fd: int):
-        self._states = [first]
+    def __init__(self, first: FieldState, rows: np.ndarray, count: int, pid: int,
+                 fd: int, release: int):
+        self._first = first
         self._rows = rows
+        self._count = count  # snapshots after the start
+        self._arrived = 0
+        self._copies: list[FieldState] = []
         self._failure: Exception | None = None
         self._pipe = os.fdopen(fd, "rb")
-        self._reap = weakref.finalize(self, _stop, pid, self._pipe)
+        self._release = release
+        self._reap = weakref.finalize(self, _stop, pid, self._pipe, release)
 
-    def _receive(self) -> bool:
-        """Wait for the next snapshot and keep it; False once all have arrived."""
-        k = len(self._states) - 1  # snapshots after the start received so far
-        if k == len(self._rows):
-            return False
-        if self._failure is not None:
-            raise self._failure
+    def _receive(self) -> FieldState | None:
+        """Wait for the next snapshot, a view of its row; None once all have arrived."""
+        k = self._arrived
+        if k == self._count:
+            return None
         try:
             item = pickle.load(self._pipe)  # a snapshot's t, or the stepper's exception
         except (EOFError, pickle.UnpicklingError):
             item = None  # the stream ended early or mid-object: the stepper died
         if isinstance(item, float):
-            first = self._states[0]
-            self._states.append(FieldState(first.x0, first.dx, first.n, *self._rows[k], item))
-            if k + 1 == len(self._rows):
+            self._arrived += 1
+            if k + 1 == self._count:
                 self._pipe.read()  # to the end of the stream: the stepper has exited
                 self._reap()
-            return True
+            first = self._first
+            return FieldState(first.x0, first.dx, first.n, *self._rows[k % len(self._rows)], item)
         status = self._reap()
         self._failure = item if item is not None else ChildProcessError(
-            f"the stepper process ended after {k} of {len(self._rows)} snapshots "
+            f"the stepper process ended after {k} of {self._count} snapshots "
             f"with wait status {status}")
         raise self._failure
 
+    def _release_rows(self) -> None:
+        """Let the stepper reuse the rows of the snapshots that have arrived,
+        half a ring at a time: a write that wakes the waiting stepper costs
+        a few microseconds, so it wakes once per _RING // 2 snapshots."""
+        if self._arrived % (_RING // 2) == 0 and self._reap.alive:
+            with suppress(BrokenPipeError):  # it has exited: any failure is raised next
+                os.write(self._release, bytes(_RING // 2))
+
+    def _unstreamed(self) -> None:
+        """Raise the stepper's failure, or ValueError once an iteration has
+        streamed a view, which it did not keep."""
+        if self._failure is not None:
+            raise self._failure
+        if self._arrived > len(self._copies):
+            raise ValueError("the snapshots were streamed once, and iteration keeps none")
+
     def __iter__(self):
-        i = 0
-        while i < len(self._states) or self._receive():
-            yield self._states[i]
-            i += 1
+        self._unstreamed()
+        yield self._first
+        yield from self._copies
+        while (snapshot := self._receive()) is not None:
+            yield snapshot
+            self._release_rows()
 
     def _all(self) -> list[FieldState]:
-        while self._receive():
-            pass
-        return self._states
+        self._unstreamed()
+        while (snapshot := self._receive()) is not None:
+            self._copies.append(snapshot.copy())
+            self._release_rows()
+        return [self._first, *self._copies]
 
     def __len__(self) -> int:
         return len(self._all())
@@ -263,34 +300,42 @@ def run(state: FieldState, cfg: SolverConfig, t_end: float, frame_cadence: int =
     arguments are trusted, as a ScenarioConfig has checked them (a positive
     cadence, one step or more, the CFL condition); the steps run in a
     forked process (POSIX only), which writes each snapshot's phi and pi
-    into one shared anonymous mapping, a row per snapshot, and sends its t
-    down a pipe, pickled.  The returned Snapshots yield each snapshot as it
-    lands, so the caller works on one core while the stepper runs on
-    another.  The first snapshot owns its arrays; the others are views of
-    their rows, and each pi is read out from the half-step momentum.  The
-    fields are checked once per snapshot, and a non-finite field raises
-    FloatingPointError naming the last time at which they were finite.  Any
-    exception that stops the stepper goes down the pipe pickled and reaches
-    the caller as itself, at the snapshot where the stream stops; one that
-    cannot be pickled and rebuilt ends the stream early.
+    into a ring of min(_RING, snapshots) rows of one shared anonymous
+    mapping and sends its t down a pipe, pickled.  Before it reuses a row it
+    waits on a second pipe until the parent has released the snapshot
+    there; at the end of that pipe, the parent being gone, it exits.  So the
+    mapping does not grow with the run.  The returned Snapshots yield each
+    snapshot as it lands, so the caller works on one core while the stepper
+    runs on another.  The first snapshot owns its arrays; the others are
+    views of their rows (see Snapshots), and each pi is read out from the
+    half-step momentum.  The fields are checked once per snapshot, and a
+    non-finite field raises FloatingPointError naming the last time at which
+    they were finite.  Any exception that stops the stepper goes down the
+    pipe pickled and reaches the caller as itself, at the snapshot where the
+    stream stops; one that cannot be pickled and rebuilt ends the stream
+    early.
     """
     n_steps = int(round((t_end - state.t) / cfg.dt))
     kernel = _Leapfrog(state, cfg)
-    shape = (-(-n_steps // frame_cadence), 2, state.n)
+    count = -(-n_steps // frame_cadence)
+    shape = (min(_RING, count), 2, state.n)
     rows = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=float).reshape(shape)
     r, w = os.pipe()
+    release_r, release_w = os.pipe()
     try:
         pid = os.fork()
     except OSError:
-        os.close(r)
-        os.close(w)
+        for fd in (r, w, release_r, release_w):
+            os.close(fd)
         raise
     if pid == 0:  # the stepper process: it never returns
         try:
             os.close(r)
+            os.close(release_w)
             try:
                 _evolve(kernel, state.t, n_steps, frame_cadence, rows,
-                        lambda t: os.write(w, pickle.dumps(t)))
+                        lambda t: os.write(w, pickle.dumps(t)),
+                        lambda: os.read(release_r, 1) or os._exit(0))  # EOF: no parent
             except Exception as exc:
                 item = pickle.dumps(exc)
                 pickle.loads(item)  # one that cannot be rebuilt ends the stream instead
@@ -298,5 +343,5 @@ def run(state: FieldState, cfg: SolverConfig, t_end: float, frame_cadence: int =
         finally:
             os._exit(0)
     os.close(w)
-    return Snapshots(state.copy(), rows, pid, r)
-
+    os.close(release_r)
+    return Snapshots(state.copy(), rows, count, pid, r, release_w)

@@ -23,6 +23,7 @@ from phi6kinks.scenarios import (  # noqa: E402
     default_suite,
     run_scenario,
 )
+from oracles import tracked_frames  # noqa: E402
 
 
 def two_kink_state(grid, x1, x2, v1=0.0, v2=0.0, perturbation=None):
@@ -51,6 +52,14 @@ def suite_reports():
     """{label: (config, report)} of one run of the default suite, shared by
     the acceptance criteria and the growth-fit tests."""
     return {cfg.seed_label: (cfg, run_scenario(cfg)) for cfg in default_suite()}
+
+
+@pytest.fixture(scope="session")
+def suite_frames():
+    """{label: valid frames with their snapshots} of one more run of the
+    default suite, for the criteria that read a frame's fields after
+    the run."""
+    return {cfg.seed_label: tracked_frames(cfg) for cfg in default_suite()}
 
 
 @pytest.fixture

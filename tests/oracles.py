@@ -5,13 +5,14 @@ track -> verify pipeline never reads them.  They live here, outside the
 package they check, so that an oracle does not share the code it judges:
 the antikink profiles and slopes, the Bogomolny rest energy, the interaction
 energy A(z) with its derivative and the derivation of its expansion, an RK4
-integrator of the reduced law with its first integral, and an orthogonality
-check that re-measures a frame's projections.
+integrator of the reduced law with its first integral, an orthogonality
+check that re-measures a frame's projections, and the tracked frames of a
+scenario with their snapshots kept.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,7 +30,9 @@ from phi6kinks.model import (
     kink_mode,
     kink_value,
 )
-from phi6kinks.modulation import _ORTHO_ATOL, _ORTHO_RTOL, ModulationFrame
+from phi6kinks.modulation import _ORTHO_ATOL, _ORTHO_RTOL, ModulationFrame, track
+from phi6kinks.pde import run
+from phi6kinks.scenarios import build_initial_state
 
 # ---------------------------------------------------------------------------
 # kink slopes and the antikink
@@ -193,3 +196,28 @@ def orthogonality_ok(frame: ModulationFrame) -> bool:
     g_l2 = math.sqrt(max(float(w @ (g ** 2)), 0.0))
     tol = _ORTHO_RTOL * mode_l2 * g_l2 + _ORTHO_ATOL
     return all(abs(float(w @ (g * mode))) <= tol for mode in modes)
+
+
+# ---------------------------------------------------------------------------
+# frames that keep their snapshots
+# ---------------------------------------------------------------------------
+
+
+def tracked_frames(config) -> list[ModulationFrame]:
+    """The valid frames of ``run_scenario(config)``, each holding a copy of
+    its snapshot.
+
+    The frames that track returns keep no snapshot after the first, so this
+    tracks ``run(build_initial_state(config), ...)`` again and copies each
+    valid frame's snapshot in the hook.  The stepper is deterministic, so
+    these are the frames the scenario's report was made from.
+    """
+    snapshots = run(build_initial_state(config), config.solver, config.t_end,
+                    config.frame_cadence)
+    frames = []
+    try:
+        track(snapshots, lambda frame, pair: frames.append(
+            replace(frame, state=frame.state.copy())))
+    finally:
+        snapshots.close()
+    return frames

@@ -320,7 +320,8 @@ class TestNonFiniteField:
 
 
 class TestFrameStorage:
-    """A frame points at its snapshot and rebuilds (g, g_t) from it."""
+    """A frame points at its snapshot and rebuilds (g, g_t) from it; track's
+    frames do so only while its hook runs, and keep only the first snapshot."""
 
     def test_no_full_grid_array_on_a_frame(self, arrays_held):
         st = pair_state(-6.0, 6.0, extra=lambda x: 0.01 * np.exp(-(x**2)))
@@ -345,16 +346,16 @@ class TestFrameStorage:
 
         def on_valid(frame, pair):
             assert solves[-1] == frame.t  # called before the next snapshot is solved
-            seen.append((frame, pair))
+            seen.append(frame)
+            rebuilt = frame.fields()  # the frame points at its snapshot while the hook runs
+            for f in dataclasses.fields(rebuilt):
+                assert getattr(pair, f.name).tobytes() == getattr(rebuilt, f.name).tobytes()
 
         frames = track(snaps, on_valid)
         assert [f.valid for f in frames] == [True, False, True]
         valid = [f for f in frames if f.valid]
-        assert len(seen) == len(valid) and all(a is b for (a, _), b in zip(seen, valid))
-        for frame, pair in seen:
-            rebuilt = frame.fields()
-            for f in dataclasses.fields(rebuilt):
-                assert getattr(pair, f.name).tobytes() == getattr(rebuilt, f.name).tobytes()
+        assert len(seen) == len(valid) and all(a is b for a, b in zip(seen, valid))
+        assert frames[0].state is snaps[0] and [f.state for f in frames[1:]] == [None, None]
         for frame in frames:
             assert arrays_held(frame) == []
 
@@ -404,14 +405,15 @@ class TestTrack:
         st = two_kink_state((-56.0, 0.05, n), -8.0, 8.0)
         snaps = run(st, SolverConfig(dt=0.02), 10.0, frame_cadence=5)
         assert len(snaps) == 101
-        frames = track(snaps)
+        orthogonal = []
+        frames = track(snaps, lambda frame, pair: orthogonal.append(orthogonality_ok(frame)))
         assert len(frames) == len(snaps)
         x1s = [f.x1 for f in frames]
         x2s = [f.x2 for f in frames]
         assert max(x1s) - min(x1s) < 1e-6
         assert max(x2s) - min(x2s) < 1e-6
         assert all(f.valid for f in frames)
-        assert all(orthogonality_ok(f) for f in frames)
+        assert len(orthogonal) == len(frames) and all(orthogonal)
 
     def test_static_pair_acceleration_matches_repulsion_law(self):
         # the tracked separation of a resting z=12 pair grows like

@@ -1,8 +1,10 @@
 """Solver correctness: fixed points, convergence, conservation, reversibility."""
+import contextlib
 import dataclasses
 import json
 import math
 import os
+import time
 
 import numpy as np
 import pytest
@@ -28,7 +30,12 @@ def evolve_in_process(state, cfg, t_end, frame_cadence):
     n_steps = int(round((t_end - state.t) / cfg.dt))
     rows = np.empty((-(-n_steps // frame_cadence), 2, state.n))
     times = []
-    pde._evolve(pde._Leapfrog(state, cfg), state.t, n_steps, frame_cadence, rows, times.append)
+
+    def wait():
+        raise AssertionError("a row per snapshot is never reused")
+
+    pde._evolve(pde._Leapfrog(state, cfg), state.t, n_steps, frame_cadence, rows, times.append,
+                wait)
     return [state.copy()] + [FieldState(state.x0, state.dx, state.n, phi, pi, t)
                              for (phi, pi), t in zip(rows, times)]
 
@@ -204,6 +211,16 @@ def assert_no_child():
         os.waitpid(-1, os.WNOHANG)
 
 
+@contextlib.contextmanager
+def assert_released():
+    """Fail unless the block leaves no child unreaped and no file descriptor
+    open that was not open before it, such as an end of either stream pipe."""
+    before = sorted(os.listdir("/proc/self/fd"))
+    yield
+    assert_no_child()
+    assert sorted(os.listdir("/proc/self/fd")) == before
+
+
 class TestStream:
     """run steps in a forked process and streams its snapshots."""
 
@@ -221,6 +238,63 @@ class TestStream:
             assert got.t == want.t
             assert got.phi.tobytes() == want.phi.tobytes()
             assert got.pi.tobytes() == want.pi.tobytes()
+
+    @staticmethod
+    def rows_overwritten_under_a_slow_reader():
+        """Stream 150 snapshots, more than the ring's rows, reading each 1 ms
+        late, and list the ones that differ from the in-process loop's bits
+        as they arrive."""
+        n = int(round(96 / 0.05)) + 1
+        st = two_kink_state((-48.0, 0.05, n), -8.0, 8.0, 0.3, -0.3)
+        cfg = SolverConfig(dt=0.02)
+        local = evolve_in_process(st, cfg, 150 * cfg.dt, 1)
+        arrived, differ = 0, []
+        for got in run(st, cfg, 150 * cfg.dt, frame_cadence=1):
+            time.sleep(1e-3)
+            want = local[arrived]
+            if (got.t, got.phi.tobytes(), got.pi.tobytes()) != (
+                    want.t, want.phi.tobytes(), want.pi.tobytes()):
+                differ.append(arrived)
+            arrived += 1
+        assert arrived == len(local) == 151 > pde._RING
+        return differ
+
+    def test_the_ring_keeps_each_row_until_it_is_released(self):
+        assert self.rows_overwritten_under_a_slow_reader() == []
+        assert_no_child()
+
+    def test_a_stepper_that_does_not_wait_overwrites_rows(self, monkeypatch):
+        evolve = pde._evolve
+
+        def planted(kernel, t0, n_steps, frame_cadence, rows, emit, wait):
+            evolve(kernel, t0, n_steps, frame_cadence, rows, emit, lambda: None)
+
+        monkeypatch.setattr(pde, "_evolve", planted)
+        assert self.rows_overwritten_under_a_slow_reader() != []
+        assert_no_child()
+
+    def test_a_stepper_whose_release_pipe_ends_exits(self):
+        snaps = run(single_kink_state(), SolverConfig(dt=0.02), 2.0, frame_cadence=1)
+        # end the release pipe as the parent's death would, keeping the fd number open
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, snaps._release)
+        os.close(devnull)
+        seen = []
+        with pytest.raises(ChildProcessError,
+                           match=rf"ended after {pde._RING} of 100 snapshots with wait status 0"):
+            for s in snaps:
+                seen.append(s.t)
+        assert len(seen) == pde._RING + 1
+        assert_no_child()
+
+    def test_a_streamed_run_cannot_be_read_again(self):
+        snaps = run(single_kink_state(), SolverConfig(dt=0.02), 2.0, frame_cadence=1)
+        assert [s.t for s in snaps][-1] == pytest.approx(2.0)
+        with pytest.raises(ValueError, match="streamed once"):
+            len(snaps)
+        with pytest.raises(ValueError, match="streamed once"):
+            next(iter(snaps))
+        assert_no_child()
 
     def test_snapshots_before_a_blowup_arrive_in_order(self):
         st = single_kink_state()
@@ -245,8 +319,8 @@ class TestStream:
         the start and then calls end(), in the stepper process."""
         evolve = pde._evolve
 
-        def planted(kernel, t0, n_steps, frame_cadence, rows, emit):
-            evolve(kernel, t0, frame_cadence, frame_cadence, rows, emit)
+        def planted(kernel, t0, n_steps, frame_cadence, rows, emit, wait):
+            evolve(kernel, t0, frame_cadence, frame_cadence, rows, emit, wait)
             end()
 
         monkeypatch.setattr(pde, "_evolve", planted)
@@ -312,36 +386,35 @@ class TestStream:
             snaps[-1]
 
     def test_no_child_after_a_completed_scenario(self):
-        report = run_scenario(ScenarioConfig(kinks=KinkArrangement(x1=-6.0, x2=6.0),
-                                             t_end=2.0, frame_cadence=25))
+        with assert_released():
+            report = run_scenario(ScenarioConfig(kinks=KinkArrangement(x1=-6.0, x2=6.0),
+                                                 t_end=2.0, frame_cadence=25))
         assert len(report.rows) == 5
-        assert_no_child()
 
     def test_no_child_after_track_fails_on_frame_0(self, monkeypatch):
         def fail(state):
             raise ModulationError("planted failure on frame 0")
 
         monkeypatch.setattr(modulation, "initial_center_guess", fail)
-        with pytest.raises(ModulationError, match="planted") as raised:
-            run_scenario(ScenarioConfig(kinks=KinkArrangement(x1=-6.0, x2=6.0),
-                                        t_end=400.0, frame_cadence=100))
-        # the traceback keeps run_scenario's snapshots alive: only its close reaps
-        assert raised.traceback
-        assert_no_child()
+        with assert_released():
+            with pytest.raises(ModulationError, match="planted") as raised:
+                run_scenario(ScenarioConfig(kinks=KinkArrangement(x1=-6.0, x2=6.0),
+                                            t_end=400.0, frame_cadence=100))
+            # the traceback keeps run_scenario's snapshots alive: only its close reaps
+            assert raised.traceback
 
     def test_no_child_after_a_mid_run_blowup(self):
         st = single_kink_state()
         bad = dataclasses.replace(st, phi=st.phi.copy())
         bad.phi[800] = 10.0
-        with np.errstate(over="ignore", invalid="ignore"):
+        with assert_released(), np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(FloatingPointError):
                 list(run(bad, SolverConfig(dt=0.02), 1.0, frame_cadence=4))
-        assert_no_child()
 
     def test_no_child_after_an_unread_result_is_dropped(self):
-        snaps = run(single_kink_state(), SolverConfig(dt=0.02), 400.0, frame_cadence=100)
-        del snaps
-        assert_no_child()
+        with assert_released():
+            snaps = run(single_kink_state(), SolverConfig(dt=0.02), 400.0, frame_cadence=100)
+            del snaps
 
 
 def _kdk_oracle(state, cfg, n_steps):

@@ -1,6 +1,10 @@
 """Scenario runner, report formats, verdicts, and the growth probe."""
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -8,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from phi6kinks import functionals, modulation
+from phi6kinks import functionals, modulation, pde
 from phi6kinks.functionals import (
     coercivity_ratio,
     cut_function,
@@ -44,7 +48,8 @@ from phi6kinks.scenarios import (
     verify_remainder_growth,
     verify_tracking,
 )
-from oracles import antikink_derivative, antikink_value, kink_derivative
+from conftest import SRC
+from oracles import antikink_derivative, antikink_value, kink_derivative, tracked_frames
 
 
 def quick_config(**overrides) -> ScenarioConfig:
@@ -641,7 +646,7 @@ class TestSharedPairTerms:
 
     def test_collision_frames_match_fresh_evaluation(self):
         report = run_scenario(self._collision())
-        frames = [f for f in report.frames if f.valid]
+        frames = tracked_frames(self._collision())
         assert len(frames) == len(report.rows) == 101
         ratios = []
         for frame, row in zip(frames, report.rows):
@@ -668,7 +673,8 @@ class TestSharedPairTerms:
     def test_cube_within_two_ulp_of_pow(self):
         # g * g * g rounds twice where g**3 rounds once
         report = run_scenario(self._collision())
-        frames = [f for f in report.frames if f.valid]
+        frames = tracked_frames(self._collision())
+        assert len(frames) == len(report.rows)
         for frame, row in zip(frames, report.rows):
             pow_form = self._lyapunov_F(frame, cube=lambda g: g**3)
             assert abs(row.F_t - pow_form) <= 2 * np.spacing(abs(pow_form))
@@ -704,8 +710,45 @@ class TestSharedPairTerms:
 
 
 class TestFrameMemory:
-    """Frames point at their snapshots: a run holds the snapshots' phi and pi
-    and little else, not a second full-grid copy of (g, g_t) per frame."""
+    """A run's frames keep no full-grid copy of (g, g_t), and after the first
+    no snapshot: the stepper's rows are a ring that it reuses, so a run's
+    memory does not grow with its snapshots."""
+
+    def test_frames_after_the_first_hold_no_snapshot(self):
+        report = run_scenario(TestSharedPairTerms._collision())
+        assert len(report.frames) == 101 > pde._RING
+        first = report.frames[0].state
+        assert first.phi.flags.owndata and first.pi.flags.owndata
+        assert all(frame.state is None for frame in report.frames[1:])
+
+    def test_peak_rss_does_not_grow_with_the_snapshots(self):
+        """ru_maxrss, in a fresh interpreter, across a 1,001-snapshot head-on
+        after a warm-up run.  test_peak_memory_near_the_snapshots's
+        tracemalloc bound cannot see the stepper's mapped rows, so only this
+        test bounds them: a row per snapshot would grow it by 31 MiB."""
+        script = textwrap.dedent("""
+            import resource
+            from phi6kinks.pde import SolverConfig
+            from phi6kinks.scenarios import KinkArrangement, ScenarioConfig, run_scenario
+
+            def headon(t_end):
+                return ScenarioConfig(kinks=KinkArrangement(x1=-6.0, x2=6.0, v1=0.5, v2=-0.5),
+                                      solver=SolverConfig(dt=0.02), t_end=t_end,
+                                      frame_cadence=2)
+
+            run_scenario(headon(4.0))  # warm-up: imports and the cached weights and energies
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            report = run_scenario(headon(40.0))
+            grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+            print(len(report.frames), len(report.frames[0].state.phi), grown)
+        """)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
+        out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                             capture_output=True, text=True, timeout=300).stdout
+        frames, n, grown_kib = map(int, out.split())
+        assert (frames, n) == (1001, 2041)
+        assert grown_kib <= 8 * 1024
 
     def test_peak_memory_near_the_snapshots(self, arrays_held):
         config = TestSharedPairTerms._collision()

@@ -104,16 +104,17 @@ def test_report_digest_names_a_moved_snapshot(tmp_path, monkeypatch):
     configs = {"tiny/rest": ScenarioConfig(kinks=KinkArrangement(x1=-6.0, x2=6.0), t_end=2.0,
                                            frame_cadence=25, seed_label="rest")}
     digest.write_reports(tmp_path / "old", configs)
-    run_scenario = digest.run_scenario
+    run = digest.run
 
-    def planted(config):
-        # 1 ULP in one pi of the last snapshot, after the rows were measured
-        report = run_scenario(config)
-        pi = report.frames[-1].state.pi
+    def planted(*args):
+        # 1 ULP in one pi of the last snapshot that the digest hashes, a run
+        # apart from the one the report was measured on
+        snapshots = list(run(*args))
+        pi = snapshots[-1].pi
         pi[pi.size // 2] = math.nextafter(pi[pi.size // 2], math.inf)
-        return report
+        return snapshots
 
-    monkeypatch.setattr(digest, "run_scenario", planted)
+    monkeypatch.setattr(digest, "run", planted)
     digest.write_reports(tmp_path / "new", configs)
     assert digest.compare(tmp_path / "old", tmp_path / "new") == [
         "tiny/rest/extras:snapshots_sha256: hash moved",
