@@ -69,10 +69,11 @@ def separation_d_dot(t, p: EffectiveParams):
     return 2.0 * p.v * np.tanh(arg)
 
 
-def centers_d1_d2(t, p: EffectiveParams):
-    """Center trajectories d1 < d2 splitting the separation around a + b t."""
+def centers_d1_d2(t, p: EffectiveParams, d):
+    """Center trajectories d1 < d2 splitting the separation d = separation_d(t, p)
+    around a + b t; the caller, which needs d itself, passes it."""
     mid = p.a + p.b * np.asarray(t, dtype=float)
-    half = 0.5 * separation_d(t, p)
+    half = 0.5 * d
     return mid - half, mid + half
 
 

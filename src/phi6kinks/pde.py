@@ -4,7 +4,9 @@ Stormer leapfrog in time, which is velocity Verlet (kick-drift-kick) in exact
 arithmetic, carried as phi and p = dt * pi at half steps; centered
 4th-order Laplacian in space.  Boundary nodes are clamped to the vacuum values
 of the initial data.  A run's snapshots stream from a forked stepper through
-a ring of _RING shared rows, so its memory does not grow with its length.
+a ring of _RING shared rows, so its memory does not grow with its length, and
+the stepper applies the caller's per-snapshot measurement to each row it
+writes, so that work runs beside the caller's.
 """
 from __future__ import annotations
 
@@ -38,7 +40,8 @@ def grid_nodes(x0: float, dx: float, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FieldState:
-    """Discretized (phi, d_t phi) on a uniform grid at one instant."""
+    """Discretized (phi, d_t phi) on a uniform grid at one instant; a
+    snapshot of ``run`` also carries the value of the run's measure on it."""
 
     x0: float
     dx: float
@@ -46,6 +49,7 @@ class FieldState:
     phi: np.ndarray
     pi: np.ndarray
     t: float = 0.0
+    measured: object = None
 
     @property
     def x(self) -> np.ndarray:
@@ -156,9 +160,9 @@ def _all_finite(a: np.ndarray) -> bool:
 def _evolve(kernel: _Leapfrog, t0: float, n_steps: int, frame_cadence: int,
             rows: np.ndarray, emit, wait) -> None:
     """The stepping loop: snapshot i after the start goes into
-    rows[i % len(rows)] as (phi, pi), and then emit(t) announces it.  Before
-    it reuses a row, for i >= len(rows), wait() returns once snapshot
-    i - len(rows) is released.
+    row = rows[i % len(rows)] as (phi, pi), and then emit(t, row) announces
+    it.  Before it reuses a row, for i >= len(rows), wait() returns once
+    snapshot i - len(rows) is released.
 
     The fields phi and p are checked once per snapshot; a non-finite field
     raises FloatingPointError naming the last time at which both were
@@ -179,11 +183,11 @@ def _evolve(kernel: _Leapfrog, t0: float, n_steps: int, frame_cadence: int,
             i = (k - 1) // frame_cadence
             if i >= len(rows):
                 wait()
-            last_phi, pi = rows[i % len(rows)]
+            last_phi, pi = row = rows[i % len(rows)]
             np.copyto(last_phi, kernel.phi)
             kernel.pi(out=pi)
             np.copyto(last_p, kernel.p)
-            emit(t0 + k * dt)
+            emit(t0 + k * dt, row)
 
 
 def _stop(pid: int, pipe, release: int) -> int | None:
@@ -202,7 +206,8 @@ def _stop(pid: int, pipe, release: int) -> int | None:
 
 
 class Snapshots(Sequence):
-    """The snapshots of one ``run``, FieldStates that a stepper process fills.
+    """The snapshots of one ``run``, FieldStates that a stepper process fills,
+    each carrying the run's measure of it as ``measured``.
 
     Iterating yields each snapshot as soon as it arrives.  The first owns
     its arrays; each later one is a view of its row in the ring, valid only
@@ -234,16 +239,16 @@ class Snapshots(Sequence):
         if k == self._count:
             return None
         try:
-            item = pickle.load(self._pipe)  # a snapshot's t, or the stepper's exception
+            item = pickle.load(self._pipe)  # (t, measured), or the stepper's exception
         except (EOFError, pickle.UnpicklingError):
             item = None  # the stream ended early or mid-object: the stepper died
-        if isinstance(item, float):
+        if isinstance(item, tuple):
             self._arrived += 1
             if k + 1 == self._count:
                 self._pipe.read()  # to the end of the stream: the stepper has exited
                 self._reap()
             first = self._first
-            return FieldState(first.x0, first.dx, first.n, *self._rows[k % len(self._rows)], item)
+            return FieldState(first.x0, first.dx, first.n, *self._rows[k % len(self._rows)], *item)
         status = self._reap()
         self._failure = item if item is not None else ChildProcessError(
             f"the stepper process ended after {k} of {self._count} snapshots "
@@ -293,35 +298,45 @@ class Snapshots(Sequence):
         self._reap()
 
 
-def run(state: FieldState, cfg: SolverConfig, t_end: float, frame_cadence: int = 50) -> Snapshots:
-    """Evolve to t_end, with snapshots every frame_cadence steps.
+def run(state: FieldState, cfg: SolverConfig, t_end: float, measure,
+        frame_cadence: int = 50) -> Snapshots:
+    """Evolve to t_end, with snapshots every frame_cadence steps, each
+    carrying measure(snapshot) as its ``measured``.
 
     The snapshots always include the initial and final states.  The
     arguments are trusted, as a ScenarioConfig has checked them (a positive
-    cadence, one step or more, the CFL condition); the steps run in a
-    forked process (POSIX only), which writes each snapshot's phi and pi
-    into a ring of min(_RING, snapshots) rows of one shared anonymous
-    mapping and sends its t down a pipe, pickled.  Before it reuses a row it
+    cadence, one step or more, the CFL condition).  The initial state is
+    measured here, before the fork, so the stepper inherits what the measure
+    caches.  The steps run in a forked process (POSIX only), which writes
+    each later snapshot's phi and pi into a ring of min(_RING, snapshots)
+    rows of one shared anonymous mapping, measures the snapshot on its row
+    and sends (t, measured) down a pipe, pickled.  Before it reuses a row it
     waits on a second pipe until the parent has released the snapshot
     there; at the end of that pipe, the parent being gone, it exits.  So the
     mapping does not grow with the run.  The returned Snapshots yield each
     snapshot as it lands, so the caller works on one core while the stepper
-    runs on another.  The first snapshot owns its arrays; the others are
-    views of their rows (see Snapshots), and each pi is read out from the
-    half-step momentum.  The fields are checked once per snapshot, and a
-    non-finite field raises FloatingPointError naming the last time at which
-    they were finite.  Any exception that stops the stepper goes down the
-    pipe pickled and reaches the caller as itself, at the snapshot where the
-    stream stops; one that cannot be pickled and rebuilt ends the stream
-    early.
+    and the measure run on another.  The first snapshot owns its arrays; the
+    others are views of their rows (see Snapshots), and each pi is read out
+    from the half-step momentum.  The fields are checked once per snapshot,
+    and a non-finite field raises FloatingPointError naming the last time at
+    which they were finite.  Any exception that stops the stepper, the
+    measure's included, goes down the pipe pickled and reaches the caller as
+    itself, at the snapshot where the stream stops; one that cannot be
+    pickled and rebuilt ends the stream early.
     """
     n_steps = int(round((t_end - state.t) / cfg.dt))
+    first = replace(state.copy(), measured=measure(state))
     kernel = _Leapfrog(state, cfg)
     count = -(-n_steps // frame_cadence)
     shape = (min(_RING, count), 2, state.n)
     rows = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=float).reshape(shape)
     r, w = os.pipe()
     release_r, release_w = os.pipe()
+
+    def emit(t, row):  # in the stepper process
+        snapshot = FieldState(state.x0, state.dx, state.n, *row, t)
+        os.write(w, pickle.dumps((t, measure(snapshot))))
+
     try:
         pid = os.fork()
     except OSError:
@@ -333,8 +348,7 @@ def run(state: FieldState, cfg: SolverConfig, t_end: float, frame_cadence: int =
             os.close(r)
             os.close(release_w)
             try:
-                _evolve(kernel, state.t, n_steps, frame_cadence, rows,
-                        lambda t: os.write(w, pickle.dumps(t)),
+                _evolve(kernel, state.t, n_steps, frame_cadence, rows, emit,
                         lambda: os.read(release_r, 1) or os._exit(0))  # EOF: no parent
             except Exception as exc:
                 item = pickle.dumps(exc)
@@ -344,4 +358,4 @@ def run(state: FieldState, cfg: SolverConfig, t_end: float, frame_cadence: int =
             os._exit(0)
     os.close(w)
     os.close(release_r)
-    return Snapshots(state.copy(), rows, count, pid, r, release_w)
+    return Snapshots(first, rows, count, pid, r, release_w)

@@ -155,10 +155,10 @@ def run_scenario(config: ScenarioConfig) -> ComparisonReport:
     """init -> evolve -> track, with each valid frame's diagnostics taken from
     the arrays of its center solve -> anchor reduced dynamics -> report.
 
-    The stepper runs in its own process while track solves each snapshot as
-    it lands."""
+    The stepper runs in its own process and measures each snapshot's energy
+    there, while track solves each snapshot as it lands."""
     state = build_initial_state(config)
-    snapshots = run(state, config.solver, config.t_end, config.frame_cadence)
+    snapshots = run(state, config.solver, config.t_end, energy_breakdown, config.frame_cadence)
 
     params = None
     rows: list[FrameRow] = []
@@ -170,10 +170,10 @@ def run_scenario(config: ScenarioConfig) -> ComparisonReport:
         nonlocal params, coer_min
         if params is None:  # frame 0, which track raises on unless it is valid
             params = params_from_initial(frame.x1, frame.x2, frame.xdot1, frame.xdot2)
-        d1, d2 = centers_d1_d2(frame.t, params)
         d = separation_d(frame.t, params)
+        d1, d2 = centers_d1_d2(frame.t, params, d)
         d1dot, d2dot = centers_velocities(frame.t, params)
-        eps_t = energy_breakdown(frame.state).epsilon
+        eps_t = frame.state.measured.epsilon  # energy_breakdown, run by the stepper
         terms = pair_terms(frame, pair)
         norm_g_h1 = float(np.sqrt(terms.g_h1_sq))
         f_t = lyapunov_F(frame, terms)

@@ -34,6 +34,11 @@ def two_kink_state(grid, x1, x2, v1=0.0, v2=0.0, perturbation=None):
     return build_initial_state(config)
 
 
+def unmeasured(state):
+    """The per-snapshot measure of a ``pde.run`` whose test reads none."""
+    return None
+
+
 @pytest.fixture(autouse=True)
 def no_child_left():
     """Fail a test that leaves a child process unreaped, such as a stepper

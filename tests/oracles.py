@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from phi6kinks.functionals import (
+    energy_breakdown,
     integrate,
     odd_sample_count,
     potential_energy_samples,
@@ -213,7 +214,7 @@ def tracked_frames(config) -> list[ModulationFrame]:
     these are the frames the scenario's report was made from.
     """
     snapshots = run(build_initial_state(config), config.solver, config.t_end,
-                    config.frame_cadence)
+                    energy_breakdown, config.frame_cadence)
     frames = []
     try:
         track(snapshots, lambda frame, pair: frames.append(

@@ -27,7 +27,7 @@ from phi6kinks.scenarios import (
     verify_orbital_stability,
     verify_tracking,
 )
-from conftest import two_kink_state
+from conftest import two_kink_state, unmeasured
 from oracles import (
     antikink_value,
     conserved_quantity,
@@ -100,20 +100,20 @@ def test_criterion_3_solver_integrity():
     kink = kink_value(x)
     state = FieldState(x0=-40, dx=dx, n=n, phi=kink.copy(), pi=np.zeros(n), t=0.0)
     cfg = SolverConfig(dt=dt)
-    snaps = run(state, cfg, 200.0, frame_cadence=1000)
+    snaps = run(state, cfg, 200.0, unmeasured, frame_cadence=1000)
     sup_err = float(np.max(np.abs(snaps[-1].phi - kink)))
 
     from phi6kinks.functionals import energy_breakdown
 
     n2 = int(round(96 / dx)) + 1
     moving = two_kink_state((-48.0, dx, n2), -8.0, 8.0, 0.05, -0.05)
-    msnaps = run(moving, cfg, 200.0, frame_cadence=1000)
+    msnaps = run(moving, cfg, 200.0, unmeasured, frame_cadence=1000)
     e0 = energy_breakdown(msnaps[0]).e_total
     drift = max(abs(energy_breakdown(s).e_total - e0) for s in msnaps) / e0
 
-    cur = run(moving, cfg, moving.t + 1000 * cfg.dt, frame_cadence=1000)[-1]
+    cur = run(moving, cfg, moving.t + 1000 * cfg.dt, unmeasured, frame_cadence=1000)[-1]
     cur = dataclasses.replace(cur, pi=-cur.pi)
-    cur = run(cur, cfg, cur.t + 1000 * cfg.dt, frame_cadence=1000)[-1]
+    cur = run(cur, cfg, cur.t + 1000 * cfg.dt, unmeasured, frame_cadence=1000)[-1]
     cur = dataclasses.replace(cur, pi=-cur.pi)
     rev_err = max(
         float(np.max(np.abs(cur.phi - moving.phi))),
@@ -124,7 +124,7 @@ def test_criterion_3_solver_integrity():
         nc = int(round(80 / dxc)) + 1
         xc = -40 + dxc * np.arange(nc)
         sc = FieldState(x0=-40, dx=dxc, n=nc, phi=kink_value(xc), pi=np.zeros(nc), t=0.0)
-        out = run(sc, SolverConfig(dt=dtc), 10.0, frame_cadence=10**9)
+        out = run(sc, SolverConfig(dt=dtc), 10.0, unmeasured, frame_cadence=10**9)
         return float(np.max(np.abs(out[-1].phi - kink_value(xc))))
 
     ratio = order4_sup_err(0.05, 0.02) / order4_sup_err(0.025, 0.01)
@@ -308,19 +308,15 @@ def test_criterion_9_headon_tracks_the_force_law(suite_reports):
 def test_criterion_9_fails_a_force_law_one_percent_strong(monkeypatch):
     # 8 -> 8.08 in effective's v^2 = zdot0^2/4 + 8 e^{-sqrt2 z0} and ln(8/v^2)
     # (a force 1 % stronger) is the unplanted law started from a separation
-    # shorter by s = ln(1.01)/sqrt2, whose d(t) is then read s longer
+    # shorter by s = ln(1.01)/sqrt2, whose d(t) is then read s longer; the
+    # centers split the d that they are handed
     s = math.log(1.01) / SQRT2
 
     def params(x1, x2, xdot1, xdot2):
         return effective.params_from_initial(x1 + 0.5 * s, x2 - 0.5 * s, xdot1, xdot2)
 
-    def centers(t, p):
-        d1, d2 = effective.centers_d1_d2(t, p)
-        return d1 - 0.5 * s, d2 + 0.5 * s
-
     monkeypatch.setattr(scenarios, "params_from_initial", params)
     monkeypatch.setattr(scenarios, "separation_d", lambda t, p: effective.separation_d(t, p) + s)
-    monkeypatch.setattr(scenarios, "centers_d1_d2", centers)
     reports = {cfg.seed_label: (cfg, run_scenario(cfg)) for cfg in default_suite()
                if cfg.kinks.v1}
     ratios = _headon_ratios(reports)

@@ -53,7 +53,7 @@ class TestParams:
             p = params_from_initial(x1, x2, v1, v2)
             assert separation_d(0.0, p) == pytest.approx(x2 - x1, abs=1e-12)
             assert separation_d_dot(0.0, p) == pytest.approx(v2 - v1, abs=1e-12)
-            d1, d2 = centers_d1_d2(0.0, p)
+            d1, d2 = centers_d1_d2(0.0, p, separation_d(0.0, p))
             assert d1 == pytest.approx(x1, abs=1e-12)
             assert d2 == pytest.approx(x2, abs=1e-12)
             d1dot, d2dot = centers_velocities(0.0, p)
@@ -122,7 +122,7 @@ class TestClosedForm:
     def test_center_split_and_symmetry(self):
         p = self.p
         for t in (-20.0, 0.0, 35.0):
-            d1, d2 = centers_d1_d2(t, p)
+            d1, d2 = centers_d1_d2(t, p, separation_d(t, p))
             assert d2 - d1 == pytest.approx(separation_d(t, p), abs=1e-12)
             assert d1 + d2 == pytest.approx(2 * p.a, abs=1e-12)  # b = 0 here
 
@@ -130,8 +130,8 @@ class TestClosedForm:
         p = params_from_initial(-3.0, 3.0, -0.025, 0.025)
         h = 0.01
         for t in (0.0, 5.0):
-            d2 = lambda s: centers_d1_d2(s, p)[1]
-            d1 = lambda s: centers_d1_d2(s, p)[0]
+            d2 = lambda s: centers_d1_d2(s, p, separation_d(s, p))[1]
+            d1 = lambda s: centers_d1_d2(s, p, separation_d(s, p))[0]
             fd2 = (d2(t + h) - 2 * d2(t) + d2(t - h)) / h**2
             fd1 = (d1(t + h) - 2 * d1(t) + d1(t - h)) / h**2
             force = 8 * SQRT2 * math.exp(-SQRT2 * separation_d(t, p))

@@ -18,7 +18,7 @@ from phi6kinks.modulation import (
     track,
 )
 from phi6kinks.pde import FieldState, SolverConfig, run
-from conftest import two_kink_state
+from conftest import two_kink_state, unmeasured
 from oracles import antikink_derivative, antikink_value, kink_derivative, orthogonality_ok
 
 
@@ -403,7 +403,7 @@ class TestTrack:
         # the extracted centers are constant to solver noise
         n = int(round(112 / 0.05)) + 1
         st = two_kink_state((-56.0, 0.05, n), -8.0, 8.0)
-        snaps = run(st, SolverConfig(dt=0.02), 10.0, frame_cadence=5)
+        snaps = run(st, SolverConfig(dt=0.02), 10.0, unmeasured, frame_cadence=5)
         assert len(snaps) == 101
         orthogonal = []
         frames = track(snaps, lambda frame, pair: orthogonal.append(orthogonality_ok(frame)))
@@ -420,7 +420,7 @@ class TestTrack:
         # (1/2) 16 sqrt2 e^{-sqrt2 z} t^2
         n = int(round(96 / 0.05)) + 1
         st = two_kink_state((-48.0, 0.05, n), -6.0, 6.0)
-        snaps = run(st, SolverConfig(dt=0.02), 20.0, frame_cadence=250)
+        snaps = run(st, SolverConfig(dt=0.02), 20.0, unmeasured, frame_cadence=250)
         frames = track(snaps)
         zddot = 16 * SQRT2 * math.exp(-12 * SQRT2)
         for f in frames[1:]:
@@ -452,7 +452,7 @@ class TestTrack:
         x0, x_max = -55.0, 65.0
         n = int(round((x_max - x0) / dx)) + 1
         st = two_kink_state((x0, dx, n), -10.0, 10.0, 0.2, 0.2)
-        snaps = run(st, SolverConfig(dt=0.02), 50.0, frame_cadence=500)
+        snaps = run(st, SolverConfig(dt=0.02), 50.0, unmeasured, frame_cadence=500)
         frames = track(snaps)
         shift1 = frames[-1].x1 - frames[0].x1
         shift2 = frames[-1].x2 - frames[0].x2

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from phi6kinks import modulation, pde
+from phi6kinks import modulation, pde, scenarios
 from phi6kinks.cli import main
 from phi6kinks.functionals import energy_breakdown
 from phi6kinks.model import SQRT2, kink_value
@@ -20,9 +20,11 @@ from phi6kinks.scenarios import (
     GridSpec,
     KinkArrangement,
     ScenarioConfig,
+    build_initial_state,
+    probe_scenario_config,
     run_scenario,
 )
-from conftest import two_kink_state
+from conftest import two_kink_state, unmeasured
 
 
 def evolve_in_process(state, cfg, t_end, frame_cadence):
@@ -34,8 +36,8 @@ def evolve_in_process(state, cfg, t_end, frame_cadence):
     def wait():
         raise AssertionError("a row per snapshot is never reused")
 
-    pde._evolve(pde._Leapfrog(state, cfg), state.t, n_steps, frame_cadence, rows, times.append,
-                wait)
+    pde._evolve(pde._Leapfrog(state, cfg), state.t, n_steps, frame_cadence, rows,
+                lambda t, row: times.append(t), wait)
     return [state.copy()] + [FieldState(state.x0, state.dx, state.n, phi, pi, t)
                              for (phi, pi), t in zip(rows, times)]
 
@@ -113,7 +115,7 @@ class TestGridNodes:
         st = single_kink_state()
         assert st.x is st.x
         assert st.copy().x is st.x
-        snaps = run(st, SolverConfig(dt=0.02), 0.2, frame_cadence=3)
+        snaps = run(st, SolverConfig(dt=0.02), 0.2, unmeasured, frame_cadence=3)
         assert len(snaps) == 5
         assert all(s.x is st.x for s in snaps)
         assert single_kink_state(dx=0.04).x is not st.x
@@ -153,11 +155,11 @@ class TestStep:
         bad.phi[800] = 10.0
         cfg = SolverConfig(dt=0.02)
         with np.errstate(over="ignore", invalid="ignore"):
-            finite = run(bad, cfg, 0.06, frame_cadence=1)
+            finite = run(bad, cfg, 0.06, unmeasured, frame_cadence=1)
             assert len(finite) == 4
             assert all(np.isfinite(s.phi).all() and np.isfinite(s.pi).all() for s in finite)
             with pytest.raises(FloatingPointError, match=r"last valid time t=0\.060000"):
-                list(run(bad, cfg, 1.0, frame_cadence=1))
+                list(run(bad, cfg, 1.0, unmeasured, frame_cadence=1))
 
     @pytest.mark.parametrize("cadence", [2, 4, 50])
     def test_snapshot_check_names_the_same_last_finite_time(self, cadence):
@@ -168,14 +170,14 @@ class TestStep:
         bad.phi[800] = 10.0
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(FloatingPointError, match=r"last valid time t=0\.060000"):
-                list(run(bad, SolverConfig(dt=0.02), 1.0, frame_cadence=cadence))
+                list(run(bad, SolverConfig(dt=0.02), 1.0, unmeasured, frame_cadence=cadence))
 
     def test_non_finite_initial_field_names_the_start_time(self):
         st = dataclasses.replace(single_kink_state(), t=0.7)
         bad = dataclasses.replace(st, phi=st.phi.copy())
         bad.phi[100] = np.nan
         with pytest.raises(FloatingPointError, match=r"last valid time t=0\.700000"):
-            list(run(bad, SolverConfig(dt=0.02), 2.0))
+            list(run(bad, SolverConfig(dt=0.02), 2.0, unmeasured))
 
     def test_run_checks_the_fields_once_per_snapshot(self, monkeypatch):
         # in this process: a counter patched in here is not the stepper process's
@@ -231,7 +233,7 @@ class TestStream:
         st = dataclasses.replace(st, t=0.7)
         cfg = SolverConfig(dt=0.02)
         t_end = st.t + 150 * cfg.dt
-        forked = list(run(st, cfg, t_end, frame_cadence=cadence))
+        forked = list(run(st, cfg, t_end, unmeasured, frame_cadence=cadence))
         local = evolve_in_process(st, cfg, t_end, cadence)
         assert len(forked) == len(local) == -(-150 // cadence) + 1
         for got, want in zip(forked, local):
@@ -249,7 +251,7 @@ class TestStream:
         cfg = SolverConfig(dt=0.02)
         local = evolve_in_process(st, cfg, 150 * cfg.dt, 1)
         arrived, differ = 0, []
-        for got in run(st, cfg, 150 * cfg.dt, frame_cadence=1):
+        for got in run(st, cfg, 150 * cfg.dt, unmeasured, frame_cadence=1):
             time.sleep(1e-3)
             want = local[arrived]
             if (got.t, got.phi.tobytes(), got.pi.tobytes()) != (
@@ -274,7 +276,7 @@ class TestStream:
         assert_no_child()
 
     def test_a_stepper_whose_release_pipe_ends_exits(self):
-        snaps = run(single_kink_state(), SolverConfig(dt=0.02), 2.0, frame_cadence=1)
+        snaps = run(single_kink_state(), SolverConfig(dt=0.02), 2.0, unmeasured, frame_cadence=1)
         # end the release pipe as the parent's death would, keeping the fd number open
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, snaps._release)
@@ -288,7 +290,7 @@ class TestStream:
         assert_no_child()
 
     def test_a_streamed_run_cannot_be_read_again(self):
-        snaps = run(single_kink_state(), SolverConfig(dt=0.02), 2.0, frame_cadence=1)
+        snaps = run(single_kink_state(), SolverConfig(dt=0.02), 2.0, unmeasured, frame_cadence=1)
         assert [s.t for s in snaps][-1] == pytest.approx(2.0)
         with pytest.raises(ValueError, match="streamed once"):
             len(snaps)
@@ -301,7 +303,7 @@ class TestStream:
         bad = dataclasses.replace(st, phi=st.phi.copy())
         bad.phi[800] = 10.0  # finite for three steps, then overflows
         with np.errstate(over="ignore", invalid="ignore"):
-            snaps = run(bad, SolverConfig(dt=0.02), 1.0, frame_cadence=1)
+            snaps = run(bad, SolverConfig(dt=0.02), 1.0, unmeasured, frame_cadence=1)
         seen = []
         with pytest.raises(FloatingPointError, match=r"last valid time t=0\.060000"):
             for s in snaps:
@@ -324,7 +326,7 @@ class TestStream:
             end()
 
         monkeypatch.setattr(pde, "_evolve", planted)
-        return run(single_kink_state(), SolverConfig(dt=0.02), 2.0, frame_cadence=10)
+        return run(single_kink_state(), SolverConfig(dt=0.02), 2.0, unmeasured, frame_cadence=10)
 
     def test_a_stepper_that_dies_is_named(self, monkeypatch):
         snaps = self.stream_ending_after_one(monkeypatch, lambda: os._exit(3))
@@ -376,8 +378,79 @@ class TestStream:
         assert seen == pytest.approx([0.0, 0.2])
         assert_no_child()
 
+    @staticmethod
+    def probe_run():
+        """The eps = 1e-2 probe's run measured by energy_breakdown: 6,908 steps
+        at cadence 25, so its last snapshot falls off the cadence's grid."""
+        config = probe_scenario_config(1e-2)
+        assert round(config.t_end / config.solver.dt) == 6908 and config.frame_cadence == 25
+        return run(build_initial_state(config), config.solver, config.t_end, energy_breakdown,
+                   config.frame_cadence)
+
+    @staticmethod
+    def bits(breakdown):
+        return [float(v).hex() for v in dataclasses.astuple(breakdown)]
+
+    def test_each_streamed_snapshot_carries_its_energy(self):
+        times = []
+        for s in self.probe_run():
+            assert self.bits(s.measured) == self.bits(energy_breakdown(s)), s.t
+            times.append(s.t)
+        assert len(times) == 1 + 277 > pde._RING
+        assert times[-2:] == pytest.approx([276 * 25 * 0.02, 6908 * 0.02])
+
+    def test_copied_snapshots_carry_their_energy(self):
+        # len and indexing copy the rows out, and iteration then yields the copies
+        snaps = self.probe_run()
+        assert len(snaps) == 1 + 277
+        assert snaps[-1].t == pytest.approx(6908 * 0.02)
+        for k in range(len(snaps)):
+            assert self.bits(snaps[k].measured) == self.bits(energy_breakdown(snaps[k])), k
+        iterated = list(snaps)
+        assert len(iterated) == 1 + 277
+        for s in iterated:
+            assert self.bits(s.measured) == self.bits(energy_breakdown(s)), s.t
+
+    def test_a_measure_that_raises_in_the_stepper_arrives_as_itself(self):
+        caller = os.getpid()
+
+        def measure(state):
+            if state.t > 0.5:
+                raise ArithmeticError(f"planted at t={state.t:.1f}", os.getpid() != caller)
+            return state.t
+
+        with assert_released():
+            snaps = run(single_kink_state(), SolverConfig(dt=0.02), 2.0, measure, frame_cadence=10)
+            seen = []
+            with pytest.raises(ArithmeticError) as raised:
+                for s in snaps:
+                    seen.append((s.t, s.measured))
+            assert type(raised.value) is ArithmeticError
+            assert raised.value.args == ("planted at t=0.6", True)  # raised in the stepper
+            assert [t for t, _ in seen] == pytest.approx([0.0, 0.2, 0.4])
+            assert all(measured == t for t, measured in seen)
+            with pytest.raises(ArithmeticError, match="planted at t=0.6"):
+                len(snaps)
+
+    def test_no_child_after_the_stepper_measure_fails(self, monkeypatch):
+        caller = os.getpid()
+        energy = scenarios.energy_breakdown
+
+        def measure(state):
+            if os.getpid() != caller:
+                raise ArithmeticError(f"planted at t={state.t:g}")
+            return energy(state)
+
+        # run_scenario reads the measure through its module global
+        monkeypatch.setattr(scenarios, "energy_breakdown", measure)
+        with assert_released():
+            with pytest.raises(ArithmeticError, match="^planted at t=2$"):
+                run_scenario(ScenarioConfig(kinks=KinkArrangement(x1=-6.0, x2=6.0),
+                                            t_end=8.0, frame_cadence=100))
+
     def test_reading_past_close_raises(self):
-        snaps = run(single_kink_state(), SolverConfig(dt=0.02), 400.0, frame_cadence=100)
+        snaps = run(single_kink_state(), SolverConfig(dt=0.02), 400.0, unmeasured,
+                    frame_cadence=100)
         first = next(iter(snaps))
         snaps.close()
         assert_no_child()
@@ -409,11 +482,12 @@ class TestStream:
         bad.phi[800] = 10.0
         with assert_released(), np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(FloatingPointError):
-                list(run(bad, SolverConfig(dt=0.02), 1.0, frame_cadence=4))
+                list(run(bad, SolverConfig(dt=0.02), 1.0, unmeasured, frame_cadence=4))
 
     def test_no_child_after_an_unread_result_is_dropped(self):
         with assert_released():
-            snaps = run(single_kink_state(), SolverConfig(dt=0.02), 400.0, frame_cadence=100)
+            snaps = run(single_kink_state(), SolverConfig(dt=0.02), 400.0, unmeasured,
+                        frame_cadence=100)
             del snaps
 
 
@@ -465,8 +539,8 @@ class TestLeapfrog:
         st = two_kink_state((-48.0, 0.05, n), -8.0, 8.0, 0.3, -0.3)
         st = dataclasses.replace(st, t=0.7)
         steps, cadence = 150, 40
-        sparse = run(st, cfg, st.t + steps * cfg.dt, frame_cadence=cadence)
-        dense = run(st, cfg, st.t + steps * cfg.dt, frame_cadence=1)
+        sparse = run(st, cfg, st.t + steps * cfg.dt, unmeasured, frame_cadence=cadence)
+        dense = run(st, cfg, st.t + steps * cfg.dt, unmeasured, frame_cadence=1)
         assert len(sparse) == 5 and len(dense) == steps + 1
         for got, k in zip(sparse, (0, 40, 80, 120, 150)):
             want = dense[k]
@@ -481,7 +555,7 @@ class TestLeapfrog:
         # runs differ by at most 2.1e-12 in phi and 7.4e-13 in pi
         st = _pair_window(v, 24.0)
         steps = 10_000
-        got = run(st, cfg, steps * cfg.dt, frame_cadence=steps)[-1]
+        got = run(st, cfg, steps * cfg.dt, unmeasured, frame_cadence=steps)[-1]
         phi, pi = _kdk_oracle(st, cfg, steps)
         assert np.max(np.abs(got.phi - phi)) < 1e-11
         assert np.max(np.abs(got.pi - pi)) < 2e-12
@@ -491,7 +565,7 @@ class TestLeapfrog:
     def test_vacuum_is_a_fixed_point_of_run(self, cfg, vacuum):
         n = 201
         st = FieldState(x0=0, dx=0.05, n=n, phi=np.full(n, vacuum), pi=np.zeros(n), t=0.0)
-        snaps = run(st, cfg, 1000 * cfg.dt, frame_cadence=250)
+        snaps = run(st, cfg, 1000 * cfg.dt, unmeasured, frame_cadence=250)
         assert len(snaps) == 5
         for s in snaps:
             assert s.phi.tobytes() == st.phi.tobytes()
@@ -554,13 +628,13 @@ class TestStencilBits:
 class TestEvolution:
     def test_static_kink_short_run(self):
         st = single_kink_state()
-        snaps = run(st, SolverConfig(dt=0.02), 20.0, frame_cadence=10**6)
+        snaps = run(st, SolverConfig(dt=0.02), 20.0, unmeasured, frame_cadence=10**6)
         err = np.max(np.abs(snaps[-1].phi - kink_value(st.x)))
         assert err < 1e-4
 
     def test_snapshot_count_and_order(self):
         st = single_kink_state()
-        snaps = run(st, SolverConfig(dt=0.02), 1.0, frame_cadence=10)
+        snaps = run(st, SolverConfig(dt=0.02), 1.0, unmeasured, frame_cadence=10)
         assert len(snaps) == 6  # initial + 5 cadence frames (last is final)
         ts = [s.t for s in snaps]
         assert ts == sorted(ts)
@@ -569,19 +643,19 @@ class TestEvolution:
 
     def test_large_cadence_gives_two_snapshots(self):
         st = single_kink_state()
-        snaps = run(st, SolverConfig(dt=0.02), 1.0, frame_cadence=10**9)
+        snaps = run(st, SolverConfig(dt=0.02), 1.0, unmeasured, frame_cadence=10**9)
         assert len(snaps) == 2
 
     def test_snapshots_are_independent_copies(self):
         st = single_kink_state()
-        snaps = run(st, SolverConfig(dt=0.02), 0.2, frame_cadence=5)
+        snaps = run(st, SolverConfig(dt=0.02), 0.2, unmeasured, frame_cadence=5)
         snaps[0].phi[:] = 0.0
         assert snaps[1].phi[10] != 0.0
 
     def test_energy_conservation_moving_pair(self):
         n = int(round(96 / 0.05)) + 1
         st = two_kink_state((-48.0, 0.05, n), -8.0, 8.0, 0.05, -0.05)
-        snaps = run(st, SolverConfig(dt=0.02), 40.0, frame_cadence=500)
+        snaps = run(st, SolverConfig(dt=0.02), 40.0, unmeasured, frame_cadence=500)
         e0 = energy_breakdown(snaps[0]).e_total
         drift = max(abs(energy_breakdown(s).e_total - e0) for s in snaps)
         assert drift / e0 < 1e-5
@@ -590,9 +664,9 @@ class TestEvolution:
         n = int(round(96 / 0.05)) + 1
         st = two_kink_state((-48.0, 0.05, n), -8.0, 8.0, 0.05, -0.05)
         cfg = SolverConfig(dt=0.02)
-        cur = run(st, cfg, st.t + 1000 * cfg.dt, frame_cadence=1000)[-1]
+        cur = run(st, cfg, st.t + 1000 * cfg.dt, unmeasured, frame_cadence=1000)[-1]
         cur = dataclasses.replace(cur, pi=-cur.pi)
-        cur = run(cur, cfg, cur.t + 1000 * cfg.dt, frame_cadence=1000)[-1]
+        cur = run(cur, cfg, cur.t + 1000 * cfg.dt, unmeasured, frame_cadence=1000)[-1]
         cur = dataclasses.replace(cur, pi=-cur.pi)
         assert np.max(np.abs(cur.phi - st.phi)) < 1e-10
         assert np.max(np.abs(cur.pi - st.pi)) < 1e-10
@@ -610,7 +684,7 @@ class TestEvolution:
                         pi=np.zeros(n), t=0.0)
         cfg = SolverConfig(dt=0.005)
         weights = np.sin(k * x)
-        snaps = run(st, cfg, 1200 * cfg.dt, frame_cadence=1)
+        snaps = run(st, cfg, 1200 * cfg.dt, unmeasured, frame_cadence=1)
         series = np.array([float(np.sum((s.phi - 1.0) * weights) / np.sum(weights**2))
                            for s in snaps[1:]])
         sign = np.sign(series)
@@ -632,7 +706,7 @@ class TestConvergence:
             x = -40 + dx * np.arange(n)
             s = FieldState(x0=-40, dx=dx, n=n, phi=kink_value(x),
                            pi=np.zeros(n), t=0.0)
-            snaps = run(s, SolverConfig(dt=dt), 10.0, frame_cadence=10**9)
+            snaps = run(s, SolverConfig(dt=dt), 10.0, unmeasured, frame_cadence=10**9)
             return np.max(np.abs(snaps[-1].phi - kink_value(x)))
 
         coarse = sup_err(0.05, 0.02)

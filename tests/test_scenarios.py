@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from phi6kinks import functionals, modulation, pde
+from phi6kinks import functionals, modulation, pde, scenarios
 from phi6kinks.functionals import (
     coercivity_ratio,
     cut_function,
@@ -166,6 +166,29 @@ class TestRunScenario:
         assert quick_report.epsilon == pytest.approx(
             2 * SQRT2 * math.exp(-12 * SQRT2), rel=1e-2
         )
+
+    def test_the_caller_measures_only_the_initial_state(self, monkeypatch):
+        calls = []
+
+        def counted(state):
+            calls.append(state.t)
+            return functionals.energy_breakdown(state)
+
+        monkeypatch.setattr(scenarios, "energy_breakdown", counted)
+        report = run_scenario(quick_config())
+        assert calls == [0.0]  # the stepper process measured the other 20 snapshots
+        assert len(report.rows) == 21
+
+    def test_eps_column_is_each_frames_energy(self):
+        # a fast head-on: its collision frames are invalid, so the rows skip snapshots
+        config = quick_config(kinks=KinkArrangement(x1=-6.0, x2=6.0, v1=0.5, v2=-0.5),
+                              t_end=20.0, frame_cadence=10)
+        report = run_scenario(config)
+        assert report.failed_at_frame is not None
+        frames = tracked_frames(config)
+        assert len(frames) == len(report.rows) < 1 + 1000 // 10
+        assert [r.eps_t.hex() for r in report.rows] == [
+            float(functionals.energy_breakdown(f.state).epsilon).hex() for f in frames]
 
     def test_determinism(self, tmp_path, quick_report):
         rep2 = run_scenario(quick_config())
