@@ -4,13 +4,15 @@ Stormer leapfrog in time, which is velocity Verlet (kick-drift-kick) in exact
 arithmetic, carried as phi and p = dt * pi at half steps; centered
 4th-order Laplacian in space.  Boundary nodes are clamped to the vacuum values
 of the initial data.  A run's snapshots stream from a forked stepper through
-a ring of _RING shared rows, so its memory does not grow with its length, and
-the stepper applies the caller's per-snapshot measurement to each row it
-writes, so that work runs beside the caller's.
+a ring of _RING shared rows, so its memory does not grow with its length.
+The caller's per-snapshot measurement runs in whichever process would
+otherwise wait: the stepper takes it while the caller is behind, and the
+caller while it keeps up.
 """
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import mmap
 import os
@@ -207,7 +209,8 @@ def _stop(pid: int, pipe, release: int) -> int | None:
 
 class Snapshots(Sequence):
     """The snapshots of one ``run``, FieldStates that a stepper process fills,
-    each carrying the run's measure of it as ``measured``.
+    each carrying the run's measure of it as ``measured``, from the stepper
+    or, where it sent None, taken here as the snapshot arrives.
 
     Iterating yields each snapshot as soon as it arrives.  The first owns
     its arrays; each later one is a view of its row in the ring, valid only
@@ -221,10 +224,12 @@ class Snapshots(Sequence):
     when the stream ends, on ``close()``, or when the sequence is collected.
     """
 
-    def __init__(self, first: FieldState, rows: np.ndarray, count: int, pid: int,
-                 fd: int, release: int):
+    def __init__(self, first: FieldState, rows: np.ndarray, taken: np.ndarray, measure,
+                 count: int, pid: int, fd: int, release: int):
         self._first = first
         self._rows = rows
+        self._taken = taken  # the shared count of arrived snapshots the stepper reads
+        self._measure = measure
         self._count = count  # snapshots after the start
         self._arrived = 0
         self._copies: list[FieldState] = []
@@ -239,16 +244,24 @@ class Snapshots(Sequence):
         if k == self._count:
             return None
         try:
-            item = pickle.load(self._pipe)  # (t, measured), or the stepper's exception
+            item = pickle.load(self._pipe)  # (t, measured or None), or the stepper's exception
         except (EOFError, pickle.UnpicklingError):
             item = None  # the stream ended early or mid-object: the stepper died
         if isinstance(item, tuple):
-            self._arrived += 1
+            self._arrived = self._taken[0] = k + 1
             if k + 1 == self._count:
                 self._pipe.read()  # to the end of the stream: the stepper has exited
                 self._reap()
-            first = self._first
-            return FieldState(first.x0, first.dx, first.n, *self._rows[k % len(self._rows)], *item)
+            first, (t, measured) = self._first, item
+            phi, pi = self._rows[k % len(self._rows)]
+            if measured is None:  # left to the caller, which had kept up
+                try:
+                    measured = self._measure(FieldState(first.x0, first.dx, first.n, phi, pi, t))
+                except Exception as exc:
+                    self._reap()
+                    self._failure = exc
+                    raise
+            return FieldState(first.x0, first.dx, first.n, phi, pi, t, measured)
         status = self._reap()
         self._failure = item if item is not None else ChildProcessError(
             f"the stepper process ended after {k} of {self._count} snapshots "
@@ -309,33 +322,41 @@ def run(state: FieldState, cfg: SolverConfig, t_end: float, measure,
     measured here, before the fork, so the stepper inherits what the measure
     caches.  The steps run in a forked process (POSIX only), which writes
     each later snapshot's phi and pi into a ring of min(_RING, snapshots)
-    rows of one shared anonymous mapping, measures the snapshot on its row
-    and sends (t, measured) down a pipe, pickled.  Before it reuses a row it
-    waits on a second pipe until the parent has released the snapshot
-    there; at the end of that pipe, the parent being gone, it exits.  So the
-    mapping does not grow with the run.  The returned Snapshots yield each
-    snapshot as it lands, so the caller works on one core while the stepper
-    and the measure run on another.  The first snapshot owns its arrays; the
-    others are views of their rows (see Snapshots), and each pi is read out
-    from the half-step momentum.  The fields are checked once per snapshot,
-    and a non-finite field raises FloatingPointError naming the last time at
-    which they were finite.  Any exception that stops the stepper, the
-    measure's included, goes down the pipe pickled and reaches the caller as
-    itself, at the snapshot where the stream stops; one that cannot be
-    pickled and rebuilt ends the stream early.
+    rows of one shared anonymous mapping and sends (t, measured) down a
+    pipe, pickled.  The measure runs in whichever process would otherwise
+    wait: the stepper measures the snapshot on its row if the parent, which
+    counts the snapshots it has taken in the mapping, has not yet taken the
+    previous one; else it sends None, and the parent measures the snapshot
+    as it lands.  So the measure must not depend on where it runs.  Before
+    the stepper reuses a row it waits on a second pipe until the parent has
+    released the snapshot there; at the end of that pipe, the parent being
+    gone, it exits.  So the mapping does not grow with the run.  The
+    returned Snapshots yield each snapshot as it lands, so the caller works
+    on one core while the stepper runs on another.  The first snapshot owns
+    its arrays; the others are views of their rows (see Snapshots), and each
+    pi is read out from the half-step momentum.  The fields are checked once
+    per snapshot, and a non-finite field raises FloatingPointError naming
+    the last time at which they were finite.  Any exception that stops the
+    stepper, the measure's included, goes down the pipe pickled and reaches
+    the caller as itself, at the snapshot where the stream stops; one that
+    cannot be pickled and rebuilt ends the stream early.  A measure that
+    raises in the parent stops the stepper.
     """
     n_steps = int(round((t_end - state.t) / cfg.dt))
     first = replace(state.copy(), measured=measure(state))
     kernel = _Leapfrog(state, cfg)
     count = -(-n_steps // frame_cadence)
     shape = (min(_RING, count), 2, state.n)
-    rows = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=float).reshape(shape)
+    shared = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape) + 8), dtype=float)
+    rows, taken = shared[:-1].reshape(shape), shared[-1:]
     r, w = os.pipe()
     release_r, release_w = os.pipe()
+    sent = itertools.count()
 
     def emit(t, row):  # in the stepper process
-        snapshot = FieldState(state.x0, state.dx, state.n, *row, t)
-        os.write(w, pickle.dumps((t, measure(snapshot))))
+        behind = taken[0] < next(sent)  # the previous snapshot still waits in the pipe
+        measured = measure(FieldState(state.x0, state.dx, state.n, *row, t)) if behind else None
+        os.write(w, pickle.dumps((t, measured)))
 
     try:
         pid = os.fork()
@@ -358,4 +379,4 @@ def run(state: FieldState, cfg: SolverConfig, t_end: float, measure,
             os._exit(0)
     os.close(w)
     os.close(release_r)
-    return Snapshots(first, rows, count, pid, r, release_w)
+    return Snapshots(first, rows, taken, measure, count, pid, r, release_w)

@@ -155,8 +155,9 @@ def run_scenario(config: ScenarioConfig) -> ComparisonReport:
     """init -> evolve -> track, with each valid frame's diagnostics taken from
     the arrays of its center solve -> anchor reduced dynamics -> report.
 
-    The stepper runs in its own process and measures each snapshot's energy
-    there, while track solves each snapshot as it lands."""
+    The stepper runs in its own process while track solves each snapshot as
+    it lands; each snapshot's energy is measured by whichever process would
+    otherwise wait."""
     state = build_initial_state(config)
     snapshots = run(state, config.solver, config.t_end, energy_breakdown, config.frame_cadence)
 
@@ -173,7 +174,7 @@ def run_scenario(config: ScenarioConfig) -> ComparisonReport:
         d = separation_d(frame.t, params)
         d1, d2 = centers_d1_d2(frame.t, params, d)
         d1dot, d2dot = centers_velocities(frame.t, params)
-        eps_t = frame.state.measured.epsilon  # energy_breakdown, run by the stepper
+        eps_t = frame.state.measured.epsilon  # energy_breakdown, run by pde.run
         terms = pair_terms(frame, pair)
         norm_g_h1 = float(np.sqrt(terms.g_h1_sq))
         f_t = lyapunov_F(frame, terms)

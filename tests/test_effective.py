@@ -121,9 +121,11 @@ class TestClosedForm:
 
     def test_center_split_and_symmetry(self):
         p = self.p
+        # at t = 0 the centers are the initial positions the params came from
+        assert centers_d1_d2(0.0, p, separation_d(0.0, p)) == pytest.approx((-5.0, 5.0), abs=1e-12)
         for t in (-20.0, 0.0, 35.0):
             d1, d2 = centers_d1_d2(t, p, separation_d(t, p))
-            assert d2 - d1 == pytest.approx(separation_d(t, p), abs=1e-12)
+            assert d1 < p.a < d2
             assert d1 + d2 == pytest.approx(2 * p.a, abs=1e-12)  # b = 0 here
 
     def test_center_acceleration(self):

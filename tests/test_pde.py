@@ -379,37 +379,94 @@ class TestStream:
         assert_no_child()
 
     @staticmethod
-    def probe_run():
-        """The eps = 1e-2 probe's run measured by energy_breakdown: 6,908 steps
-        at cadence 25, so its last snapshot falls off the cadence's grid."""
+    def placed(measure):
+        """measure(snapshot) together with the pid of the process that ran it."""
+        return lambda state: (measure(state), os.getpid())
+
+    @staticmethod
+    def read_late(snapshots, late):
+        """Iterate 0.2 s late on the first snapshot, by when the stepper has
+        filled its ring, and late(t) on each later one: a reader that is
+        behind from the first snapshot after the start.  The stepper then
+        measures each later snapshot unless it wakes to write it more than
+        about 3 * late after the reader released its row."""
+        for k, s in enumerate(snapshots):
+            yield s
+            time.sleep(0.2 if k == 0 else late(s.t))
+
+    @staticmethod
+    def probe_run(measure):
+        """The eps = 1e-2 probe's run: 6,908 steps at cadence 25, so its last
+        snapshot falls off the cadence's grid."""
         config = probe_scenario_config(1e-2)
         assert round(config.t_end / config.solver.dt) == 6908 and config.frame_cadence == 25
-        return run(build_initial_state(config), config.solver, config.t_end, energy_breakdown,
+        return run(build_initial_state(config), config.solver, config.t_end, measure,
                    config.frame_cadence)
 
     @staticmethod
     def bits(breakdown):
         return [float(v).hex() for v in dataclasses.astuple(breakdown)]
 
-    def test_each_streamed_snapshot_carries_its_energy(self):
-        times = []
-        for s in self.probe_run():
-            assert self.bits(s.measured) == self.bits(energy_breakdown(s)), s.t
+    @pytest.mark.parametrize("late", [False, True])
+    def test_each_streamed_snapshot_carries_its_energy(self, late):
+        # a late reader, 50 ms late on the final ring's worth, leaves the
+        # off-grid last snapshot's measure to the stepper
+        caller, times, stepper_measured = os.getpid(), [], []
+        snaps = self.probe_run(self.placed(energy_breakdown))
+        for s in self.read_late(snaps, lambda t: 5e-2 if t > 134.0 else 2e-3) if late else snaps:
+            breakdown, pid = s.measured
+            assert self.bits(breakdown) == self.bits(energy_breakdown(s)), s.t
             times.append(s.t)
+            stepper_measured.append(pid != caller)
         assert len(times) == 1 + 277 > pde._RING
         assert times[-2:] == pytest.approx([276 * 25 * 0.02, 6908 * 0.02])
+        # the first before the fork, and the next one, which nothing is sent before
+        assert stepper_measured[:2] == [False, False]
+        if late:
+            assert stepper_measured[-1]
 
     def test_copied_snapshots_carry_their_energy(self):
-        # len and indexing copy the rows out, and iteration then yields the copies
-        snaps = self.probe_run()
+        # len and indexing copy the rows out, and iteration then yields the
+        # copies; a caller slowed by its own measures leaves some to the stepper
+        caller = os.getpid()
+
+        def measure(state):
+            if os.getpid() == caller:
+                time.sleep(2e-3)
+            return energy_breakdown(state), os.getpid()
+
+        snaps = self.probe_run(measure)
         assert len(snaps) == 1 + 277
         assert snaps[-1].t == pytest.approx(6908 * 0.02)
         for k in range(len(snaps)):
-            assert self.bits(snaps[k].measured) == self.bits(energy_breakdown(snaps[k])), k
+            assert self.bits(snaps[k].measured[0]) == self.bits(energy_breakdown(snaps[k])), k
         iterated = list(snaps)
         assert len(iterated) == 1 + 277
         for s in iterated:
-            assert self.bits(s.measured) == self.bits(energy_breakdown(s)), s.t
+            assert self.bits(s.measured[0]) == self.bits(energy_breakdown(s)), s.t
+        assert {pid == caller for _, pid in (s.measured for s in iterated)} == {True, False}
+
+    def test_a_reader_that_falls_behind_leaves_the_measure_to_the_stepper(self):
+        caller, stepper_measured = os.getpid(), []
+        for s in self.read_late(run(single_kink_state(), SolverConfig(dt=0.02), 0.32,
+                                    self.placed(unmeasured), frame_cadence=1),
+                                lambda t: 2e-2):
+            stepper_measured.append(s.measured[1] != caller)
+        assert len(stepper_measured) == 17
+        # the first before the fork, and the next one, which nothing is sent before
+        assert stepper_measured[:2] == [False, False]
+        assert all(stepper_measured[2:])
+
+    def test_a_reader_that_keeps_up_measures_itself(self):
+        # 600 steps per snapshot, several ms, while the reader only waits; the
+        # stepper measures a snapshot only if the reader stalled that long
+        caller, stepper_measured = os.getpid(), []
+        for s in run(single_kink_state(), SolverConfig(dt=0.02), 120.0, self.placed(unmeasured),
+                     frame_cadence=600):
+            stepper_measured.append(s.measured[1] != caller)
+        assert len(stepper_measured) == 11
+        assert stepper_measured[:2] == [False, False]
+        assert sum(stepper_measured) <= 5
 
     def test_a_measure_that_raises_in_the_stepper_arrives_as_itself(self):
         caller = os.getpid()
@@ -423,7 +480,7 @@ class TestStream:
             snaps = run(single_kink_state(), SolverConfig(dt=0.02), 2.0, measure, frame_cadence=10)
             seen = []
             with pytest.raises(ArithmeticError) as raised:
-                for s in snaps:
+                for s in self.read_late(snaps, lambda t: 0.0):  # the stepper measures t >= 0.4
                     seen.append((s.t, s.measured))
             assert type(raised.value) is ArithmeticError
             assert raised.value.args == ("planted at t=0.6", True)  # raised in the stepper
@@ -432,12 +489,33 @@ class TestStream:
             with pytest.raises(ArithmeticError, match="planted at t=0.6"):
                 len(snaps)
 
-    def test_no_child_after_the_stepper_measure_fails(self, monkeypatch):
+    def test_a_measure_that_raises_in_the_caller_arrives_as_itself(self):
         caller = os.getpid()
+
+        def measure(state):
+            if state.t > 50.0:
+                raise ArithmeticError(f"planted at t={state.t:.0f}", os.getpid() == caller)
+            return state.t
+
+        with assert_released():
+            # 2,000 steps per snapshot while the reader only waits: it measures
+            snaps = run(single_kink_state(), SolverConfig(dt=0.02), 200.0, measure,
+                        frame_cadence=2000)
+            seen = []
+            with pytest.raises(ArithmeticError) as raised:
+                for s in snaps:
+                    seen.append((s.t, s.measured))
+            assert type(raised.value) is ArithmeticError
+            assert raised.value.args == ("planted at t=80", True)  # raised in the caller
+            assert seen == [(0.0, 0.0), (pytest.approx(40.0), pytest.approx(40.0))]
+            with pytest.raises(ArithmeticError, match="planted at t=80"):
+                len(snaps)
+
+    def test_no_child_after_a_snapshot_measure_fails(self, monkeypatch):
         energy = scenarios.energy_breakdown
 
         def measure(state):
-            if os.getpid() != caller:
+            if state.t > 0.0:
                 raise ArithmeticError(f"planted at t={state.t:g}")
             return energy(state)
 
