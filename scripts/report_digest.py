@@ -96,7 +96,7 @@ def snapshot_digest(config) -> str:
     run, valid frame or not, hashed as each streams from ``pde.run``."""
     digest = hashlib.sha256()
     for state in run(build_initial_state(config), config.solver, config.t_end,
-                     lambda state: None, config.frame_cadence):
+                     lambda snapshot, *args: None, config.frame_cadence):
         digest.update(state.phi.tobytes())
         digest.update(state.pi.tobytes())
         digest.update(struct.pack("<d", state.t))

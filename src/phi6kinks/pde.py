@@ -5,14 +5,12 @@ arithmetic, carried as phi and p = dt * pi at half steps; centered
 4th-order Laplacian in space.  Boundary nodes are clamped to the vacuum values
 of the initial data.  A run's snapshots stream from a forked stepper through
 a ring of _RING shared rows, so its memory does not grow with its length.
-The caller's per-snapshot measurement runs in whichever process would
-otherwise wait: the stepper takes it while the caller is behind, and the
-caller while it keeps up.
+The caller's measure of a snapshot runs in the stepper when the stepper
+would otherwise wait on the caller, and in the caller otherwise.
 """
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import mmap
 import os
@@ -42,8 +40,7 @@ def grid_nodes(x0: float, dx: float, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FieldState:
-    """Discretized (phi, d_t phi) on a uniform grid at one instant; a
-    snapshot of ``run`` also carries the value of the run's measure on it."""
+    """Discretized (phi, d_t phi) on a uniform grid at one instant."""
 
     x0: float
     dx: float
@@ -51,7 +48,6 @@ class FieldState:
     phi: np.ndarray
     pi: np.ndarray
     t: float = 0.0
-    measured: object = None
 
     @property
     def x(self) -> np.ndarray:
@@ -192,7 +188,7 @@ def _evolve(kernel: _Leapfrog, t0: float, n_steps: int, frame_cadence: int,
             emit(t0 + k * dt, row)
 
 
-def _stop(pid: int, pipe, release: int) -> int | None:
+def _stop(pid: int, pipe, release) -> int | None:
     """Kill the stepper process unless it has exited, reap it and close both
     of its pipes; its wait status, or None if it was reaped elsewhere."""
     try:
@@ -203,14 +199,13 @@ def _stop(pid: int, pipe, release: int) -> int | None:
     except ChildProcessError:
         status = None
     pipe.close()
-    os.close(release)
+    release.close()
     return status
 
 
 class Snapshots(Sequence):
     """The snapshots of one ``run``, FieldStates that a stepper process fills,
-    each carrying the run's measure of it as ``measured``, from the stepper
-    or, where it sent None, taken here as the snapshot arrives.
+    and the run's measures of them, taken where ``measure`` places them.
 
     Iterating yields each snapshot as soon as it arrives.  The first owns
     its arrays; each later one is a view of its row in the ring, valid only
@@ -218,55 +213,68 @@ class Snapshots(Sequence):
     row, and iteration keeps no view, so a second one raises ValueError.
     ``len`` and indexing wait for all the snapshots, copying each row out as
     it lands and releasing it at once; iteration after them yields those
-    copies.  Any exception that
-    stops the stepper is raised as itself where the stream reaches it; a
-    stream that ends early raises ChildProcessError.  The stepper is reaped
-    when the stream ends, on ``close()``, or when the sequence is collected.
+    copies.  Any exception that stops the stepper is raised as itself where
+    the stream reaches it; a stream that ends early raises ChildProcessError.
+    Past the last snapshot the stepper answers the measures handed to it and
+    is reaped; it is also reaped on ``close()``, or when the sequence is
+    collected.
     """
 
-    def __init__(self, first: FieldState, rows: np.ndarray, taken: np.ndarray, measure,
-                 count: int, pid: int, fd: int, release: int):
+    def __init__(self, first: FieldState, rows: np.ndarray, idle: np.ndarray, count: int,
+                 pid: int, fd: int, release: int):
         self._first = first
         self._rows = rows
-        self._taken = taken  # the shared count of arrived snapshots the stepper reads
-        self._measure = measure
+        self._idle = idle  # the stepper's flag: 1 while it can take up a measure
         self._count = count  # snapshots after the start
         self._arrived = 0
         self._copies: list[FieldState] = []
+        self._view: FieldState | None = None  # the streamed snapshot being read
+        self._results: list = []
+        self._handed: dict[int, int] = {}  # k: result slot, of measures the stepper owes
         self._failure: Exception | None = None
         self._pipe = os.fdopen(fd, "rb")
-        self._release = release
-        self._reap = weakref.finalize(self, _stop, pid, self._pipe, release)
+        self._release = os.fdopen(release, "wb", buffering=0)
+        self._reap = weakref.finalize(self, _stop, pid, self._pipe, self._release)
 
-    def _receive(self) -> FieldState | None:
-        """Wait for the next snapshot, a view of its row; None once all have arrived."""
-        k = self._arrived
-        if k == self._count:
-            return None
+    def _take(self):
+        """The stream's next item: a snapshot's t, or the (k, result) of a
+        measure handed to the stepper, whose result is kept; the stepper's
+        exception, or ChildProcessError for a stream that ended, is raised."""
         try:
-            item = pickle.load(self._pipe)  # (t, measured or None), or the stepper's exception
+            item = pickle.load(self._pipe)
         except (EOFError, pickle.UnpicklingError):
             item = None  # the stream ended early or mid-object: the stepper died
+        if item is None or isinstance(item, BaseException):
+            status = self._reap()
+            self._failure = item if item is not None else ChildProcessError(
+                f"the stepper process ended after {self._arrived} of {self._count} "
+                f"snapshots with wait status {status}")
+            raise self._failure
         if isinstance(item, tuple):
-            self._arrived = self._taken[0] = k + 1
-            if k + 1 == self._count:
+            k, result = item
+            self._results[self._handed.pop(k)] = result
+        return item
+
+    def _receive(self) -> FieldState | None:
+        """Wait for the next snapshot, a view of its row; None once all have
+        arrived, when the stepper, sent None down the release pipe, answers
+        the measures still handed to it, exits and is reaped."""
+        k = self._arrived
+        if k == self._count:
+            if self._reap.alive:
+                # not the pipe's end: a stepper forked since holds it open too
+                with suppress(BrokenPipeError):  # it has exited: any failure is raised next
+                    self._release.write(pickle.dumps(None))
+                while self._handed:
+                    self._take()
                 self._pipe.read()  # to the end of the stream: the stepper has exited
                 self._reap()
-            first, (t, measured) = self._first, item
-            phi, pi = self._rows[k % len(self._rows)]
-            if measured is None:  # left to the caller, which had kept up
-                try:
-                    measured = self._measure(FieldState(first.x0, first.dx, first.n, phi, pi, t))
-                except Exception as exc:
-                    self._reap()
-                    self._failure = exc
-                    raise
-            return FieldState(first.x0, first.dx, first.n, phi, pi, t, measured)
-        status = self._reap()
-        self._failure = item if item is not None else ChildProcessError(
-            f"the stepper process ended after {k} of {self._count} snapshots "
-            f"with wait status {status}")
-        raise self._failure
+            return None
+        while isinstance(t := self._take(), tuple):
+            pass
+        self._arrived = k + 1
+        phi, pi = self._rows[k % len(self._rows)]
+        return FieldState(self._first.x0, self._first.dx, self._first.n, phi, pi, t)
 
     def _release_rows(self) -> None:
         """Let the stepper reuse the rows of the snapshots that have arrived,
@@ -274,7 +282,7 @@ class Snapshots(Sequence):
         a few microseconds, so it wakes once per _RING // 2 snapshots."""
         if self._arrived % (_RING // 2) == 0 and self._reap.alive:
             with suppress(BrokenPipeError):  # it has exited: any failure is raised next
-                os.write(self._release, bytes(_RING // 2))
+                self._release.write(pickle.dumps(_RING // 2))
 
     def _unstreamed(self) -> None:
         """Raise the stepper's failure, or ValueError once an iteration has
@@ -289,7 +297,9 @@ class Snapshots(Sequence):
         yield self._first
         yield from self._copies
         while (snapshot := self._receive()) is not None:
+            self._view = snapshot
             yield snapshot
+            self._view = None
             self._release_rows()
 
     def _all(self) -> list[FieldState]:
@@ -305,6 +315,37 @@ class Snapshots(Sequence):
     def __getitem__(self, index):
         return self._all()[index]
 
+    def measure(self, snapshot: FieldState, args: tuple, here) -> None:
+        """Take the run's measure of a snapshot: the stepper runs
+        measure(snapshot, *args) on its row if its flag is set and
+        ``snapshot`` is the view that iteration yielded last; else here()
+        runs in this process, now.  The two must give the same value.  So the
+        first snapshot and the copies of ``len`` and indexing are always
+        measured here.  An exception raised here stops the stepper."""
+        if snapshot is self._view and self._idle[0]:
+            self._idle[0] = 0.0  # until the stepper takes this one up
+            # ahead of the release of its row, so the stepper has not reused it
+            self._handed[self._arrived] = len(self._results)
+            self._results.append(None)
+            with suppress(BrokenPipeError):  # it has exited: any failure is raised next
+                self._release.write(pickle.dumps((self._arrived, snapshot.t, *args)))
+            return
+        try:
+            self._results.append(here())
+        except Exception as exc:
+            self._reap()
+            self._failure = exc
+            raise
+
+    def results(self) -> list:
+        """The values of ``measure``'s calls, in call order, once iteration
+        has passed the last snapshot."""
+        if self._failure is not None:
+            raise self._failure
+        if self._reap.alive or self._handed or self._arrived < self._count:
+            raise ValueError("the measures' results are ready once the stream has ended")
+        return self._results
+
     def close(self) -> None:
         """Stop and reap the stepper; reading a snapshot that had not arrived
         then raises ValueError."""
@@ -313,51 +354,47 @@ class Snapshots(Sequence):
 
 def run(state: FieldState, cfg: SolverConfig, t_end: float, measure,
         frame_cadence: int = 50) -> Snapshots:
-    """Evolve to t_end, with snapshots every frame_cadence steps, each
-    carrying measure(snapshot) as its ``measured``.
+    """Evolve to t_end, with snapshots every frame_cadence steps; the
+    stepper runs measure(snapshot, *args) on the snapshots that the caller
+    hands it with ``Snapshots.measure``.
 
     The snapshots always include the initial and final states.  The
     arguments are trusted, as a ScenarioConfig has checked them (a positive
-    cadence, one step or more, the CFL condition).  The initial state is
-    measured here, before the fork, so the stepper inherits what the measure
-    caches.  The steps run in a forked process (POSIX only), which writes
-    each later snapshot's phi and pi into a ring of min(_RING, snapshots)
-    rows of one shared anonymous mapping and sends (t, measured) down a
-    pipe, pickled.  The measure runs in whichever process would otherwise
-    wait: the stepper measures the snapshot on its row if the parent, which
-    counts the snapshots it has taken in the mapping, has not yet taken the
-    previous one; else it sends None, and the parent measures the snapshot
-    as it lands.  So the measure must not depend on where it runs.  Before
-    the stepper reuses a row it waits on a second pipe until the parent has
-    released the snapshot there; at the end of that pipe, the parent being
-    gone, it exits.  So the mapping does not grow with the run.  The
-    returned Snapshots yield each snapshot as it lands, so the caller works
-    on one core while the stepper runs on another.  The first snapshot owns
-    its arrays; the others are views of their rows (see Snapshots), and each
-    pi is read out from the half-step momentum.  The fields are checked once
-    per snapshot, and a non-finite field raises FloatingPointError naming
-    the last time at which they were finite.  Any exception that stops the
-    stepper, the measure's included, goes down the pipe pickled and reaches
-    the caller as itself, at the snapshot where the stream stops; one that
-    cannot be pickled and rebuilt ends the stream early.  A measure that
-    raises in the parent stops the stepper.
+    cadence, one step or more, the CFL condition).  The steps run in a
+    forked process (POSIX only), which writes each later snapshot's phi and
+    pi into a ring of min(_RING, snapshots) rows of one shared anonymous
+    mapping and sends its t down a pipe, pickled.  Before it reuses a row it
+    waits on a second pipe, the release pipe, until the parent has released
+    the snapshot there.  So the mapping does not grow with the run.  While
+    the stepper waits there, and once it has sent its last snapshot, it sets
+    a flag in the mapping.  A measure that the parent hands it then goes
+    down the release pipe as (k, t, *args), ahead of the release of
+    snapshot k's row, and the stepper sends (k, value) back down the first
+    pipe.  The parent clears the flag as it hands a measure and the stepper
+    sets it again as it takes the measure up, so at most one waits behind
+    the one it runs.  So the measure runs in the stepper while the parent is
+    behind, and must not depend on where it runs.  After its last snapshot
+    the stepper serves measures until the parent sends None, once iteration
+    has passed the last snapshot, or until the release pipe ends, the parent
+    being gone; then it exits.  The returned Snapshots yield each snapshot
+    as it lands, so the caller works on one core while the stepper runs on
+    another.  The first snapshot owns its arrays; the others are views of
+    their rows (see Snapshots), and each pi is read out from the half-step
+    momentum.  The fields are checked once per snapshot, and a non-finite
+    field raises FloatingPointError naming the last time at which they were
+    finite.  Any exception that stops the stepper, a measure's included,
+    goes down the pipe pickled and reaches the caller as itself; one that
+    cannot be pickled and rebuilt ends the stream early.
     """
     n_steps = int(round((t_end - state.t) / cfg.dt))
-    first = replace(state.copy(), measured=measure(state))
+    first = state.copy()
     kernel = _Leapfrog(state, cfg)
     count = -(-n_steps // frame_cadence)
     shape = (min(_RING, count), 2, state.n)
     shared = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape) + 8), dtype=float)
-    rows, taken = shared[:-1].reshape(shape), shared[-1:]
+    rows, idle = shared[:-1].reshape(shape), shared[-1:]
     r, w = os.pipe()
     release_r, release_w = os.pipe()
-    sent = itertools.count()
-
-    def emit(t, row):  # in the stepper process
-        behind = taken[0] < next(sent)  # the previous snapshot still waits in the pipe
-        measured = measure(FieldState(state.x0, state.dx, state.n, *row, t)) if behind else None
-        os.write(w, pickle.dumps((t, measured)))
-
     try:
         pid = os.fork()
     except OSError:
@@ -368,9 +405,42 @@ def run(state: FieldState, cfg: SolverConfig, t_end: float, measure,
         try:
             os.close(r)
             os.close(release_w)
+            requests, released = os.fdopen(release_r, "rb"), 0
+
+            def serve() -> int:
+                """Take the parent's next item off the release pipe: run a
+                measure, or return the rows a release frees.  At None, or at
+                the pipe's end, the parent is done or gone: exit."""
+                try:
+                    item = pickle.load(requests)
+                except EOFError:
+                    item = None
+                if item is None:
+                    os._exit(0)
+                if isinstance(item, int):
+                    return item
+                k, t, *args = item
+                idle[0] = 1.0  # taken up: the parent may queue one more
+                phi, pi = rows[(k - 1) % len(rows)]
+                snapshot = FieldState(state.x0, state.dx, state.n, phi, pi, t)
+                os.write(w, pickle.dumps((k, measure(snapshot, *args))))
+                return 0
+
+            def wait() -> None:
+                nonlocal released
+                if not released:
+                    idle[0] = 1.0
+                    while not released:
+                        released += serve()
+                    idle[0] = 0.0
+                released -= 1
+
             try:
-                _evolve(kernel, state.t, n_steps, frame_cadence, rows, emit,
-                        lambda: os.read(release_r, 1) or os._exit(0))  # EOF: no parent
+                _evolve(kernel, state.t, n_steps, frame_cadence, rows,
+                        lambda t, row: os.write(w, pickle.dumps(t)), wait)
+                idle[0] = 1.0
+                while True:
+                    serve()
             except Exception as exc:
                 item = pickle.dumps(exc)
                 pickle.loads(item)  # one that cannot be rebuilt ends the stream instead
@@ -379,4 +449,4 @@ def run(state: FieldState, cfg: SolverConfig, t_end: float, measure,
             os._exit(0)
     os.close(w)
     os.close(release_r)
-    return Snapshots(first, rows, taken, measure, count, pid, r, release_w)
+    return Snapshots(first, rows, idle, count, pid, r, release_w)

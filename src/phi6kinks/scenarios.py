@@ -26,7 +26,7 @@ from .functionals import (
     pair_terms,
 )
 from .model import MARGIN, SQRT2, kink_mode, kink_value
-from .modulation import track
+from .modulation import ModulationFrame, track
 from .pde import FieldState, SolverConfig, grid_nodes, run
 from .reporting import ComparisonReport, FrameRow, write_report
 
@@ -151,61 +151,78 @@ def build_initial_state(config: ScenarioConfig) -> FieldState:
     return FieldState(x0=grid.x0, dx=grid.dx, n=grid.n, phi=phi, pi=pi)
 
 
+def _diagnostics(frame, pair) -> tuple[float, float, float, float, float]:
+    """eps(t), ||g||_H1, ||g_t||_L2, F and the coercivity ratio (inf where
+    ||g||_H1 <= 1e-9) of a valid frame, from the PairFields at its centers."""
+    eps_t = energy_breakdown(frame.state).epsilon
+    terms = pair_terms(frame, pair)
+    norm_g_h1 = float(np.sqrt(terms.g_h1_sq))
+    coer = coercivity_ratio(frame, terms) if norm_g_h1 > 1e-9 else math.inf
+    return eps_t, norm_g_h1, terms.gt_l2, lyapunov_F(frame, terms), coer
+
+
+def _stepper_diagnostics(snapshot, x1, x2, xdot1, xdot2):
+    """_diagnostics of the valid frame at these centers and velocities, run
+    in the stepper on its row, with the pair rebuilt by frame.fields(): the
+    center solve's pair bit for bit.  The diagnostics read neither the
+    solve's iteration count nor its determinant."""
+    frame = ModulationFrame(snapshot.t, x1, x2, x2 - x1, 0, math.nan, xdot1, xdot2, snapshot)
+    return _diagnostics(frame, frame.fields())
+
+
 def run_scenario(config: ScenarioConfig) -> ComparisonReport:
-    """init -> evolve -> track, with each valid frame's diagnostics taken from
-    the arrays of its center solve -> anchor reduced dynamics -> report.
+    """init -> evolve -> track, with each valid frame's full-grid diagnostics
+    -> anchor reduced dynamics -> report.
 
     The stepper runs in its own process while track solves each snapshot as
-    it lands; each snapshot's energy is measured by whichever process would
-    otherwise wait."""
+    it lands.  A valid frame's diagnostics run in the stepper, on the pair
+    rebuilt from its row, while the stepper waits on the caller, and
+    otherwise here, on the arrays of the frame's center solve.  The rows
+    are built once track has returned, the reduced dynamics' columns over
+    all valid frames at once."""
     state = build_initial_state(config)
-    snapshots = run(state, config.solver, config.t_end, energy_breakdown, config.frame_cadence)
+    snapshots = run(state, config.solver, config.t_end, _stepper_diagnostics,
+                    config.frame_cadence)
 
-    params = None
-    rows: list[FrameRow] = []
-    d1_dots: list[float] = []
-    d2_dots: list[float] = []
-    coer_min = math.inf
 
     def diagnose(frame, pair):
-        nonlocal params, coer_min
-        if params is None:  # frame 0, which track raises on unless it is valid
-            params = params_from_initial(frame.x1, frame.x2, frame.xdot1, frame.xdot2)
-        d = separation_d(frame.t, params)
-        d1, d2 = centers_d1_d2(frame.t, params, d)
-        d1dot, d2dot = centers_velocities(frame.t, params)
-        eps_t = frame.state.measured.epsilon  # energy_breakdown, run by pde.run
-        terms = pair_terms(frame, pair)
-        norm_g_h1 = float(np.sqrt(terms.g_h1_sq))
-        f_t = lyapunov_F(frame, terms)
+        snapshots.measure(frame.state, (frame.x1, frame.x2, frame.xdot1, frame.xdot2),
+                          lambda: _diagnostics(frame, pair))
+
+    try:
+        frames = track(snapshots, diagnose)
+        measured = snapshots.results()
+    finally:
+        snapshots.close()  # stops the stepper if track raised before the stream ended
+    failed_at = next((idx for idx, frame in enumerate(frames) if not frame.valid), None)
+
+    valid = [frame for frame in frames if frame.valid]  # frame 0 is: track raises otherwise
+    params = params_from_initial(valid[0].x1, valid[0].x2, valid[0].xdot1, valid[0].xdot2)
+    t = np.array([frame.t for frame in valid])
+    d = separation_d(t, params)
+    d1, d2 = centers_d1_d2(t, params, d)
+    d1_dots, d2_dots = centers_velocities(t, params)
+    rows: list[FrameRow] = []
+    for i, (frame, (eps_t, norm_g_h1, norm_gt_l2, f_t, _)) in enumerate(zip(valid, measured)):
         rows.append(
             FrameRow(
                 t=frame.t,
                 x1=frame.x1,
                 x2=frame.x2,
                 z=frame.z,
-                d1=d1,
-                d2=d2,
-                d=d,
-                z_minus_d=frame.z - d,
+                d1=d1[i],
+                d2=d2[i],
+                d=d[i],
+                z_minus_d=frame.z - d[i],
                 xdot1=frame.xdot1,
                 xdot2=frame.xdot2,
                 norm_g_h1=norm_g_h1,
-                norm_gt_l2=terms.gt_l2,
+                norm_gt_l2=norm_gt_l2,
                 eps_t=eps_t,
                 F_t=f_t,
             )
         )
-        d1_dots.append(d1dot)
-        d2_dots.append(d2dot)
-        if norm_g_h1 > 1e-9:
-            coer_min = min(coer_min, coercivity_ratio(frame, terms))
-
-    try:
-        frames = track(snapshots, diagnose)
-    finally:
-        snapshots.close()  # stops the stepper if track raised before the stream ended
-    failed_at = next((idx for idx, frame in enumerate(frames) if not frame.valid), None)
+    coer_min = min(coer for *_, coer in measured)
 
     report = ComparisonReport(
         rows=rows,
@@ -217,8 +234,8 @@ def run_scenario(config: ScenarioConfig) -> ComparisonReport:
         seed_label=config.seed_label,
         failed_at_frame=failed_at,
         coercivity_ratio_min=coer_min if coer_min < math.inf else float("nan"),
-        d1_dots=d1_dots,
-        d2_dots=d2_dots,
+        d1_dots=list(d1_dots),
+        d2_dots=list(d2_dots),
         frames=frames,
     )
     report.fitted_C_growth = fit_growth_constant(report)

@@ -34,8 +34,8 @@ def two_kink_state(grid, x1, x2, v1=0.0, v2=0.0, perturbation=None):
     return build_initial_state(config)
 
 
-def unmeasured(state):
-    """The per-snapshot measure of a ``pde.run`` whose test reads none."""
+def unmeasured(snapshot, *args):
+    """The measure of a ``pde.run`` whose test hands the stepper none."""
     return None
 
 

@@ -1,6 +1,7 @@
 """Solver correctness: fixed points, convergence, conservation, reversibility."""
 import contextlib
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -279,7 +280,7 @@ class TestStream:
         snaps = run(single_kink_state(), SolverConfig(dt=0.02), 2.0, unmeasured, frame_cadence=1)
         # end the release pipe as the parent's death would, keeping the fd number open
         devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, snaps._release)
+        os.dup2(devnull, snaps._release.fileno())
         os.close(devnull)
         seen = []
         with pytest.raises(ChildProcessError,
@@ -380,19 +381,28 @@ class TestStream:
 
     @staticmethod
     def placed(measure):
-        """measure(snapshot) together with the pid of the process that ran it."""
-        return lambda state: (measure(state), os.getpid())
+        """measure(snapshot) together with the pid of the process that ran it,
+        as a run's measure: the stepper calls it with no further argument."""
+        return lambda snapshot: (measure(snapshot), os.getpid())
 
     @staticmethod
-    def read_late(snapshots, late):
-        """Iterate 0.2 s late on the first snapshot, by when the stepper has
-        filled its ring, and late(t) on each later one: a reader that is
-        behind from the first snapshot after the start.  The stepper then
-        measures each later snapshot unless it wakes to write it more than
-        about 3 * late after the reader released its row."""
+    def measure_each(snapshots, measure, before=lambda k: None):
+        """Iterate, calling before(k) and then handing the k-th snapshot's
+        measure to ``snapshots.measure``, with placed(measure) as the caller's
+        own; the snapshots' times, and their measures in order."""
+        times = []
         for k, s in enumerate(snapshots):
-            yield s
-            time.sleep(0.2 if k == 0 else late(s.t))
+            before(k)
+            snapshots.measure(s, (), functools.partial(TestStream.placed(measure), s))
+            times.append(s.t)
+        return times, snapshots.results()
+
+    @staticmethod
+    def late(k):
+        """Wait 0.2 s before measuring the first snapshot, by when the stepper
+        has filled its ring, and 2 ms before each later one: a reader that is
+        behind from the first snapshot after the start."""
+        time.sleep(0.2 if k == 0 else 2e-3)
 
     @staticmethod
     def probe_run(measure):
@@ -409,64 +419,71 @@ class TestStream:
 
     @pytest.mark.parametrize("late", [False, True])
     def test_each_streamed_snapshot_carries_its_energy(self, late):
-        # a late reader, 50 ms late on the final ring's worth, leaves the
-        # off-grid last snapshot's measure to the stepper
-        caller, times, stepper_measured = os.getpid(), [], []
+        # each measure, wherever it ran, is the energy of its own snapshot: a
+        # stepper that measured the wrong row or t would fail
+        caller, wanted = os.getpid(), []
         snaps = self.probe_run(self.placed(energy_breakdown))
-        for s in self.read_late(snaps, lambda t: 5e-2 if t > 134.0 else 2e-3) if late else snaps:
-            breakdown, pid = s.measured
-            assert self.bits(breakdown) == self.bits(energy_breakdown(s)), s.t
-            times.append(s.t)
-            stepper_measured.append(pid != caller)
-        assert len(times) == 1 + 277 > pde._RING
-        assert times[-2:] == pytest.approx([276 * 25 * 0.02, 6908 * 0.02])
-        # the first before the fork, and the next one, which nothing is sent before
-        assert stepper_measured[:2] == [False, False]
+        for k, s in enumerate(snaps):
+            if late:
+                self.late(k)
+            wanted.append(self.bits(energy_breakdown(s)))
+            snaps.measure(s, (), functools.partial(self.placed(energy_breakdown), s))
+            assert s.t == pytest.approx(min(k * 25, 6908) * 0.02)
+        measured = snaps.results()
+        assert len(measured) == 1 + 277 > pde._RING
+        assert [self.bits(breakdown) for breakdown, _ in measured] == wanted
+        in_stepper = [pid != caller for _, pid in measured]
+        assert not in_stepper[0]  # the first snapshot is the caller's own copy
         if late:
-            assert stepper_measured[-1]
+            assert sum(in_stepper) > len(in_stepper) // 2 and in_stepper[-1]
 
     def test_copied_snapshots_carry_their_energy(self):
-        # len and indexing copy the rows out, and iteration then yields the
-        # copies; a caller slowed by its own measures leaves some to the stepper
-        caller = os.getpid()
+        # measured in the caller, each the energy of its own snapshot: the
+        # first owns its arrays, not a row, so it is measured here even while
+        # the stepper waits; so are the copies of len and indexing
+        caller, snaps = os.getpid(), self.probe_run(self.placed(energy_breakdown))
+        first = next(iter(snaps))
+        time.sleep(0.2)  # the stepper has filled its ring and waits
+        assert snaps._idle[0] == 1.0
+        snaps.measure(first, (), functools.partial(self.placed(energy_breakdown), first))
+        assert snaps._handed == {} and snaps._results[0][1] == caller
+        snaps.close()
 
-        def measure(state):
-            if os.getpid() == caller:
-                time.sleep(2e-3)
-            return energy_breakdown(state), os.getpid()
-
-        snaps = self.probe_run(measure)
+        snaps = self.probe_run(self.placed(energy_breakdown))
         assert len(snaps) == 1 + 277
-        assert snaps[-1].t == pytest.approx(6908 * 0.02)
-        for k in range(len(snaps)):
-            assert self.bits(snaps[k].measured[0]) == self.bits(energy_breakdown(snaps[k])), k
-        iterated = list(snaps)
-        assert len(iterated) == 1 + 277
-        for s in iterated:
-            assert self.bits(s.measured[0]) == self.bits(energy_breakdown(s)), s.t
-        assert {pid == caller for _, pid in (s.measured for s in iterated)} == {True, False}
+        for k in (0, 1, 277):
+            snaps.measure(snaps[k], (), functools.partial(
+                self.placed(energy_breakdown), snaps[k]))
+        times, measured = self.measure_each(snaps, energy_breakdown)
+        assert len(times) == 1 + 277
+        assert snaps.results() is measured and len(measured) == 3 + 1 + 277
+        assert {pid for _, pid in measured} == {caller}
+        copies = [snaps[0], snaps[1], snaps[277], *snaps]
+        for (breakdown, _), s in zip(measured, copies):
+            assert self.bits(breakdown) == self.bits(energy_breakdown(s)), s.t
 
     def test_a_reader_that_falls_behind_leaves_the_measure_to_the_stepper(self):
-        caller, stepper_measured = os.getpid(), []
-        for s in self.read_late(run(single_kink_state(), SolverConfig(dt=0.02), 0.32,
-                                    self.placed(unmeasured), frame_cadence=1),
-                                lambda t: 2e-2):
-            stepper_measured.append(s.measured[1] != caller)
-        assert len(stepper_measured) == 17
-        # the first before the fork, and the next one, which nothing is sent before
-        assert stepper_measured[:2] == [False, False]
-        assert all(stepper_measured[2:])
+        # 20 ms before each measure: the stepper has filled the ring and waits
+        caller = os.getpid()
+        times, measured = self.measure_each(
+            run(single_kink_state(), SolverConfig(dt=0.02), 0.32,
+                self.placed(lambda s: s.t), frame_cadence=1),
+            lambda s: s.t, lambda k: time.sleep(2e-2))
+        assert len(times) == 17
+        assert [t for t, _ in measured] == times
+        assert [pid != caller for _, pid in measured] == [False] + [True] * 16
 
     def test_a_reader_that_keeps_up_measures_itself(self):
-        # 600 steps per snapshot, several ms, while the reader only waits; the
-        # stepper measures a snapshot only if the reader stalled that long
-        caller, stepper_measured = os.getpid(), []
-        for s in run(single_kink_state(), SolverConfig(dt=0.02), 120.0, self.placed(unmeasured),
-                     frame_cadence=600):
-            stepper_measured.append(s.measured[1] != caller)
-        assert len(stepper_measured) == 11
-        assert stepper_measured[:2] == [False, False]
-        assert sum(stepper_measured) <= 5
+        # 1,000 steps per snapshot, tens of ms, while the reader only waits:
+        # the stepper is never blocked on the ring, only done after the last
+        caller = os.getpid()
+        times, measured = self.measure_each(
+            run(single_kink_state(), SolverConfig(dt=0.02), 200.0,
+                self.placed(lambda s: s.t), frame_cadence=1000),
+            lambda s: s.t)
+        assert len(times) == 11
+        assert [t for t, _ in measured] == times
+        assert [pid != caller for _, pid in measured[:-1]] == [False] * 10
 
     def test_a_measure_that_raises_in_the_stepper_arrives_as_itself(self):
         caller = os.getpid()
@@ -477,17 +494,22 @@ class TestStream:
             return state.t
 
         with assert_released():
-            snaps = run(single_kink_state(), SolverConfig(dt=0.02), 2.0, measure, frame_cadence=10)
+            snaps = run(single_kink_state(), SolverConfig(dt=0.02), 2.0, measure,
+                        frame_cadence=10)
             seen = []
             with pytest.raises(ArithmeticError) as raised:
-                for s in self.read_late(snaps, lambda t: 0.0):  # the stepper measures t >= 0.4
-                    seen.append((s.t, s.measured))
+                for k, s in enumerate(snaps):
+                    if k:
+                        time.sleep(2e-2)  # the stepper waits on its ring, or is done
+                    snaps.measure(s, (), lambda: s.t)  # the caller's own never raises
+                    seen.append(s.t)
             assert type(raised.value) is ArithmeticError
             assert raised.value.args == ("planted at t=0.6", True)  # raised in the stepper
-            assert [t for t, _ in seen] == pytest.approx([0.0, 0.2, 0.4])
-            assert all(measured == t for t, measured in seen)
+            assert seen[:4] == pytest.approx([0.0, 0.2, 0.4, 0.6])
             with pytest.raises(ArithmeticError, match="planted at t=0.6"):
                 len(snaps)
+            with pytest.raises(ArithmeticError, match="planted at t=0.6"):
+                snaps.results()
 
     def test_a_measure_that_raises_in_the_caller_arrives_as_itself(self):
         caller = os.getpid()
@@ -497,25 +519,42 @@ class TestStream:
                 raise ArithmeticError(f"planted at t={state.t:.0f}", os.getpid() == caller)
             return state.t
 
-        with assert_released():
+        with assert_released():  # the raise stops the stepper: nothing closes it here
             # 2,000 steps per snapshot while the reader only waits: it measures
             snaps = run(single_kink_state(), SolverConfig(dt=0.02), 200.0, measure,
                         frame_cadence=2000)
             seen = []
             with pytest.raises(ArithmeticError) as raised:
                 for s in snaps:
-                    seen.append((s.t, s.measured))
+                    seen.append(s.t)
+                    snaps.measure(s, (), functools.partial(measure, s))
             assert type(raised.value) is ArithmeticError
             assert raised.value.args == ("planted at t=80", True)  # raised in the caller
-            assert seen == [(0.0, 0.0), (pytest.approx(40.0), pytest.approx(40.0))]
+            assert seen == [0.0, pytest.approx(40.0), pytest.approx(80.0)]
             with pytest.raises(ArithmeticError, match="planted at t=80"):
                 len(snaps)
+
+    def test_close_with_a_measure_in_the_stepper_reaps_it(self):
+        with assert_released():
+            snaps = run(single_kink_state(), SolverConfig(dt=0.02), 2.0,
+                        lambda s: time.sleep(60.0), frame_cadence=10)
+            streamed = iter(snaps)
+            next(streamed)
+            s = next(streamed)
+            time.sleep(0.2)  # the stepper is done and waits
+            snaps.measure(s, (), lambda: None)
+            assert snaps._handed == {1: 0}
+            start = time.perf_counter()
+            snaps.close()
+            assert time.perf_counter() - start < 10.0
+            with pytest.raises(ValueError, match="ready once the stream has ended"):
+                snaps.results()
 
     def test_no_child_after_a_snapshot_measure_fails(self, monkeypatch):
         energy = scenarios.energy_breakdown
 
         def measure(state):
-            if state.t > 0.0:
+            if 0.0 < state.t < 3.0:  # the frame at t = 2, in either process
                 raise ArithmeticError(f"planted at t={state.t:g}")
             return energy(state)
 

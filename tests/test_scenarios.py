@@ -5,9 +5,10 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -67,6 +68,13 @@ def quick_config(**overrides) -> ScenarioConfig:
 @pytest.fixture(scope="module")
 def quick_report():
     return run_scenario(quick_config())
+
+
+def append_line(path, *fields):
+    """Append one line to a file, in one write, so that this process and a
+    forked stepper can both log to it."""
+    with open(path, "a") as f:
+        f.write(" ".join(map(str, fields)) + "\n")
 
 
 class TestConfigValidation:
@@ -178,7 +186,7 @@ class TestRunScenario:
         monkeypatch.setattr(scenarios, "energy_breakdown", counted)
         report = run_scenario(quick_config())
         assert len(report.rows) == 21
-        assert calls[0] == 0.0  # the initial state, before the fork
+        assert calls[0] == 0.0  # frame 0, always measured in the caller
         assert calls == sorted(set(calls)) and len(calls) <= 21
 
     def test_eps_column_is_each_frames_energy(self):
@@ -197,6 +205,101 @@ class TestRunScenario:
         p1 = emit_csv(quick_report, tmp_path / "a.csv")
         p2 = emit_csv(rep2, tmp_path / "b.csv")
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestPlacement:
+    """Which process runs each valid frame's diagnostics in run_scenario."""
+
+    @staticmethod
+    def placed_run(monkeypatch, tmp_path, config, solve_delay=0.0):
+        """run_scenario(config) with each center solve in this process slowed
+        by solve_delay; the report, and for each frame diagnosed, in order of
+        t, whether the stepper ran its diagnostics."""
+        log, caller = tmp_path / "placement", os.getpid()
+        diagnostics, decompose = scenarios._diagnostics, modulation.decompose
+
+        def logged(frame, pair):
+            append_line(log, int(os.getpid() != caller), float(frame.t).hex())
+            return diagnostics(frame, pair)
+
+        def slowed(*args):
+            time.sleep(solve_delay)
+            return decompose(*args)
+
+        monkeypatch.setattr(scenarios, "_diagnostics", logged)
+        monkeypatch.setattr(modulation, "decompose", slowed)
+        report = run_scenario(config)
+        placement = sorted((float.fromhex(t), where == "1")
+                           for where, t in (line.split() for line in log.read_text().splitlines()))
+        assert [t for t, _ in placement] == [r.t for r in report.rows]
+        return report, [in_stepper for _, in_stepper in placement]
+
+    @staticmethod
+    def bits(report):
+        return ([[float(v).hex() for v in astuple(r)] for r in report.rows],
+                [float(v).hex() for v in (report.epsilon, report.coercivity_ratio_min,
+                                          *report.d1_dots, *report.d2_dots)])
+
+    @staticmethod
+    def head_on():
+        # its collision frames are invalid, so the rows skip snapshots
+        return quick_config(kinks=KinkArrangement(x1=-6.0, x2=6.0, v1=0.5, v2=-0.5),
+                            t_end=20.0, frame_cadence=10)
+
+    def drained(self, monkeypatch, tmp_path):
+        """The head-on's report with its stream drained by len as soon as run
+        returns, as perfbench's tracer does, and where its diagnostics ran."""
+        run = scenarios.run
+
+        def draining(*args):
+            snapshots = run(*args)
+            len(snapshots)
+            return snapshots
+
+        with monkeypatch.context() as patched:
+            patched.setattr(scenarios, "run", draining)
+            return self.placed_run(patched, tmp_path, self.head_on())
+
+    def test_a_drained_stream_runs_every_job_in_the_caller(self, monkeypatch, tmp_path):
+        report, in_stepper = self.drained(monkeypatch, tmp_path)
+        assert report.failed_at_frame is not None
+        assert len(in_stepper) == len(report.rows) and not any(in_stepper)
+
+    def test_a_reader_that_keeps_up_runs_every_job_itself(self, monkeypatch, tmp_path):
+        # 250 steps per snapshot, several ms, against well under 1 ms per frame
+        # here: only the last frame's may find the stepper done and waiting
+        report, in_stepper = self.placed_run(monkeypatch, tmp_path,
+                                             quick_config(t_end=100.0, frame_cadence=250))
+        assert len(report.rows) == 21
+        assert in_stepper[:-1] == [False] * 20
+
+    def test_a_reader_that_sleeps_hands_its_jobs_to_the_stepper(self, monkeypatch, tmp_path):
+        # 5 ms per center solve against 10 steps per snapshot: the stepper
+        # waits on its ring from the start, and is done before the last frames
+        (tmp_path / "drained").mkdir()
+        want, _ = self.drained(monkeypatch, tmp_path / "drained")
+        report, in_stepper = self.placed_run(monkeypatch, tmp_path, self.head_on(), 5e-3)
+        assert self.bits(report) == self.bits(want)
+        assert not in_stepper[0]  # frame 0 is the caller's own snapshot
+        assert sum(in_stepper) > len(in_stepper) // 2 and in_stepper[-1]
+
+    def test_a_job_that_raises_in_the_stepper_reaches_the_caller_as_itself(self, monkeypatch):
+        caller, diagnostics = os.getpid(), scenarios._diagnostics
+        decompose = modulation.decompose
+
+        def planted(frame, pair):
+            if os.getpid() != caller:
+                raise ArithmeticError(f"planted at t={frame.t:g}")
+            return diagnostics(frame, pair)
+
+        def slowed(*args):
+            time.sleep(5e-3)  # the stepper waits on its ring: frames are handed to it
+            return decompose(*args)
+
+        monkeypatch.setattr(scenarios, "_diagnostics", planted)
+        monkeypatch.setattr(modulation, "decompose", slowed)
+        with pytest.raises(ArithmeticError, match="^planted at t="):
+            run_scenario(self.head_on())
 
 
 class TestReporting:
@@ -684,16 +787,17 @@ class TestSharedPairTerms:
                 ratios.append(ratio)
         assert ratios and report.coercivity_ratio_min == min(ratios)
 
-    def test_one_remainder_derivative_per_valid_frame(self, monkeypatch):
-        orders = []
+    def test_one_remainder_derivative_per_valid_frame(self, monkeypatch, tmp_path):
+        log = tmp_path / "orders"  # appended to by this process and the stepper
 
         def counted(f, dx, order=4):
-            orders.append(order)
+            append_line(log, order)
             return spatial_derivative(f, dx, order=order)
 
         monkeypatch.setattr(functionals, "spatial_derivative", counted)
         report = run_scenario(self._collision())
-        assert orders.count(2) == len(report.rows) == sum(f.valid for f in report.frames)
+        orders = log.read_text().split()
+        assert orders.count("2") == len(report.rows) == sum(f.valid for f in report.frames)
 
     def test_cube_within_two_ulp_of_pow(self):
         # g * g * g rounds twice where g**3 rounds once
@@ -705,6 +809,7 @@ class TestSharedPairTerms:
             assert abs(row.F_t - pow_form) <= 2 * np.spacing(abs(pow_form))
 
     def test_diagnostics_never_rebuild_the_pair(self, monkeypatch):
+        # in this process; the stepper rebuilds it for each frame handed to it
         rebuilds = []
         fields = modulation.ModulationFrame.fields
 
