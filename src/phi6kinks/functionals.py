@@ -188,12 +188,12 @@ class PairTerms:
     gt_l2: float          # ||g_t||_L2
 
 
-def pair_terms(frame, pair) -> PairTerms:
+def pair_terms(frame) -> PairTerms:
     """The superposed pair's terms and the remainder norms at a frame's
     centers, once per frame.
 
-    ``pair`` is the modulation.PairFields at those centers: the arrays of
-    the center solve's last residual evaluation, or frame.fields().  With
+    They come from frame.fields(), the modulation.PairFields at those
+    centers: the solve's last residual evaluation, or its rebuild.  With
     K1 = -kink_value(x1 - x) = -h1 and K2 = kink_value(x - x2) = h2, the
     profile curvatures are the solve's mode derivatives K1'' and K2'', which
     are U'(K1) and U'(K2) bit for bit.  The squares that the norms, F and the
@@ -201,6 +201,7 @@ def pair_terms(frame, pair) -> PairTerms:
     """
     if frame.z <= 0:
         raise ValueError("frame separation must be positive")
+    pair = frame.fields()
     g, dx = pair.g, frame.dx
     g_t = frame.remainder_rate(pair)
     total = pair.h2 - pair.h1
@@ -218,7 +219,7 @@ def lyapunov_F(frame, terms: PairTerms) -> float:
     pair, a linear interaction correction, a centripetal correction, the
     momentum correction weighted by a smooth partition moving with each
     kink, and the cubic term of the potential expansion.  ``terms`` is
-    pair_terms(frame, pair).
+    pair_terms(frame).
     """
     x = terms.x
     dx = frame.dx
@@ -244,7 +245,7 @@ def lyapunov_F(frame, terms: PairTerms) -> float:
 
 def coercivity_ratio(frame, terms: PairTerms) -> float:
     """Empirical ratio of the energy-Hessian quadratic form to ||g||_H1^2;
-    ``terms`` is pair_terms(frame, pair)."""
+    ``terms`` is pair_terms(frame)."""
     quad = integrate(terms.dg_sq + terms.upp_g_sq, frame.dx)
     if terms.g_h1_sq <= 0.0:
         return float("nan")

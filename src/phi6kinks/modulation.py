@@ -8,7 +8,7 @@ The center velocities follow from projecting d_t phi on the same modes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -78,11 +78,13 @@ def _pair_fields(state, x1, x2) -> PairFields:
 class ModulationFrame:
     """Extracted centers and solve diagnostics of one snapshot.
 
-    A frame holds no full-grid array of its own: ``state`` is the snapshot
-    it was solved on, and ``fields()`` rebuilds the pair and the remainder
-    from it.  A frame whose solve failed reads g = g_t = 0.  The frames that
-    ``track`` returns hold no snapshot after the first (``state`` is None),
-    as a streamed snapshot's row is reused once the next one is requested.
+    ``state`` is the snapshot it was solved on, and ``pair`` the PairFields
+    of the solve's last residual evaluation, which ``fields()`` returns and
+    otherwise rebuilds from the snapshot, with the same bits.  A frame whose
+    solve failed reads g = 0.  The frames that ``track`` returns carry no
+    pair, and no snapshot after the first (``state`` is None), as a streamed
+    snapshot's row is reused once the next one is requested.  A frame
+    pickles its scalars alone.
     """
 
     t: float
@@ -95,6 +97,11 @@ class ModulationFrame:
     xdot2: float
     state: FieldState | None
     valid: bool = True
+    pair: PairFields | None = field(default=None, repr=False, compare=False)
+
+    def __reduce__(self):
+        return ModulationFrame, (self.t, self.x1, self.x2, self.z, self.newton_iters,
+                                 self.matrix_det, self.xdot1, self.xdot2, None, self.valid)
 
     @property
     def dx(self) -> float:
@@ -110,8 +117,8 @@ class ModulationFrame:
         return not math.isnan(self.matrix_det)
 
     def fields(self) -> PairFields:
-        """Rebuild the pair at the frame's centers from the snapshot."""
-        return _pair_fields(self.state, self.x1, self.x2)
+        """The pair at the frame's centers: the solve's, or rebuilt from the snapshot."""
+        return self.pair if self.pair is not None else _pair_fields(self.state, self.x1, self.x2)
 
     def remainder_rate(self, pair: PairFields) -> np.ndarray:
         """d_t g = pi + xdot1 K1' + xdot2 K2' from the pair at the frame's centers."""
@@ -120,10 +127,6 @@ class ModulationFrame:
     @property
     def g(self) -> np.ndarray:
         return self.fields().g if self.solved else np.zeros(self.state.n)
-
-    @property
-    def g_t(self) -> np.ndarray:
-        return self.remainder_rate(self.fields()) if self.solved else np.zeros(self.state.n)
 
 
 def _residual_and_matrix(state, w, x1, x2):
@@ -155,7 +158,7 @@ def _max_abs(r) -> float:
     return max(abs(r[0]), abs(r[1])) if r[1] == r[1] else math.nan
 
 
-def decompose(state, guess: tuple[float, float], pairs: list | None = None) -> ModulationFrame:
+def decompose(state, guess: tuple[float, float]) -> ModulationFrame:
     """Solve the orthogonality conditions for the kink centers.
 
     ``guess`` is an ordered pair (x1, x2) with separation >= 2.  Newton
@@ -165,7 +168,7 @@ def decompose(state, guess: tuple[float, float], pairs: list | None = None) -> M
     would bring the separation below MIN_SEPARATION.  A solve of k accepted
     steps evaluates the residual at most k + 2 times.  Steps, determinant
     and center velocities are closed 2x2 formulas in Python floats.  The
-    pair of the last residual evaluation is appended to ``pairs``, if given.
+    frame carries the pair of the last residual evaluation.
     """
     x1, x2 = float(guess[0]), float(guess[1])
     if x2 - x1 < TRACK_VALID_SEPARATION:
@@ -202,8 +205,6 @@ def decompose(state, guess: tuple[float, float], pairs: list | None = None) -> M
         raise ModulationError(f"modulation matrix not positive: det={det:.2e}")
     if not (math.isfinite(xdot1) and math.isfinite(xdot2)):
         raise ModulationError(f"center velocities not finite: ({xdot1}, {xdot2})")
-    if pairs is not None:
-        pairs.append(pair)
     return ModulationFrame(
         t=state.t,
         x1=x1,
@@ -214,6 +215,7 @@ def decompose(state, guess: tuple[float, float], pairs: list | None = None) -> M
         xdot1=xdot1,
         xdot2=xdot2,
         state=state,
+        pair=pair,
     )
 
 
@@ -239,33 +241,27 @@ def _first_crossing(x, phi, level):
     return float(x[i] + frac * (x[i + 1] - x[i]))
 
 
-def track(snapshots, on_valid=None) -> list[ModulationFrame]:
+def track(snapshots, on_valid) -> list[ModulationFrame]:
     """Decompose a chronological iterable of snapshots, one at a time as it
     yields them, seeding each solve with the previous centers.
 
     A first-frame failure raises; later frames entering the collision
     regime (z < 2) or failing to converge are marked invalid and the last
-    valid centers keep seeding subsequent attempts.  ``on_valid(frame,
-    pair)`` is called for each valid frame, in order and before the next
-    snapshot is requested, with the arrays of the solve's last residual
-    evaluation; the returned frames do not keep them.  Each frame points at
-    its snapshot only until then: the returned frames keep the first
-    snapshot, which a ``pde.run`` stream owns, and every later frame holds
-    ``state=None``, so none exposes a row that the stepper has reused.
+    valid centers keep seeding subsequent attempts.  ``on_valid(frame)`` is
+    called for each valid frame, in order and before the next snapshot is
+    requested, while the frame carries its solve's pair.  Each frame holds
+    its pair and its snapshot only until then: the returned frames carry no
+    pair and keep the first snapshot, which a ``pde.run`` stream owns, and
+    every later frame holds ``state=None``, so none exposes a row that the
+    stepper has reused.
     """
     snapshots = iter(snapshots)
     first = next(snapshots, None)
     if first is None:
         raise ValueError("no snapshots to track")
-    pairs: list[PairFields] = []  # decompose appends the pair of each solve
-
-    def keep(frame):
-        pair = pairs.pop()
-        if on_valid is not None:
-            on_valid(frame, pair)
-        return frame
-
-    prev = keep(decompose(first, initial_center_guess(first), pairs))
+    prev = decompose(first, initial_center_guess(first))
+    on_valid(prev)
+    prev.pair = None
     frames = [prev]
     for snap in snapshots:
         dt = snap.t - prev.t
@@ -274,18 +270,18 @@ def track(snapshots, on_valid=None) -> list[ModulationFrame]:
         for attempt in (seed, None):
             try:
                 g = attempt if attempt is not None else initial_center_guess(snap)
-                frame = decompose(snap, g, pairs)
+                frame = decompose(snap, g)
                 break
             except ModulationError:
                 continue
         if frame is None:
             frame = _invalid_frame(snap, (prev.x1, prev.x2))
         elif frame.z < TRACK_VALID_SEPARATION:
-            pairs.pop()
             frame.valid = False
         else:
-            prev = keep(frame)
-        frame.state = None
+            on_valid(frame)
+            prev = frame
+        frame.state = frame.pair = None
         frames.append(frame)
     return frames
 

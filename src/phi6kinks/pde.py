@@ -5,8 +5,8 @@ arithmetic, carried as phi and p = dt * pi at half steps; centered
 4th-order Laplacian in space.  Boundary nodes are clamped to the vacuum values
 of the initial data.  A run's snapshots stream from a forked stepper through
 a ring of _RING shared rows, so its memory does not grow with its length.
-The caller's measure of a snapshot runs in the stepper when the stepper
-would otherwise wait on the caller, and in the caller otherwise.
+The run's measure of a snapshot runs in the stepper when the stepper would
+otherwise wait on the caller, and in the caller otherwise.
 """
 from __future__ import annotations
 
@@ -220,9 +220,10 @@ class Snapshots(Sequence):
     collected.
     """
 
-    def __init__(self, first: FieldState, rows: np.ndarray, idle: np.ndarray, count: int,
-                 pid: int, fd: int, release: int):
+    def __init__(self, first: FieldState, measure, rows: np.ndarray, idle: np.ndarray,
+                 count: int, pid: int, fd: int, release: int):
         self._first = first
+        self._measure = measure
         self._rows = rows
         self._idle = idle  # the stepper's flag: 1 while it can take up a measure
         self._count = count  # snapshots after the start
@@ -262,9 +263,7 @@ class Snapshots(Sequence):
         k = self._arrived
         if k == self._count:
             if self._reap.alive:
-                # not the pipe's end: a stepper forked since holds it open too
-                with suppress(BrokenPipeError):  # it has exited: any failure is raised next
-                    self._release.write(pickle.dumps(None))
+                self._send(None)  # not the pipe's end: a stepper forked since holds it open too
                 while self._handed:
                     self._take()
                 self._pipe.read()  # to the end of the stream: the stepper has exited
@@ -281,8 +280,13 @@ class Snapshots(Sequence):
         half a ring at a time: a write that wakes the waiting stepper costs
         a few microseconds, so it wakes once per _RING // 2 snapshots."""
         if self._arrived % (_RING // 2) == 0 and self._reap.alive:
-            with suppress(BrokenPipeError):  # it has exited: any failure is raised next
-                self._release.write(pickle.dumps(_RING // 2))
+            self._send(_RING // 2)
+
+    def _send(self, item) -> None:
+        """Write an item down the release pipe, unless the stepper has exited:
+        then any failure of it is raised next."""
+        with suppress(BrokenPipeError):
+            self._release.write(pickle.dumps(item))
 
     def _unstreamed(self) -> None:
         """Raise the stepper's failure, or ValueError once an iteration has
@@ -315,11 +319,10 @@ class Snapshots(Sequence):
     def __getitem__(self, index):
         return self._all()[index]
 
-    def measure(self, snapshot: FieldState, args: tuple, here) -> None:
-        """Take the run's measure of a snapshot: the stepper runs
-        measure(snapshot, *args) on its row if its flag is set and
-        ``snapshot`` is the view that iteration yielded last; else here()
-        runs in this process, now.  The two must give the same value.  So the
+    def measure(self, snapshot: FieldState, *args) -> None:
+        """Take the run's measure(snapshot, *args): the stepper runs it on the
+        snapshot's row if its flag is set and ``snapshot`` is the view that
+        iteration yielded last; else it runs in this process, now.  So the
         first snapshot and the copies of ``len`` and indexing are always
         measured here.  An exception raised here stops the stepper."""
         if snapshot is self._view and self._idle[0]:
@@ -327,11 +330,10 @@ class Snapshots(Sequence):
             # ahead of the release of its row, so the stepper has not reused it
             self._handed[self._arrived] = len(self._results)
             self._results.append(None)
-            with suppress(BrokenPipeError):  # it has exited: any failure is raised next
-                self._release.write(pickle.dumps((self._arrived, snapshot.t, *args)))
+            self._send((self._arrived, snapshot.t, *args))
             return
         try:
-            self._results.append(here())
+            self._results.append(self._measure(snapshot, *args))
         except Exception as exc:
             self._reap()
             self._failure = exc
@@ -353,10 +355,10 @@ class Snapshots(Sequence):
 
 
 def run(state: FieldState, cfg: SolverConfig, t_end: float, measure,
-        frame_cadence: int = 50) -> Snapshots:
-    """Evolve to t_end, with snapshots every frame_cadence steps; the
-    stepper runs measure(snapshot, *args) on the snapshots that the caller
-    hands it with ``Snapshots.measure``.
+        frame_cadence: int) -> Snapshots:
+    """Evolve to t_end, with snapshots every frame_cadence steps, and take
+    measure(snapshot, *args) of the snapshots that the caller passes to
+    ``Snapshots.measure``, in the stepper or in the caller.
 
     The snapshots always include the initial and final states.  The
     arguments are trusted, as a ScenarioConfig has checked them (a positive
@@ -373,12 +375,13 @@ def run(state: FieldState, cfg: SolverConfig, t_end: float, measure,
     pipe.  The parent clears the flag as it hands a measure and the stepper
     sets it again as it takes the measure up, so at most one waits behind
     the one it runs.  So the measure runs in the stepper while the parent is
-    behind, and must not depend on where it runs.  After its last snapshot
-    the stepper serves measures until the parent sends None, once iteration
-    has passed the last snapshot, or until the release pipe ends, the parent
-    being gone; then it exits.  The returned Snapshots yield each snapshot
-    as it lands, so the caller works on one core while the stepper runs on
-    another.  The first snapshot owns its arrays; the others are views of
+    behind, on the copies of its arguments that pickling carried there, and
+    in the parent otherwise, on the arguments themselves.  After its last
+    snapshot the stepper serves measures until the parent sends None, once
+    iteration has passed the last snapshot, or until the release pipe ends,
+    the parent being gone; then it exits.  The returned Snapshots yield each
+    snapshot as it lands, so the caller works on one core while the stepper
+    runs on another.  The first snapshot owns its arrays; the others are views of
     their rows (see Snapshots), and each pi is read out from the half-step
     momentum.  The fields are checked once per snapshot, and a non-finite
     field raises FloatingPointError naming the last time at which they were
@@ -449,4 +452,4 @@ def run(state: FieldState, cfg: SolverConfig, t_end: float, measure,
             os._exit(0)
     os.close(w)
     os.close(release_r)
-    return Snapshots(first, rows, idle, count, pid, r, release_w)
+    return Snapshots(first, measure, rows, idle, count, pid, r, release_w)

@@ -26,7 +26,7 @@ from .functionals import (
     pair_terms,
 )
 from .model import MARGIN, SQRT2, kink_mode, kink_value
-from .modulation import ModulationFrame, track
+from .modulation import track
 from .pde import FieldState, SolverConfig, grid_nodes, run
 from .reporting import ComparisonReport, FrameRow, write_report
 
@@ -151,23 +151,17 @@ def build_initial_state(config: ScenarioConfig) -> FieldState:
     return FieldState(x0=grid.x0, dx=grid.dx, n=grid.n, phi=phi, pi=pi)
 
 
-def _diagnostics(frame, pair) -> tuple[float, float, float, float, float]:
+def _diagnostics(snapshot, frame) -> tuple[float, float, float, float, float]:
     """eps(t), ||g||_H1, ||g_t||_L2, F and the coercivity ratio (inf where
-    ||g||_H1 <= 1e-9) of a valid frame, from the PairFields at its centers."""
-    eps_t = energy_breakdown(frame.state).epsilon
-    terms = pair_terms(frame, pair)
+    ||g||_H1 <= 1e-9) of a valid frame solved on ``snapshot``.  The frame
+    carries its solve's pair in the caller; in the stepper, unpickled, it
+    rebuilds that pair from the snapshot's row, bit for bit."""
+    frame.state = snapshot
+    eps_t = energy_breakdown(snapshot).epsilon
+    terms = pair_terms(frame)
     norm_g_h1 = float(np.sqrt(terms.g_h1_sq))
     coer = coercivity_ratio(frame, terms) if norm_g_h1 > 1e-9 else math.inf
     return eps_t, norm_g_h1, terms.gt_l2, lyapunov_F(frame, terms), coer
-
-
-def _stepper_diagnostics(snapshot, x1, x2, xdot1, xdot2):
-    """_diagnostics of the valid frame at these centers and velocities, run
-    in the stepper on its row, with the pair rebuilt by frame.fields(): the
-    center solve's pair bit for bit.  The diagnostics read neither the
-    solve's iteration count nor its determinant."""
-    frame = ModulationFrame(snapshot.t, x1, x2, x2 - x1, 0, math.nan, xdot1, xdot2, snapshot)
-    return _diagnostics(frame, frame.fields())
 
 
 def run_scenario(config: ScenarioConfig) -> ComparisonReport:
@@ -181,16 +175,9 @@ def run_scenario(config: ScenarioConfig) -> ComparisonReport:
     are built once track has returned, the reduced dynamics' columns over
     all valid frames at once."""
     state = build_initial_state(config)
-    snapshots = run(state, config.solver, config.t_end, _stepper_diagnostics,
-                    config.frame_cadence)
-
-
-    def diagnose(frame, pair):
-        snapshots.measure(frame.state, (frame.x1, frame.x2, frame.xdot1, frame.xdot2),
-                          lambda: _diagnostics(frame, pair))
-
+    snapshots = run(state, config.solver, config.t_end, _diagnostics, config.frame_cadence)
     try:
-        frames = track(snapshots, diagnose)
+        frames = track(snapshots, lambda frame: snapshots.measure(frame.state, frame))
         measured = snapshots.results()
     finally:
         snapshots.close()  # stops the stepper if track raised before the stream ended

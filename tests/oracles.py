@@ -6,8 +6,8 @@ package they check, so that an oracle does not share the code it judges:
 the antikink profiles and slopes, the Bogomolny rest energy, the interaction
 energy A(z) with its derivative and the derivation of its expansion, an RK4
 integrator of the reduced law with its first integral, an orthogonality
-check that re-measures a frame's projections, and the tracked frames of a
-scenario with their snapshots kept.
+check that re-measures a frame's projections, a frame's remainder rate
+d_t g, and the tracked frames of a scenario with their snapshots kept.
 """
 from __future__ import annotations
 
@@ -178,7 +178,7 @@ def integrate_reduced(z0: float, zdot0: float, t_end: float, dt: float) -> Reduc
 
 
 # ---------------------------------------------------------------------------
-# orthogonality of a tracked frame
+# orthogonality and remainder rate of a tracked frame
 # ---------------------------------------------------------------------------
 
 
@@ -198,6 +198,11 @@ def orthogonality_ok(frame: ModulationFrame) -> bool:
     return all(abs(float(w @ (g * mode))) <= tol for mode in modes)
 
 
+def g_t(frame: ModulationFrame) -> np.ndarray:
+    """d_t g of a frame, from its pair; 0 for a frame whose solve failed."""
+    return frame.remainder_rate(frame.fields()) if frame.solved else np.zeros(frame.state.n)
+
+
 # ---------------------------------------------------------------------------
 # frames that keep their snapshots
 # ---------------------------------------------------------------------------
@@ -205,7 +210,7 @@ def orthogonality_ok(frame: ModulationFrame) -> bool:
 
 def tracked_frames(config) -> list[ModulationFrame]:
     """The valid frames of ``run_scenario(config)``, each holding a copy of
-    its snapshot.
+    its snapshot and, as track's own frames, no pair: fields() rebuilds it.
 
     The frames that track returns keep no snapshot after the first, so this
     tracks ``run(build_initial_state(config), ...)`` again and copies each
@@ -216,8 +221,8 @@ def tracked_frames(config) -> list[ModulationFrame]:
                     lambda snapshot, *args: None, config.frame_cadence)
     frames = []
     try:
-        track(snapshots, lambda frame, pair: frames.append(
-            replace(frame, state=frame.state.copy())))
+        track(snapshots, lambda frame: frames.append(
+            replace(frame, state=frame.state.copy(), pair=None)))
     finally:
         snapshots.close()
     return frames

@@ -68,7 +68,7 @@ class TestParams:
         head_ons = [c for c in default_suite() if c.kinks.v1 != 0.0]
         assert len(head_ons) == 3
         for config in head_ons:
-            f = track([build_initial_state(config)])[0]
+            f = track([build_initial_state(config)], lambda frame: None)[0]
             p = params_from_initial(f.x1, f.x2, f.xdot1, f.xdot2)
             z0 = mp.mpf(f.x2) - mp.mpf(f.x1)
             zdot0 = mp.mpf(f.xdot2) - mp.mpf(f.xdot1)

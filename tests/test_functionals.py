@@ -29,6 +29,7 @@ from oracles import (
     antikink_derivative,
     antikink_value,
     bogomolny_rest_energy,
+    g_t,
     interaction_energy_A,
     interaction_energy_A_prime,
     kink_derivative,
@@ -280,14 +281,14 @@ class TestRemainderNorms:
     """||g||_H1 and ||g_t||_L2 as pair_terms measures them."""
 
     @staticmethod
-    def _norms(g, g_t, dx, x0):
+    def _norms(g, gt, dx, x0):
         # centers 1000 units off the grid: both profiles underflow to exactly 0
         # there, so the snapshot's remainder is the planted (g, g_t) itself
-        state = FieldState(x0=x0, dx=dx, n=len(g), phi=g, pi=g_t)
+        state = FieldState(x0=x0, dx=dx, n=len(g), phi=g, pi=gt)
         frame = ModulationFrame(t=0.0, x1=-1000.0, x2=1000.0, z=2000.0, newton_iters=0,
                                 matrix_det=1.0, xdot1=0.0, xdot2=0.0, state=state)
-        assert np.array_equal(frame.g, g) and np.array_equal(frame.g_t, g_t)
-        terms = pair_terms(frame, frame.fields())
+        assert np.array_equal(frame.g, g) and np.array_equal(g_t(frame), gt)
+        terms = pair_terms(frame)
         return math.sqrt(terms.g_h1_sq), terms.gt_l2
 
     def test_zero(self):
@@ -372,17 +373,17 @@ class TestLyapunovFunctional:
 
     def test_zero_remainder(self):
         frame = self._frame(0.0)
-        terms = pair_terms(frame, frame.fields())
+        terms = pair_terms(frame)
         assert lyapunov_F(frame, terms) == pytest.approx(0.0, abs=1e-18)
 
     def test_matches_quadratic_form_for_small_remainder(self):
         frame = self._frame(1e-2)
-        f_val = lyapunov_F(frame, pair_terms(frame, frame.fields()))
+        f_val = lyapunov_F(frame, pair_terms(frame))
         x = frame.x
         total = antikink_value(x - frame.x1) + kink_value(x - frame.x2)
         dg = spatial_derivative(frame.g, frame.dx, order=2)
         quad = integrate(
-            frame.g_t**2 + dg**2 + eval_potential_derivative(2, total) * frame.g**2,
+            g_t(frame)**2 + dg**2 + eval_potential_derivative(2, total) * frame.g**2,
             frame.dx,
         )
         assert f_val == pytest.approx(quad, rel=1e-4)
@@ -390,7 +391,7 @@ class TestLyapunovFunctional:
 
     def test_quadratic_scaling(self):
         frames = {lam: self._frame(lam * 1e-2) for lam in (1.0, 0.5, 0.25)}
-        vals = {lam: lyapunov_F(f, pair_terms(f, f.fields())) for lam, f in frames.items()}
+        vals = {lam: lyapunov_F(f, pair_terms(f)) for lam, f in frames.items()}
         assert vals[0.5] / vals[1.0] == pytest.approx(0.25, rel=1e-3)
         assert vals[0.25] / vals[1.0] == pytest.approx(0.0625, rel=1e-3)
 
@@ -401,14 +402,14 @@ class TestLyapunovFunctional:
         # |x| > 12; K'' beside the expanded U' was off by 1.3e-15 there
         mp = pytest.importorskip("mpmath")
         st = two_kink_state((-60.0, 0.05, 2401), -8.0, 8.0)
-        pairs = []
-        terms = pair_terms(decompose(st, (-8.0, 8.0), pairs), pairs[0])
+        frame = decompose(st, (-8.0, 8.0))
+        terms, pair = pair_terms(frame), frame.pair
         got = terms.dd_anti + terms.dd_kink - eval_potential_derivative(1, terms.total)
         du = lambda p: 2 * p * (1 - p * p) * (1 - 3 * p * p)
         with mp.workdps(40):
             want = [float(du(k1) + du(k2) - du(k1 + k2))
-                    for k1, k2 in zip(map(mp.mpf, (-pairs[0].h1).tolist()),
-                                      map(mp.mpf, pairs[0].h2.tolist()))]
+                    for k1, k2 in zip(map(mp.mpf, (-pair.h1).tolist()),
+                                      map(mp.mpf, pair.h2.tolist()))]
         err = np.abs(got - np.array(want))
         assert float(np.max(err)) <= 1e-15
         assert float(np.max(err[np.abs(terms.x) > 12.0])) <= 6e-16
@@ -418,7 +419,7 @@ class TestLyapunovFunctional:
 
         frame = dataclasses.replace(self._frame(0.0), z=-1.0)
         with pytest.raises(ValueError):
-            lyapunov_F(frame, pair_terms(frame, frame.fields()))
+            lyapunov_F(frame, pair_terms(frame))
 
 
 class TestMomentumWeightBand:

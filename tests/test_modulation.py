@@ -1,6 +1,7 @@
 """Center extraction: Newton solve, orthogonality, velocities, tracking."""
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -19,7 +20,13 @@ from phi6kinks.modulation import (
 )
 from phi6kinks.pde import FieldState, SolverConfig, run
 from conftest import two_kink_state, unmeasured
-from oracles import antikink_derivative, antikink_value, kink_derivative, orthogonality_ok
+from oracles import (
+    antikink_derivative,
+    antikink_value,
+    g_t,
+    kink_derivative,
+    orthogonality_ok,
+)
 
 
 def pair_state(x1, x2, dx=0.05, pi=None, extra=None, half=None):
@@ -41,7 +48,7 @@ class TestDecompose:
         frame = decompose(st, (-5.0, 5.0))
         assert frame.x1 == pytest.approx(-5.1, abs=1e-10)
         assert frame.x2 == pytest.approx(5.3, abs=1e-10)
-        assert math.sqrt(pair_terms(frame, frame.fields()).g_h1_sq) < 1e-10
+        assert math.sqrt(pair_terms(frame).g_h1_sq) < 1e-10
         assert frame.z == frame.x2 - frame.x1
         assert orthogonality_ok(frame)
 
@@ -60,7 +67,7 @@ class TestDecompose:
         assert abs(frame.x2 - 5.3) <= 0.1
         assert abs(frame.x1 + 5.1) <= 0.1
         assert orthogonality_ok(frame)
-        assert math.sqrt(pair_terms(frame, frame.fields()).g_h1_sq) < 0.02
+        assert math.sqrt(pair_terms(frame).g_h1_sq) < 0.02
 
     def test_displaced_guesses_agree(self):
         bump = lambda x: 0.01 * np.exp(-(x**2))
@@ -314,18 +321,19 @@ class TestNonFiniteField:
         good = pair_state(-6.0, 6.0)
         bad = pair_state(-6.0, 6.0)
         bad.phi[1000] = np.nan
-        frames = track([good, bad, good])
+        frames = track([good, bad, good], lambda frame: None)
         assert [f.valid for f in frames] == [True, False, True]
         assert not frames[1].solved and math.isnan(frames[1].matrix_det)
 
 
 class TestFrameStorage:
-    """A frame points at its snapshot and rebuilds (g, g_t) from it; track's
-    frames do so only while its hook runs, and keep only the first snapshot."""
+    """A frame carries its solve's pair and points at its snapshot, which
+    rebuilds the pair; track's frames do so only while its hook runs, and
+    keep only the first snapshot.  A frame pickles its scalars alone."""
 
     def test_no_full_grid_array_on_a_frame(self, arrays_held):
         st = pair_state(-6.0, 6.0, extra=lambda x: 0.01 * np.exp(-(x**2)))
-        frames = track([st, pair_state(-0.9, 0.9, half=51.0), st])
+        frames = track([st, pair_state(-0.9, 0.9, half=51.0), st], lambda frame: None)
         assert [f.valid for f in frames] == [True, False, True]
         for frame in frames:
             assert arrays_held(frame) == []
@@ -344,10 +352,13 @@ class TestFrameStorage:
         snaps = [dataclasses.replace(s, t=float(i)) for i, s in enumerate(snaps)]
         seen = []
 
-        def on_valid(frame, pair):
+        def on_valid(frame):
             assert solves[-1] == frame.t  # called before the next snapshot is solved
             seen.append(frame)
-            rebuilt = frame.fields()  # the frame points at its snapshot while the hook runs
+            pair = frame.fields()
+            assert pair is frame.pair and len(arrays_held(frame)) == 3  # h1, h2, block
+            # the frame points at its snapshot while the hook runs
+            rebuilt = modulation._pair_fields(frame.state, frame.x1, frame.x2)
             for f in dataclasses.fields(rebuilt):
                 assert getattr(pair, f.name).tobytes() == getattr(rebuilt, f.name).tobytes()
 
@@ -357,7 +368,22 @@ class TestFrameStorage:
         assert len(seen) == len(valid) and all(a is b for a, b in zip(seen, valid))
         assert frames[0].state is snaps[0] and [f.state for f in frames[1:]] == [None, None]
         for frame in frames:
-            assert arrays_held(frame) == []
+            assert frame.pair is None and arrays_held(frame) == []
+
+    def test_a_frame_pickles_its_scalars_alone(self):
+        v = 0.1
+        pi = lambda x: -v * kink_derivative(x - 5.3) + 1e-3 * np.exp(-(x**2))
+        st = pair_state(-5.1, 5.3, pi=pi, extra=lambda x: 0.01 * np.exp(-(x**2)))
+        frame = dataclasses.replace(decompose(st, (-5.0, 5.0)), t=1.5, valid=False)
+        assert frame.state is st and frame.pair is not None and st.n > 2000
+        data = pickle.dumps(frame)
+        assert len(data) < 1024
+        got = pickle.loads(data)
+        assert got.state is None and got.pair is None
+        names = ("t", "x1", "x2", "z", "newton_iters", "matrix_det", "xdot1", "xdot2", "valid")
+        assert [repr(getattr(got, name)) for name in names] == [
+            repr(getattr(frame, name)) for name in names]
+        assert frame.xdot1 != 0.0 and frame.xdot2 != 0.0 and frame.newton_iters > 0
 
     def test_rebuilt_remainder_matches_its_definition(self):
         v = 0.1
@@ -370,7 +396,7 @@ class TestFrameStorage:
         g_t_ref = (st.pi + frame.xdot1 * antikink_derivative(x - frame.x1)
                    + frame.xdot2 * kink_derivative(x - frame.x2))
         assert np.array_equal(frame.g, g_ref)
-        assert np.array_equal(frame.g_t, g_t_ref)
+        assert np.array_equal(g_t(frame), g_t_ref)
         assert np.array_equal(frame.x, x) and frame.dx == st.dx
 
     def test_failed_solve_reads_zero_remainder(self):
@@ -378,7 +404,7 @@ class TestFrameStorage:
         frame = modulation._invalid_frame(st, (-6.0, 6.0))
         assert not frame.solved
         assert np.array_equal(frame.g, np.zeros(st.n))
-        assert np.array_equal(frame.g_t, np.zeros(st.n))
+        assert np.array_equal(g_t(frame), np.zeros(st.n))
 
 
 class TestVelocities:
@@ -406,7 +432,7 @@ class TestTrack:
         snaps = run(st, SolverConfig(dt=0.02), 10.0, unmeasured, frame_cadence=5)
         assert len(snaps) == 101
         orthogonal = []
-        frames = track(snaps, lambda frame, pair: orthogonal.append(orthogonality_ok(frame)))
+        frames = track(snaps, lambda frame: orthogonal.append(orthogonality_ok(frame)))
         assert len(frames) == len(snaps)
         x1s = [f.x1 for f in frames]
         x2s = [f.x2 for f in frames]
@@ -421,7 +447,7 @@ class TestTrack:
         n = int(round(96 / 0.05)) + 1
         st = two_kink_state((-48.0, 0.05, n), -6.0, 6.0)
         snaps = run(st, SolverConfig(dt=0.02), 20.0, unmeasured, frame_cadence=250)
-        frames = track(snaps)
+        frames = track(snaps, lambda frame: None)
         zddot = 16 * SQRT2 * math.exp(-12 * SQRT2)
         for f in frames[1:]:
             expected = 12.0 + 0.5 * zddot * f.t**2
@@ -436,7 +462,7 @@ class TestTrack:
     def test_collision_regime_marked_invalid(self):
         wide = pair_state(-3.0, 3.0, half=50.0)
         tight = pair_state(-0.9, 0.9, half=50.0)
-        frames = track([wide, tight])
+        frames = track([wide, tight], lambda frame: None)
         assert frames[0].valid
         assert not frames[1].valid
 
@@ -444,7 +470,7 @@ class TestTrack:
         n = 1001
         st = FieldState(x0=-25, dx=0.05, n=n, phi=np.ones(n), pi=np.zeros(n), t=0.0)
         with pytest.raises(ModulationError):
-            track([st])
+            track([st], lambda frame: None)
 
     def test_traveling_pair_center_drift(self):
         # co-moving pair at v=0.2: extracted centers advance by v * t
@@ -453,7 +479,7 @@ class TestTrack:
         n = int(round((x_max - x0) / dx)) + 1
         st = two_kink_state((x0, dx, n), -10.0, 10.0, 0.2, 0.2)
         snaps = run(st, SolverConfig(dt=0.02), 50.0, unmeasured, frame_cadence=500)
-        frames = track(snaps)
+        frames = track(snaps, lambda frame: None)
         shift1 = frames[-1].x1 - frames[0].x1
         shift2 = frames[-1].x2 - frames[0].x2
         assert shift1 == pytest.approx(10.0, abs=1e-2)

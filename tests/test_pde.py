@@ -1,7 +1,6 @@
 """Solver correctness: fixed points, convergence, conservation, reversibility."""
 import contextlib
 import dataclasses
-import functools
 import json
 import math
 import os
@@ -178,7 +177,7 @@ class TestStep:
         bad = dataclasses.replace(st, phi=st.phi.copy())
         bad.phi[100] = np.nan
         with pytest.raises(FloatingPointError, match=r"last valid time t=0\.700000"):
-            list(run(bad, SolverConfig(dt=0.02), 2.0, unmeasured))
+            list(run(bad, SolverConfig(dt=0.02), 2.0, unmeasured, frame_cadence=50))
 
     def test_run_checks_the_fields_once_per_snapshot(self, monkeypatch):
         # in this process: a counter patched in here is not the stepper process's
@@ -382,18 +381,18 @@ class TestStream:
     @staticmethod
     def placed(measure):
         """measure(snapshot) together with the pid of the process that ran it,
-        as a run's measure: the stepper calls it with no further argument."""
+        as a run's measure, which these tests pass no further argument."""
         return lambda snapshot: (measure(snapshot), os.getpid())
 
     @staticmethod
-    def measure_each(snapshots, measure, before=lambda k: None):
-        """Iterate, calling before(k) and then handing the k-th snapshot's
-        measure to ``snapshots.measure``, with placed(measure) as the caller's
-        own; the snapshots' times, and their measures in order."""
+    def measure_each(snapshots, before=lambda k: None):
+        """Iterate, calling before(k) and then handing the k-th snapshot to
+        ``snapshots.measure``; the snapshots' times, and their measures in
+        order."""
         times = []
         for k, s in enumerate(snapshots):
             before(k)
-            snapshots.measure(s, (), functools.partial(TestStream.placed(measure), s))
+            snapshots.measure(s)
             times.append(s.t)
         return times, snapshots.results()
 
@@ -427,7 +426,7 @@ class TestStream:
             if late:
                 self.late(k)
             wanted.append(self.bits(energy_breakdown(s)))
-            snaps.measure(s, (), functools.partial(self.placed(energy_breakdown), s))
+            snaps.measure(s)
             assert s.t == pytest.approx(min(k * 25, 6908) * 0.02)
         measured = snaps.results()
         assert len(measured) == 1 + 277 > pde._RING
@@ -445,16 +444,15 @@ class TestStream:
         first = next(iter(snaps))
         time.sleep(0.2)  # the stepper has filled its ring and waits
         assert snaps._idle[0] == 1.0
-        snaps.measure(first, (), functools.partial(self.placed(energy_breakdown), first))
+        snaps.measure(first)
         assert snaps._handed == {} and snaps._results[0][1] == caller
         snaps.close()
 
         snaps = self.probe_run(self.placed(energy_breakdown))
         assert len(snaps) == 1 + 277
         for k in (0, 1, 277):
-            snaps.measure(snaps[k], (), functools.partial(
-                self.placed(energy_breakdown), snaps[k]))
-        times, measured = self.measure_each(snaps, energy_breakdown)
+            snaps.measure(snaps[k])
+        times, measured = self.measure_each(snaps)
         assert len(times) == 1 + 277
         assert snaps.results() is measured and len(measured) == 3 + 1 + 277
         assert {pid for _, pid in measured} == {caller}
@@ -468,7 +466,7 @@ class TestStream:
         times, measured = self.measure_each(
             run(single_kink_state(), SolverConfig(dt=0.02), 0.32,
                 self.placed(lambda s: s.t), frame_cadence=1),
-            lambda s: s.t, lambda k: time.sleep(2e-2))
+            lambda k: time.sleep(2e-2))
         assert len(times) == 17
         assert [t for t, _ in measured] == times
         assert [pid != caller for _, pid in measured] == [False] + [True] * 16
@@ -479,8 +477,7 @@ class TestStream:
         caller = os.getpid()
         times, measured = self.measure_each(
             run(single_kink_state(), SolverConfig(dt=0.02), 200.0,
-                self.placed(lambda s: s.t), frame_cadence=1000),
-            lambda s: s.t)
+                self.placed(lambda s: s.t), frame_cadence=1000))
         assert len(times) == 11
         assert [t for t, _ in measured] == times
         assert [pid != caller for _, pid in measured[:-1]] == [False] * 10
@@ -489,7 +486,7 @@ class TestStream:
         caller = os.getpid()
 
         def measure(state):
-            if state.t > 0.5:
+            if 0.5 < state.t < 0.7:  # the snapshot at t = 0.6, in either process
                 raise ArithmeticError(f"planted at t={state.t:.1f}", os.getpid() != caller)
             return state.t
 
@@ -501,7 +498,7 @@ class TestStream:
                 for k, s in enumerate(snaps):
                     if k:
                         time.sleep(2e-2)  # the stepper waits on its ring, or is done
-                    snaps.measure(s, (), lambda: s.t)  # the caller's own never raises
+                    snaps.measure(s)
                     seen.append(s.t)
             assert type(raised.value) is ArithmeticError
             assert raised.value.args == ("planted at t=0.6", True)  # raised in the stepper
@@ -527,7 +524,7 @@ class TestStream:
             with pytest.raises(ArithmeticError) as raised:
                 for s in snaps:
                     seen.append(s.t)
-                    snaps.measure(s, (), functools.partial(measure, s))
+                    snaps.measure(s)
             assert type(raised.value) is ArithmeticError
             assert raised.value.args == ("planted at t=80", True)  # raised in the caller
             assert seen == [0.0, pytest.approx(40.0), pytest.approx(80.0)]
@@ -542,7 +539,8 @@ class TestStream:
             next(streamed)
             s = next(streamed)
             time.sleep(0.2)  # the stepper is done and waits
-            snaps.measure(s, (), lambda: None)
+            assert snaps._idle[0] == 1.0  # so the measure goes to it: here it would sleep
+            snaps.measure(s)
             assert snaps._handed == {1: 0}
             start = time.perf_counter()
             snaps.close()

@@ -2,6 +2,7 @@
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 import textwrap
@@ -23,7 +24,7 @@ from phi6kinks.functionals import (
     spatial_derivative,
 )
 from phi6kinks.model import SQRT2, eval_potential_derivative, kink_value
-from phi6kinks.pde import SolverConfig
+from phi6kinks.pde import SolverConfig, run
 from phi6kinks.reporting import (
     CSV_HEADER,
     SUMMARY_KEYS,
@@ -40,6 +41,7 @@ from phi6kinks.scenarios import (
     KinkArrangement,
     ScenarioConfig,
     auto_grid,
+    build_initial_state,
     default_suite,
     fit_growth_constant,
     lyapunov_diagnostics,
@@ -49,8 +51,8 @@ from phi6kinks.scenarios import (
     verify_remainder_growth,
     verify_tracking,
 )
-from conftest import SRC
-from oracles import antikink_derivative, antikink_value, kink_derivative, tracked_frames
+from conftest import SRC, unmeasured
+from oracles import antikink_derivative, antikink_value, g_t, kink_derivative, tracked_frames
 
 
 def quick_config(**overrides) -> ScenarioConfig:
@@ -218,9 +220,9 @@ class TestPlacement:
         log, caller = tmp_path / "placement", os.getpid()
         diagnostics, decompose = scenarios._diagnostics, modulation.decompose
 
-        def logged(frame, pair):
+        def logged(snapshot, frame):
             append_line(log, int(os.getpid() != caller), float(frame.t).hex())
-            return diagnostics(frame, pair)
+            return diagnostics(snapshot, frame)
 
         def slowed(*args):
             time.sleep(solve_delay)
@@ -287,10 +289,10 @@ class TestPlacement:
         caller, diagnostics = os.getpid(), scenarios._diagnostics
         decompose = modulation.decompose
 
-        def planted(frame, pair):
+        def planted(snapshot, frame):
             if os.getpid() != caller:
                 raise ArithmeticError(f"planted at t={frame.t:g}")
-            return diagnostics(frame, pair)
+            return diagnostics(snapshot, frame)
 
         def slowed(*args):
             time.sleep(5e-3)  # the stepper waits on its ring: frames are handed to it
@@ -732,18 +734,18 @@ class TestSharedPairTerms:
 
     def _lyapunov_F(self, frame, cube=lambda g: g * g * g):
         x, anti, kink, total, dg = self._pair(frame)
-        g, g_t, dx = frame.g, frame.g_t, frame.dx
+        g, gt, dx = frame.g, g_t(frame), frame.dx
         xdot1, xdot2 = frame.xdot1, frame.xdot2
         # U'(K) = +-sqrt2 K' (3 (1 - K^2) - 2), the center solve's arithmetic
         mode1, mode2 = antikink_derivative(x - frame.x1), kink_derivative(x - frame.x2)
         dd_anti = ((3.0 * (1.0 - anti * anti) - 2.0) * mode1) * -SQRT2
         dd_kink = ((3.0 * (1.0 - kink * kink) - 2.0) * mode2) * SQRT2
-        f1 = integrate(g_t * g_t + dg * dg + eval_potential_derivative(2, total) * g * g, dx)
+        f1 = integrate(gt * gt + dg * dg + eval_potential_derivative(2, total) * g * g, dx)
         interaction = dd_anti + dd_kink - eval_potential_derivative(1, total)
         f2 = -2.0 * integrate(g * interaction, dx)
         f3 = 2.0 * integrate(g * (xdot1 * xdot1 * dd_anti + xdot2 * xdot2 * dd_kink), dx)
         omega = cut_function((x - frame.x1) / frame.z, 0.80, 0.75)
-        f4 = 2.0 * integrate(g_t * dg * (xdot1 * omega + xdot2 * (1.0 - omega)), dx)
+        f4 = 2.0 * integrate(gt * dg * (xdot1 * omega + xdot2 * (1.0 - omega)), dx)
         f5 = integrate(eval_potential_derivative(3, total) * cube(g), dx) / 3.0
         return float(f1 + f2 + f3 + f4 + f5)
 
@@ -759,7 +761,8 @@ class TestSharedPairTerms:
         the per-frame diagnostics took them over."""
         dg = spatial_derivative(frame.g, frame.dx, order=2)
         h1 = float(np.sqrt(integrate(frame.g * frame.g + dg * dg, frame.dx)))
-        l2 = float(np.sqrt(integrate(frame.g_t * frame.g_t, frame.dx)))
+        gt = g_t(frame)
+        l2 = float(np.sqrt(integrate(gt * gt, frame.dx)))
         return h1, l2
 
     @staticmethod
@@ -778,7 +781,7 @@ class TestSharedPairTerms:
         assert len(frames) == len(report.rows) == 101
         ratios = []
         for frame, row in zip(frames, report.rows):
-            terms = pair_terms(frame, frame.fields())
+            terms = pair_terms(frame)
             assert row.F_t == lyapunov_F(frame, terms) == self._lyapunov_F(frame)
             assert (row.norm_g_h1, row.norm_gt_l2) == self._remainder_norms(frame)
             ratio = coercivity_ratio(frame, terms)
@@ -809,17 +812,44 @@ class TestSharedPairTerms:
             assert abs(row.F_t - pow_form) <= 2 * np.spacing(abs(pow_form))
 
     def test_diagnostics_never_rebuild_the_pair(self, monkeypatch):
-        # in this process; the stepper rebuilds it for each frame handed to it
-        rebuilds = []
-        fields = modulation.ModulationFrame.fields
+        # in this process, where each frame carries its solve's pair: every
+        # pair is built by a residual evaluation; the stepper rebuilds one for
+        # each frame handed to it, and appends to its own copies of the lists
+        built, residuals = [], []
+        pair_fields, residual_and_matrix = modulation._pair_fields, modulation._residual_and_matrix
 
-        def counted(frame):
-            rebuilds.append(frame.t)
-            return fields(frame)
+        def counted_pair(*args):
+            built.append(args[0].t)
+            return pair_fields(*args)
 
-        monkeypatch.setattr(modulation.ModulationFrame, "fields", counted)
-        run_scenario(self._collision())
-        assert rebuilds == []
+        def counted_residual(*args):
+            residuals.append(args[0].t)
+            return residual_and_matrix(*args)
+
+        monkeypatch.setattr(modulation, "_pair_fields", counted_pair)
+        monkeypatch.setattr(modulation, "_residual_and_matrix", counted_residual)
+        report = run_scenario(self._collision())
+        assert len(report.rows) == 101 and built == residuals
+
+    def test_the_stepper_job_equals_the_callers_bit_for_bit(self):
+        # _diagnostics on a frame unpickled as the stepper gets it, which
+        # rebuilds its pair from the snapshot, against the frame that carries
+        # its solve's pair
+        config, got = self._collision(), []
+
+        def both(frame):
+            handed = pickle.loads(pickle.dumps(frame))
+            assert frame.pair is not None and handed.pair is None
+            got.append([[float(v).hex() for v in scenarios._diagnostics(frame.state, f)]
+                        for f in (frame, handed)])
+
+        snapshots = run(build_initial_state(config), config.solver, config.t_end, unmeasured,
+                        config.frame_cadence)
+        try:
+            modulation.track(snapshots, both)
+        finally:
+            snapshots.close()
+        assert len(got) == 101 and all(here == there for here, there in got)
 
     def test_two_profile_evaluations_per_residual_evaluation(self, monkeypatch):
         profiles, residuals = [], []

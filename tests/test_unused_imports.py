@@ -1,7 +1,8 @@
 """Lint without a linter: no module of the package, the tests or the scripts
 imports a name it never uses, the package defines no function or class that
-only the tests call and no parameter default that every caller keeps, and
-each package module imports only the modules below it in LAYERS."""
+only the tests call, no parameter default that every caller keeps and none
+that every caller overrides, and each package module imports only the
+modules below it in LAYERS."""
 import ast
 from pathlib import Path
 
@@ -56,22 +57,27 @@ def uncalled_definitions(package: dict[str, str], callers: list[str]) -> list[st
     )
 
 
-def unset_parameters(package: dict[str, str], callers: list[str]) -> list[str]:
-    """Parameters with a default, of the functions and methods in the
-    ``package`` sources ({module: source}), that no call in the ``callers``
-    sources passes by keyword or by position: options that only their
-    default reaches.  A call is matched to a definition by name alone, and
-    one that unpacks * or ** passes every parameter."""
-    passed: dict[str, set] = {}
+def _calls(callers: list[str]) -> dict[str, list[set]]:
+    """{name: what each call of that name in the ``callers`` sources passes},
+    as a set of keywords and positions; {"*"} for a call that unpacks * or
+    **, which may pass any parameter.  A call is matched by name alone."""
+    calls: dict[str, list[set]] = {}
     for source in callers:
         for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.Call):
                 name = getattr(node.func, "id", getattr(node.func, "attr", None))
                 unpacks = (any(isinstance(arg, ast.Starred) for arg in node.args)
                            or any(kw.arg is None for kw in node.keywords))
-                passed.setdefault(name, set()).update(
-                    ["*"] if unpacks else [kw.arg for kw in node.keywords], range(len(node.args)))
-    unset = []
+                calls.setdefault(name, []).append(
+                    {"*"} if unpacks else {kw.arg for kw in node.keywords}
+                    | set(range(len(node.args))))
+    return calls
+
+
+def _defaulted(package: dict[str, str]):
+    """(qualified name, function name, parameter, position in a call or
+    None) of each parameter with a default, of the functions and methods in
+    the ``package`` sources ({module: source})."""
     for module, source in package.items():
         tree = ast.parse(source)
         methods = {id(f): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
@@ -79,18 +85,42 @@ def unset_parameters(package: dict[str, str], callers: list[str]) -> list[str]:
         for node in ast.walk(tree):
             if not isinstance(node, ast.FunctionDef):
                 continue
-            got = passed.get(node.name, set())
             cls = methods.get(id(node))
             positional = node.args.posonlyargs + node.args.args
             offset = 1 if cls else 0  # a method's call passes self implicitly
-            defaulted = [(i - offset, arg.arg) for i, arg in enumerate(positional)
-                         if i >= len(positional) - len(node.args.defaults)]
-            defaulted += [(None, arg.arg) for arg, default in
-                          zip(node.args.kwonlyargs, node.args.kw_defaults) if default is not None]
             qualname = f"{module}.{cls}.{node.name}" if cls else f"{module}.{node.name}"
-            unset += [f"{qualname}({name})" for index, name in defaulted
-                      if "*" not in got and name not in got and index not in got]
+            for i, arg in enumerate(positional):
+                if i >= len(positional) - len(node.args.defaults):
+                    yield qualname, node.name, arg.arg, i - offset
+            for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+                if default is not None:
+                    yield qualname, node.name, arg.arg, None
+
+
+def unset_parameters(package: dict[str, str], callers: list[str]) -> list[str]:
+    """Parameters with a default, of the functions and methods in the
+    ``package`` sources ({module: source}), that no call in the ``callers``
+    sources passes by keyword or by position: options that only their
+    default reaches.  A call that unpacks * or ** passes every parameter."""
+    calls = _calls(callers)
+    unset = []
+    for qualname, function, name, index in _defaulted(package):
+        got = set().union(*calls.get(function, []))
+        if "*" not in got and name not in got and index not in got:
+            unset.append(f"{qualname}({name})")
     return sorted(unset)
+
+
+def overridden_defaults(package: dict[str, str], callers: list[str]) -> list[str]:
+    """Parameters with a default, of the functions and methods in the
+    ``package`` sources ({module: source}), that every call in the
+    ``callers`` sources passes by keyword or by position, of which there is
+    one or more: options whose default only the tests reach.  A call that
+    unpacks * or ** is not known to pass any parameter."""
+    calls = _calls(callers)
+    return sorted(
+        f"{qualname}({name})" for qualname, function, name, index in _defaulted(package)
+        if calls.get(function) and all(name in got or index in got for got in calls[function]))
 
 
 def package_imports(source: str) -> set[str]:
@@ -148,6 +178,17 @@ def test_detector_flags_unset_parameters():
         "m.C.h(y)", "m.f(c)", "m.f(e)", "m.only_defaults(v)"]
 
 
+def test_detector_flags_overridden_defaults():
+    module = (
+        "def f(a, b=1, c=2, *, d=3, e=4):\n    g(a)\n"
+        "def g(w=0):\n    pass\n"
+        "class C:\n    def h(self, x=0, y=1):\n        pass\n"
+        "def uncalled(v=0):\n    pass\n"
+    )
+    callers = [module, "f(0, 5, d=4)\nf(0, b=2, c=3, d=5)\nC().h(1)\nC().h(x=2)\ng(*args)\n"]
+    assert overridden_defaults({"m": module}, callers) == ["m.C.h(x)", "m.f(b)", "m.f(d)"]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
@@ -161,6 +202,11 @@ def test_package_defines_only_what_is_called():
 def test_package_parameters_are_each_set_by_a_caller():
     package = {p.stem: p.read_text() for p in PACKAGE}
     assert unset_parameters(package, [p.read_text() for p in CALLERS]) == []
+
+
+def test_package_defaults_are_each_kept_by_a_caller():
+    package = {p.stem: p.read_text() for p in PACKAGE}
+    assert overridden_defaults(package, [p.read_text() for p in CALLERS]) == []
 
 
 def test_detector_flags_layering_violations():
