@@ -1,5 +1,8 @@
+import contextlib
+import ctypes
 import dataclasses
 import os
+import signal
 import sys
 from pathlib import Path
 
@@ -39,17 +42,58 @@ def unmeasured(snapshot, *args):
     return None
 
 
+def running_descendants(root: int) -> set[int]:
+    """The pids of the running processes whose parent links in /proc/*/stat
+    lead to ``root``, at any depth; exited processes not yet reaped are left
+    out."""
+    parents = {}
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            with contextlib.suppress(OSError):  # the process has gone
+                with open(f"/proc/{entry}/stat") as f:
+                    state, ppid = f.read().rpartition(")")[2].split()[:2]
+                if state != "Z":
+                    parents[int(entry)] = int(ppid)
+    found, frontier = set(), {root}
+    while frontier:
+        frontier = {pid for pid, ppid in parents.items() if ppid in frontier} - found
+        found |= frontier
+    return found
+
+
+@pytest.fixture(scope="session", autouse=True)
+def adopt_orphans():
+    """Make this process the subreaper of its descendants (Linux), so that a
+    process whose parent has exited becomes its child, not init's, and
+    ``no_child_left`` still finds it."""
+    if sys.platform == "linux":
+        prctl = ctypes.CDLL(None, use_errno=True).prctl
+        prctl.argtypes = [ctypes.c_int, ctypes.c_ulong, ctypes.c_ulong, ctypes.c_ulong,
+                          ctypes.c_ulong]
+        prctl.restype = ctypes.c_int
+        if prctl(36, 1, 0, 0, 0) != 0:  # PR_SET_CHILD_SUBREAPER
+            raise OSError(ctypes.get_errno(), "PR_SET_CHILD_SUBREAPER failed")
+
+
 @pytest.fixture(autouse=True)
 def no_child_left():
-    """Fail a test that leaves a child process unreaped, such as a stepper
-    process whose snapshots were neither read to the end nor closed."""
+    """Fail a test that leaves any process it started still running, at any
+    depth, such as either stepper process of a run whose snapshots were
+    neither read to the end nor closed, or a child process unreaped.  The
+    processes found are killed and reaped, so the next test starts clean."""
     yield
-    try:
-        pid, status = os.waitpid(-1, os.WNOHANG)
-    except ChildProcessError:
-        return
-    state = "still running" if pid == 0 else f"pid {pid}, wait status {status}"
-    pytest.fail(f"the test left a child process unreaped ({state})")
+    running = running_descendants(os.getpid())
+    for pid in running:
+        with contextlib.suppress(ProcessLookupError):
+            os.kill(pid, signal.SIGKILL)
+    unreaped = []
+    with contextlib.suppress(ChildProcessError):
+        while pid := os.waitpid(-1, 0 if running else os.WNOHANG)[0]:
+            if pid not in running:
+                unreaped.append(pid)
+    if running or unreaped:
+        pytest.fail(f"the test left processes still running {sorted(running)} "
+                    f"and child processes unreaped {unreaped}")
 
 
 @pytest.fixture(scope="session")

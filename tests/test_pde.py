@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import signal
 import time
 
 import numpy as np
@@ -24,7 +25,7 @@ from phi6kinks.scenarios import (
     probe_scenario_config,
     run_scenario,
 )
-from conftest import two_kink_state, unmeasured
+from conftest import running_descendants, two_kink_state, unmeasured
 
 
 def evolve_in_process(state, cfg, t_end, frame_cadence):
@@ -486,7 +487,7 @@ class TestStream:
         caller = os.getpid()
 
         def measure(state):
-            if 0.5 < state.t < 0.7:  # the snapshot at t = 0.6, in either process
+            if state.t > 0.5:  # from the snapshot at t = 0.6 on, in either process
                 raise ArithmeticError(f"planted at t={state.t:.1f}", os.getpid() != caller)
             return state.t
 
@@ -500,6 +501,8 @@ class TestStream:
                         time.sleep(2e-2)  # the stepper waits on its ring, or is done
                     snaps.measure(s)
                     seen.append(s.t)
+            # the earliest failing snapshot's exception, though the caller, which
+            # measures a later one itself, may raise first
             assert type(raised.value) is ArithmeticError
             assert raised.value.args == ("planted at t=0.6", True)  # raised in the stepper
             assert seen[:4] == pytest.approx([0.0, 0.2, 0.4, 0.6])
@@ -604,6 +607,176 @@ class TestStream:
             snaps = run(single_kink_state(), SolverConfig(dt=0.02), 400.0, unmeasured,
                         frame_cadence=100)
             del snaps
+
+
+def noisy_pair(n, seed=31):
+    """A colliding pair at +-2 and speeds -+0.4 on n nodes at dx = 0.1,
+    centered on the cut at n // 2, with small noise on every node, so that a
+    wrong stencil anywhere moves some node's bits."""
+    dx = 0.1
+    x0 = -dx * (n // 2)
+    st = two_kink_state((x0, dx, n), -2.0, 2.0, 0.4, -0.4)
+    rng = np.random.default_rng(seed)
+    phi, pi = st.phi.copy(), st.pi.copy()
+    phi[1:-1] += rng.uniform(-1e-2, 1e-2, n - 2)
+    pi[1:-1] += rng.uniform(-1e-2, 1e-2, n - 2)
+    return dataclasses.replace(st, phi=phi, pi=pi)
+
+
+def kink_at_the_cut(n, node, value):
+    """A resting kink centered on node n // 2 of n nodes at dx = 0.05, with
+    phi = value planted at ``node``."""
+    x = 0.05 * (np.arange(n) - n // 2)
+    phi = kink_value(x)
+    phi[node] = value
+    return FieldState(x0=x[0], dx=0.05, n=n, phi=phi, pi=np.zeros(n))
+
+
+class TestSplit:
+    """A grid of pde._SPLIT nodes or more steps as two halves in two processes,
+    with the bits of the whole-grid kernel."""
+
+    def test_the_split_constants(self):
+        assert pde._HALO == 2 * pde._SYNC + 4
+        assert pde._SPLIT // 2 >= 16 * pde._HALO  # a halo adds at most 1/16 to a half
+        # the fine grid (dx = 0.025, n = 4,241) splits, the default suite's do not
+        assert max(build_initial_state(c).n for c in scenarios.default_suite()) < pde._SPLIT <= 4241
+
+    @pytest.mark.parametrize("cadence", [1, pde._SYNC - 1, pde._SYNC, pde._SYNC + 1, 500])
+    @pytest.mark.parametrize("dn", [-2, -1, 0, 1], ids=["even-below", "odd-below", "even-at",
+                                                       "odd-above"])
+    def test_forked_halves_are_the_whole_grid_loop(self, dn, cadence):
+        # at the CFL limit, dt/dx = 0.7, where a wrong edge moves the bits
+        # farthest: a halo of _SYNC nodes, one a step, fails here
+        n = pde._SPLIT + dn
+        st = dataclasses.replace(noisy_pair(n), t=0.3)
+        cfg = SolverConfig(dt=0.07)
+        steps = 3 * pde._SYNC + 7  # syncs at a multiple of _SYNC, and steps past the last
+        t_end = st.t + steps * cfg.dt
+        snaps = run(st, cfg, t_end, unmeasured, frame_cadence=cadence)
+        assert len(snaps._pids) == (2 if n >= pde._SPLIT else 1)
+        forked = list(snaps)
+        local = evolve_in_process(st, cfg, t_end, cadence)
+        assert len(forked) == len(local) == -(-steps // cadence) + 1
+        for got, want in zip(forked, local):
+            assert got.t == want.t
+            assert got.phi.tobytes() == want.phi.tobytes()
+            assert got.pi.tobytes() == want.pi.tobytes()
+
+    def test_split_runs_that_share_the_cores_keep_the_bits(self):
+        # three split runs at once: six steppers on fewer cores, so a half is
+        # descheduled anywhere in an exchange, and a race in it shows as bits
+        cfg = SolverConfig(dt=0.07)
+        states = [noisy_pair(pde._SPLIT + 1, seed) for seed in (1, 2, 3)]
+        t_end = (2 * pde._SYNC + 3) * cfg.dt
+        with assert_released():
+            streams = [iter(run(st, cfg, t_end, unmeasured, frame_cadence=7)) for st in states]
+            forked = [[s.copy() for s in snaps] for snaps in zip(*streams)]
+            assert all(next(stream, None) is None for stream in streams[1:])
+        for i, st in enumerate(states):
+            local = evolve_in_process(st, cfg, t_end, 7)
+            assert len(forked) == len(local)
+            for snaps, want in zip(forked, local):
+                assert snaps[i].phi.tobytes() == want.phi.tobytes()
+                assert snaps[i].pi.tobytes() == want.pi.tobytes()
+
+    @pytest.mark.parametrize("cadence", [2, 4, 50])
+    @pytest.mark.parametrize("offset", [0, pde._HALO // 2, -pde._HALO // 2],
+                             ids=["at-the-cut", "in-the-lead-halo", "in-the-other-halo"])
+    def test_a_blowup_on_a_split_grid_names_the_last_finite_time(self, offset, cadence):
+        # phi = 10 stays finite for three steps, then overflows; the halves
+        # find it at a snapshot and the lead replays the block on the whole grid
+        n = 2 * pde._SPLIT + 1
+        bad = kink_at_the_cut(n, n // 2 + offset, 10.0)
+        with assert_released(), np.errstate(over="ignore", invalid="ignore"):
+            snaps = run(bad, SolverConfig(dt=0.02), 1.0, unmeasured, frame_cadence=cadence)
+            assert len(snaps._pids) == 2
+            with pytest.raises(FloatingPointError, match=r"last valid time t=0\.060000"):
+                list(snaps)
+
+    def test_an_exception_in_the_other_half_ends_the_stream(self, monkeypatch):
+        sync = pde._Half.sync
+
+        def planted(half, snapshot):
+            if half.mine.start and half.turn:  # the other half, at its second sync
+                raise ValueError("planted in the other half")
+            sync(half, snapshot)
+
+        monkeypatch.setattr(pde._Half, "sync", planted)
+        with assert_released():
+            snaps = run(noisy_pair(pde._SPLIT), SolverConfig(dt=0.02), 40.0, unmeasured,
+                        frame_cadence=pde._SYNC)
+            seen = []
+            with pytest.raises(ChildProcessError, match="the other half of the stepper ended"):
+                for s in snaps:
+                    seen.append(s.t)
+            assert len(seen) == 2  # the start and the first sync's snapshot
+
+    @pytest.mark.parametrize("end", ["close", "finished", "caller-raises"])
+    def test_no_process_outlives_a_split_run(self, end):
+        def measure(state):
+            if end == "caller-raises" and state.t > 1.0:
+                raise ArithmeticError("planted in the caller")
+            return state.t
+
+        with assert_released():
+            snaps = run(noisy_pair(pde._SPLIT), SolverConfig(dt=0.02), 8.0, measure,
+                        frame_cadence=50)
+            assert len(snaps._pids) == 2
+            if end == "close":
+                next(iter(snaps))
+                snaps.close()
+            elif end == "finished":
+                for s in snaps:
+                    snaps.measure(s)
+                assert snaps.results() == pytest.approx([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0,
+                                                         7.0, 8.0])
+            else:
+                with pytest.raises(ArithmeticError, match="planted in the caller"):
+                    for s in snaps:
+                        snaps.measure(s)
+            assert running_descendants(os.getpid()) == set()
+
+    def test_running_descendants_finds_a_grandchild(self):
+        # the leftover-process check walks parent links, so it sees a process
+        # that a child of this one started
+        r, w = os.pipe()
+        child = os.fork()
+        if child == 0:
+            grandchild = os.fork()
+            if grandchild == 0:
+                time.sleep(60.0)
+                os._exit(0)
+            os.write(w, str(grandchild).encode())
+            time.sleep(60.0)
+            os._exit(0)
+        os.close(w)
+        grandchild = int(os.read(r, 16))
+        os.close(r)
+        try:
+            assert {child, grandchild} <= running_descendants(os.getpid())
+        finally:
+            for pid in (grandchild, child):
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(child, 0)
+            os.waitpid(grandchild, 0)  # this process is the subreaper: the orphan is its child
+
+    def test_the_other_half_dies_with_a_killed_lead(self):
+        with assert_released():
+            # 200,000 steps: seconds of stepping left for an other half that missed the end
+            snaps = run(noisy_pair(pde._SPLIT), SolverConfig(dt=0.02), 4000.0, unmeasured,
+                        frame_cadence=pde._SYNC)
+            lead, other = snaps._pids
+            streamed = iter(snaps)
+            next(streamed)
+            next(streamed)
+            os.kill(lead, signal.SIGKILL)
+            start = time.perf_counter()
+            while time.perf_counter() - start < 1.0 and other in running_descendants(os.getpid()):
+                time.sleep(1e-3)
+            assert other not in running_descendants(os.getpid())
+            with pytest.raises(ChildProcessError, match="wait status 9"):
+                list(streamed)
 
 
 def _kdk_oracle(state, cfg, n_steps):
